@@ -1,0 +1,88 @@
+"""Golden matrix: the exact results every refactor must keep.
+
+For each workload x topology x latency x seed it records the cycle count,
+every ``collect_counters`` value and the sha256 of the final memory image
+(after ``flush_dirty``), plus the ``report(..., "csv")`` bytes of the whole
+matrix. ``tests/test_golden.py`` compares a fresh run with ``matrix.json``.
+
+    PYTHONPATH=src python3 tests/golden/make_golden.py          # check only
+    PYTHONPATH=src python3 tests/golden/make_golden.py --regen  # rewrite
+
+Regenerate only for a change that is meant to alter simulated results, and
+say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from chasesim import build_system, make_config, report
+from chasesim.harness import RunStats, collect_counters
+from chasesim.memory import dump_image
+
+GOLDEN = Path(__file__).resolve().parent / "matrix.json"
+
+WORKLOADS = ("traversal", "insertion", "hashtable", "hanoi", "array", "random")
+TOPOLOGIES = ("baseline", "alternate")
+LATENCIES = (1, 2, 5, 10, 40)
+SEEDS = (1, 2)
+# command-line default sizes, except the 10 000-token random stream
+PARAMS = {"random": {"n": 300}}
+
+
+def configs():
+    return [make_config(topo, lat, name, seed=seed, **PARAMS.get(name, {}))
+            for name in WORKLOADS for topo in TOPOLOGIES
+            for lat in LATENCIES for seed in SEEDS]
+
+
+def run_row(config) -> tuple[dict, RunStats]:
+    handle = build_system(config)
+    if not handle.system.run_until(lambda: handle.core.done, config.max_cycles):
+        raise RuntimeError(f"{config} did not complete")
+    handle.cache.flush_dirty(handle.memory.poke_line)
+    counters = collect_counters(handle)
+    image = dump_image(handle.memory.store).encode()
+    row = {"workload": config.workload, "topology": config.topology,
+           "latency": config.latency, "seed": config.seed,
+           "cycles": handle.system.cycle, "counters": counters,
+           "image_sha256": hashlib.sha256(image).hexdigest()}
+    stats = RunStats(config.workload, config.topology, config.latency,
+                     config.seed, handle.system.cycle, True, counters)
+    return row, stats
+
+
+def compute() -> dict:
+    rows, stats = zip(*(run_row(c) for c in configs()))
+    return {"rows": list(rows), "csv": report(list(stats), "csv")}
+
+
+def render(matrix: dict) -> str:
+    """JSON with one row per line, so a diff names the rows that changed."""
+    rows = ",\n".join(json.dumps(r, sort_keys=True) for r in matrix["rows"])
+    return f'{{"csv": {json.dumps(matrix["csv"])},\n"rows": [\n{rows}\n]}}\n'
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--regen", action="store_true",
+                        help=f"rewrite {GOLDEN.name} from the current tree")
+    args = parser.parse_args(argv)
+    text = render(compute())
+    if args.regen:
+        GOLDEN.write_text(text)
+        print(f"wrote {GOLDEN}")
+        return 0
+    if GOLDEN.is_file() and GOLDEN.read_text() == text:
+        print(f"{GOLDEN.name}: unchanged")
+        return 0
+    print(f"{GOLDEN.name}: differs from the current tree (use --regen to rewrite)")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
