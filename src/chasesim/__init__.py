@@ -11,14 +11,33 @@ from .cache import BlockingCache, CacheFsm
 from .prefetcher import (PointerChasePrefetcher, PrefetchFsm, agu_next_address,
                          DEMAND_OPAQUE, PREFETCH_OPAQUE)
 from .core import Compute, CoreModel, Read, ReadCP, Write
-from .workloads import (FlatMemory, FreeList, Lcg, Workload, build_free_list,
-                        format_program, gen_array_kernel, gen_hanoi_like,
-                        gen_hashtable, gen_insertion, gen_random_stream,
-                        gen_traversal, lcg_next, parse_program, replay_program)
-from .harness import (ExperimentConfig, RunStats, SinkReport, TestSink,
-                      TestSource, build_prefetcher_testbench, build_system,
-                      checking_sink, make_config, make_workload,
-                      report, run_experiment, sweep)
+from .workloads import (WORKLOADS, FlatMemory, FreeList, Lcg, Workload,
+                        build_free_list, format_program, gen_array_kernel,
+                        gen_hanoi_like, gen_hashtable, gen_insertion,
+                        gen_random_stream, gen_traversal, lcg_next,
+                        parse_program, replay_program)
+from .harness import (ExperimentConfig, RunStats, build_system, make_config,
+                      make_workload, report, run_experiment, sweep)
+from .testbench import (SinkReport, TestSink, TestSource, build_testbench,
+                        checking_sink)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AddrGeometry", "CACHE_GEOMETRY", "LINE_BYTES", "PREFETCH_GEOMETRY",
+    "MemRequest", "MemResponse", "MsgKind", "join_address", "line_base",
+    "split_address", "word_in_line",
+    "Channel", "CombinationalLoopError", "Component", "ConfigurationError",
+    "System",
+    "PipelinedMemory", "dump_image", "parse_image",
+    "BlockingCache", "CacheFsm",
+    "PointerChasePrefetcher", "PrefetchFsm", "agu_next_address",
+    "DEMAND_OPAQUE", "PREFETCH_OPAQUE",
+    "Compute", "CoreModel", "Read", "ReadCP", "Write",
+    "WORKLOADS", "FlatMemory", "FreeList", "Lcg", "Workload",
+    "build_free_list", "format_program", "gen_array_kernel", "gen_hanoi_like",
+    "gen_hashtable", "gen_insertion", "gen_random_stream", "gen_traversal",
+    "lcg_next", "parse_program", "replay_program",
+    "ExperimentConfig", "RunStats", "build_system", "make_config",
+    "make_workload", "report", "run_experiment", "sweep",
+    "SinkReport", "TestSink", "TestSource", "build_testbench", "checking_sink",
+]
 __version__ = "0.1.0"

@@ -50,12 +50,11 @@ class CacheStats:
     evictions: int = 0
     downstream_requests: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))
-
 
 class BlockingCache(Component):
     name = "cache"
+    up = ("core_req", "core_resp")
+    down = ("mem_req", "mem_resp")
 
     def __init__(self):
         super().__init__()

@@ -11,43 +11,29 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import make_config, report, run_experiment, sweep
+from .harness import TOPOLOGIES, make_config, report, run_experiment, sweep
+from .workloads import WORKLOADS
 
 
 def _add_workload_opts(p):
-    p.add_argument("--nodes", type=int, default=64, help="list length")
-    p.add_argument("--nodes-per-line", type=int, choices=(1, 2), default=1)
-    p.add_argument("--gap", type=int, default=None,
-                   help="compute cycles between memory tokens")
+    # workload sizes default to None: unset ones take the WORKLOADS defaults
+    p.add_argument("--nodes", type=int, help="list length")
+    p.add_argument("--nodes-per-line", type=int, choices=(1, 2))
+    p.add_argument("--gap", type=int, help="compute cycles between memory tokens")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--disks", type=int, default=6, help="hanoi disks")
-    p.add_argument("--buckets", type=int, default=16, help="hashtable buckets")
-    p.add_argument("--keys", type=int, default=64, help="hashtable keys")
-    p.add_argument("--inserts", type=int, default=8, help="insertion count")
-    p.add_argument("--elements", type=int, default=256, help="array elements")
+    p.add_argument("--disks", type=int, help="hanoi disks")
+    p.add_argument("--buckets", type=int, help="hashtable buckets")
+    p.add_argument("--keys", type=int, help="hashtable keys")
+    p.add_argument("--inserts", type=int, help="insertion count")
+    p.add_argument("--elements", type=int, help="array elements")
     p.add_argument("--max-cycles", type=int, default=10_000_000)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
 
 def _workload_params(args, name):
-    params = {}
-    if name in ("traversal", "insertion"):
-        params["nodes"] = args.nodes
-        params["nodes_per_line"] = args.nodes_per_line
-    if name == "traversal" and args.gap is not None:
-        params["gap"] = args.gap
-    if name == "insertion":
-        params["inserts"] = args.inserts
-    if name == "hanoi":
-        params["disks"] = args.disks
-    if name == "hashtable":
-        params["buckets"] = args.buckets
-        params["keys"] = args.keys
-    if name == "array":
-        params["elements"] = args.elements
-        if args.gap is not None:
-            params["gap"] = args.gap
-    return params
+    """The given flags that the named workload takes as parameters."""
+    _, defaults = WORKLOADS.get(name, (None, {}))
+    return {k: v for k, v in vars(args).items() if k in defaults and v is not None}
 
 
 def main(argv=None) -> int:
@@ -55,8 +41,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment")
-    p_run.add_argument("--topology", choices=("baseline", "alternate"),
-                       default="alternate")
+    p_run.add_argument("--topology", choices=TOPOLOGIES, default="alternate")
     p_run.add_argument("--latency", type=int, default=5)
     p_run.add_argument("--workload", required=True)
     p_run.add_argument("--trace", metavar="FILE", default=None,
@@ -67,7 +52,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--latencies", default="2,5,10,20,40")
     p_sweep.add_argument("--workloads", required=True,
                          help="comma-separated workload names")
-    p_sweep.add_argument("--topologies", default="baseline,alternate")
+    p_sweep.add_argument("--topologies", default=",".join(TOPOLOGIES))
     _add_workload_opts(p_sweep)
 
     args = parser.parse_args(argv)

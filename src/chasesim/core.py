@@ -54,11 +54,11 @@ def as_generator(program):
 
 class CoreModel(Component):
     name = "core"
+    down = ("mem_req", "mem_resp")
 
     def __init__(self, program):
         super().__init__()
         self._gen = as_generator(program)
-        self._started = False
         self._token: Token | None = None
         self._state = "issue"
         self._compute_left = 0
@@ -72,11 +72,7 @@ class CoreModel(Component):
     def _advance(self, value):
         while True:
             try:
-                if self._started:
-                    tok = self._gen.send(value)
-                else:
-                    tok = next(self._gen)
-                    self._started = True
+                tok = self._gen.send(value)
             except StopIteration:
                 self.done = True
                 self._state = "done"
@@ -95,10 +91,10 @@ class CoreModel(Component):
     def _request(self) -> MemRequest:
         tok = self._token
         if isinstance(tok, Read):
-            return MemRequest(MsgKind.READ, tok.addr, length=4)
+            return MemRequest(MsgKind.READ, tok.addr)
         if isinstance(tok, ReadCP):
-            return MemRequest(MsgKind.READCP, tok.addr, length=4)
-        return MemRequest(MsgKind.WRITE, tok.addr, length=4, data=word_bytes(tok.value))
+            return MemRequest(MsgKind.READCP, tok.addr)
+        return MemRequest(MsgKind.WRITE, tok.addr, data=word_bytes(tok.value))
 
     def eval(self):
         self.mem_req.clear()

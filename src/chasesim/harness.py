@@ -1,6 +1,5 @@
 """Experiment runner: builds baseline/alternate systems, runs workloads
-across parameter sweeps, and renders results as table/CSV/JSON. Also hosts
-the hit-flag-checking source/sink pair used by directed tests.
+across parameter sweeps, and renders results as table/CSV/JSON.
 """
 
 from __future__ import annotations
@@ -12,10 +11,9 @@ from dataclasses import dataclass, field
 
 from .cache import BlockingCache
 from .core import CoreModel
-from .kernel import ConfigurationError, System, Component
+from .kernel import ConfigurationError, System
 from .memory import PipelinedMemory
-from .messages import MemResponse
-from .prefetcher import PointerChasePrefetcher
+from .prefetcher import PointerChasePrefetcher, PrefetchStats
 from . import workloads as wl
 
 TOPOLOGIES = ("baseline", "alternate")
@@ -56,33 +54,13 @@ class RunStats:
 
 
 def make_workload(name: str, seed: int = 1, **params) -> wl.Workload:
-    """Instantiate a named benchmark. Defaults: traversal n=64, hashtable
-    16x64, hanoi disks=6, array 256 elements."""
-    if name == "traversal":
-        flist = wl.build_free_list(params.get("nodes", 64), seed=seed,
-                                   nodes_per_line=params.get("nodes_per_line", 1))
-        prog = wl.gen_traversal(flist, compute_gap=params.get("gap", 0))
-        return wl.Workload("traversal", flist.segments, prog,
-                           meta={"free_list": flist})
-    if name == "insertion":
-        nodes = params.get("nodes", 64)
-        inserts = params.get("inserts", 8)
-        flist = wl.build_free_list(nodes, seed=seed,
-                                   nodes_per_line=params.get("nodes_per_line", 1),
-                                   linked_count=nodes - inserts)
-        prog = wl.gen_insertion(flist, inserts, seed)
-        return wl.Workload("insertion", flist.segments, prog,
-                           meta={"free_list": flist, "inserts": inserts})
-    if name == "hashtable":
-        return wl.gen_hashtable(params.get("buckets", 16), params.get("keys", 64), seed)
-    if name == "hanoi":
-        return wl.gen_hanoi_like(params.get("disks", 6))
-    if name == "array":
-        return wl.gen_array_kernel(params.get("elements", 256),
-                                   gap=params.get("gap", 2), seed=seed)
-    if name == "random":
-        return wl.gen_random_stream(params.get("n", 10000), seed)
-    raise ConfigurationError(f"unknown workload {name!r}")
+    """Instantiate a workload from ``WORKLOADS``; unset parameters take the
+    registry's defaults and parameters the workload does not take are
+    ignored."""
+    if name not in wl.WORKLOADS:
+        raise ConfigurationError(f"unknown workload {name!r}")
+    build, defaults = wl.WORKLOADS[name]
+    return build(seed, **{k: params.get(k, v) for k, v in defaults.items()})
 
 
 @dataclass
@@ -97,37 +75,22 @@ class SimHandle:
 
 def build_system(config: ExperimentConfig, trace=None) -> SimHandle:
     workload = make_workload(config.workload, seed=config.seed, **config.param_dict())
-    sys_ = System()
     core = CoreModel(workload.program)
     cache = BlockingCache()
     memory = PipelinedMemory(config.latency)
     memory.load_image(workload.segments)
-    pf = None
-    sys_.add(core, cache)
-    sys_.connect((core, "mem_req"), (cache, "core_req"), "core.req")
-    sys_.connect((cache, "core_resp"), (core, "mem_resp"), "core.resp")
-    if config.topology == "alternate":
-        pf = PointerChasePrefetcher()
-        sys_.add(pf)
-        sys_.connect((cache, "mem_req"), (pf, "cache_req"), "cache.req")
-        sys_.connect((pf, "cache_resp"), (cache, "mem_resp"), "cache.resp")
-        sys_.add(memory)
-        sys_.connect((pf, "mem_req"), (memory, "req"), "pf.req")
-        sys_.connect((memory, "resp"), (pf, "mem_resp"), "pf.resp")
-    else:
-        sys_.add(memory)
-        sys_.connect((cache, "mem_req"), (memory, "req"), "cache.req")
-        sys_.connect((memory, "resp"), (cache, "mem_resp"), "cache.resp")
+    pf = PointerChasePrefetcher() if config.topology == "alternate" else None
+    sys_ = System()
+    sys_.chain(core, cache, *([pf] if pf else []), memory)
     if trace is not None:
         sys_.attach_trace(trace)
     return SimHandle(sys_, core, cache, pf, memory, workload)
 
 
 def collect_counters(handle: SimHandle) -> dict[str, int]:
-    counters = {f"cache_{k}": v for k, v in handle.cache.stats.as_dict().items()}
-    from .prefetcher import PrefetchStats
+    counters = {f"cache_{k}": v for k, v in vars(handle.cache.stats).items()}
     pf_stats = handle.prefetcher.stats if handle.prefetcher else PrefetchStats()
-    counters.update({f"pf_{k}": v for k, v in pf_stats.as_dict().items()})
+    counters.update({f"pf_{k}": v for k, v in vars(pf_stats).items()})
     counters["mem_requests"] = len(handle.memory.request_log)
     return counters
 
@@ -205,121 +168,3 @@ def report(results, format: str = "table") -> str:
                  for row in cells]
         return "\n".join(lines) + "\n"
     raise ConfigurationError(f"unknown report format {format!r}")
-
-
-# ---------------------------------------------------------------------------
-# directed-test source and hit-checking sink
-
-
-class TestSource(Component):
-    """Feeds a scripted request sequence, with optional per-request delays."""
-
-    name = "src"
-
-    def __init__(self, script):
-        super().__init__()
-        # script items: MemRequest or (MemRequest, delay-cycles-before-offer)
-        self.script = [(s, 0) if not isinstance(s, tuple) else s for s in script]
-        self.index = 0
-        self.wait = self.script[0][1] if self.script else 0
-        self.log: list[tuple[int, object]] = []  # (cycle accepted, request)
-        self.req = None  # port
-
-    @property
-    def done(self):
-        return self.index >= len(self.script)
-
-    def eval(self):
-        self.req.clear()
-        if not self.done and self.wait == 0:
-            self.req.send(self.script[self.index][0])
-
-    def tick(self):
-        if self.done:
-            return
-        if self.wait > 0:
-            self.wait -= 1
-        elif self.req.took():
-            self.log.append((self.system.cycle, self.script[self.index][0]))
-            self.index += 1
-            if not self.done:
-                self.wait = self.script[self.index][1]
-
-    def trace_state(self):
-        return "." if self.done else f"{self.index}"
-
-
-class TestSink(Component):
-    """Collects responses; can apply per-response acceptance delays."""
-
-    name = "sink"
-
-    def __init__(self, delays=()):
-        super().__init__()
-        self.delays = list(delays)
-        self.wait = self.delays[0] if self.delays else 0
-        self.received: list[tuple[int, MemResponse]] = []  # (cycle, response)
-        self.resp = None  # port
-
-    def eval(self):
-        self.resp.set_rdy(self.wait == 0)
-
-    def tick(self):
-        r = self.resp.recv()
-        if r is not None:
-            self.received.append((self.system.cycle, r))
-            i = len(self.received)
-            self.wait = self.delays[i] if i < len(self.delays) else 0
-        elif self.wait > 0:
-            self.wait -= 1
-
-    def responses(self):
-        return [r for _, r in self.received]
-
-
-@dataclass
-class SinkReport:
-    ok: bool
-    index: int = -1
-    detail: str = ""
-
-
-def checking_sink(expected_hits, observed, check_hits: bool = True) -> SinkReport:
-    """Compare observed responses' hit flags against an expected trace.
-
-    expected_hits entries are (descriptor, hit-flag-or-None); None skips the
-    flag check for that response. check_hits=False disables flag checking
-    entirely (randomized streams).
-    """
-    if len(expected_hits) != len(observed):
-        return SinkReport(False, min(len(expected_hits), len(observed)),
-                          f"length mismatch: expected {len(expected_hits)} "
-                          f"responses, observed {len(observed)}")
-    if not check_hits:
-        return SinkReport(True)
-    for i, ((desc, want), resp) in enumerate(zip(expected_hits, observed)):
-        if want is not None and resp.hit != bool(want):
-            return SinkReport(False, i,
-                              f"{desc}: expected hit={int(bool(want))}, "
-                              f"observed hit={int(resp.hit)}")
-    return SinkReport(True)
-
-
-def build_prefetcher_testbench(latency: int, script, sink_delays=(),
-                               prefetch_enabled: bool = True,
-                               segments=(), trace=None):
-    """source -> prefetcher -> memory harness for directed unit tests."""
-    sys_ = System()
-    src = TestSource(script)
-    sink = TestSink(sink_delays)
-    pf = PointerChasePrefetcher(prefetch_enabled=prefetch_enabled)
-    mem = PipelinedMemory(latency)
-    mem.load_image(segments)
-    sys_.add(src, sink, pf, mem)
-    sys_.connect((src, "req"), (pf, "cache_req"), "src.req")
-    sys_.connect((pf, "cache_resp"), (sink, "resp"), "pf.resp")
-    sys_.connect((pf, "mem_req"), (mem, "req"), "pf.memreq")
-    sys_.connect((mem, "resp"), (pf, "mem_resp"), "pf.memresp")
-    if trace is not None:
-        sys_.attach_trace(trace)
-    return sys_, src, sink, pf, mem

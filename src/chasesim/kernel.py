@@ -25,14 +25,10 @@ class CombinationalLoopError(Exception):
     pass
 
 
-class DeadlockError(Exception):
-    pass
-
-
 class Channel:
     """Single-message val/rdy channel. Capacity 1, no queuing."""
 
-    __slots__ = ("name", "msg", "val", "rdy", "_xfer", "_xfer_msg", "transfers")
+    __slots__ = ("name", "msg", "val", "rdy", "_xfer", "transfers")
 
     def __init__(self, name: str = "chan"):
         self.name = name
@@ -40,7 +36,6 @@ class Channel:
         self.val = False
         self.rdy = False
         self._xfer = False
-        self._xfer_msg = None
         self.transfers = 0
 
     # -- producer side, settle phase --
@@ -66,11 +61,10 @@ class Channel:
 
     def recv(self):
         """Consumer: message transferred this cycle, or None."""
-        return self._xfer_msg if self._xfer else None
+        return self.msg if self._xfer else None
 
     def _commit(self):
         self._xfer = self.val and self.rdy
-        self._xfer_msg = self.msg if self._xfer else None
         if self._xfer:
             self.transfers += 1
 
@@ -79,7 +73,6 @@ class Channel:
             self.msg = None
             self.val = False
         self._xfer = False
-        self._xfer_msg = None
         self.rdy = False
 
 
@@ -87,6 +80,10 @@ class Component:
     """Base role: a combinational eval plus a sequential tick."""
 
     name = "comp"
+    # port attribute names for System.chain:
+    # up = (request-in, response-out), down = (request-out, response-in)
+    up: tuple[str, ...] = ()
+    down: tuple[str, ...] = ()
 
     def __init__(self):
         self.system: System | None = None
@@ -105,11 +102,7 @@ class Component:
 
 
 class System:
-    """A fully connected set of components advanced in lockstep.
-
-    A system instance is single-threaded during simulation; whole instances
-    are self-contained and may run on different threads for sweeps.
-    """
+    """A fully connected set of components advanced in lockstep."""
 
     def __init__(self):
         self.components: list[Component] = []
@@ -138,6 +131,14 @@ class System:
         setattr(ccomp, cport, ch)
         self.channels.append(ch)
         return ch
+
+    def chain(self, *comps: Component):
+        """Add comps and link each one's ``down`` ports to the next one's
+        ``up`` ports with channels named ``<requester>.req``/``.resp``."""
+        self.add(*comps)
+        for a, b in zip(comps, comps[1:]):
+            self.connect((a, a.down[0]), (b, b.up[0]), f"{a.name}.req")
+            self.connect((b, b.up[1]), (a, a.down[1]), f"{a.name}.resp")
 
     def attach_trace(self, stream):
         """Write one line per cycle: component states plus transfer markers."""

@@ -16,6 +16,7 @@ from .messages import (LINE_BYTES, WORD_BYTES, ZERO_LINE, MemRequest,
 
 class PipelinedMemory(Component):
     name = "mem"
+    up = ("req", "resp")
 
     def __init__(self, latency: int):
         super().__init__()

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 LINE_BYTES = 16
 WORD_BYTES = 4
-WORDS_PER_LINE = LINE_BYTES // WORD_BYTES
 
 ZERO_LINE = bytes(LINE_BYTES)
 
@@ -32,7 +31,6 @@ class MemRequest:
     kind: MsgKind
     addr: int
     opaque: int = 0
-    length: int = 0  # bytes requested; 0 encodes full line width
     data: bytes = b""
 
     def __post_init__(self):

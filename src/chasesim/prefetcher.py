@@ -32,9 +32,8 @@ def agu_next_address(line: bytes, offset: int) -> int:
 class PrefetchEntry:
     tag: int = 0
     tag_valid: bool = False
-    data_valid: bool = False
+    data_valid: bool = False  # tag valid, data not: claimed, fill in flight
     data: bytes = ZERO_LINE
-    pending: bool = False     # claimed at issue time, fill still in flight
     prefetched: bool = False  # filled by prefetch (False for init-loaded)
     used: bool = False        # demanded at least once since fill
 
@@ -68,12 +67,11 @@ class PrefetchStats:
     prefetch_fills: int = 0
     useful_prefetch_hits: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))
-
 
 class PointerChasePrefetcher(Component):
     name = "pf"
+    up = ("cache_req", "cache_resp")
+    down = ("mem_req", "mem_resp")
 
     def __init__(self, prefetch_enabled: bool = True):
         super().__init__()
@@ -113,7 +111,7 @@ class PointerChasePrefetcher(Component):
         line, dvalid = e.data, e.data_valid
         if fill is not None and self.buffer.busy:
             ftag, fidx, _ = split_address(self.buffer.next_addr, PREFETCH_GEOMETRY)
-            if fidx == idx and e.tag_valid and e.tag == ftag and e.pending and hit:
+            if fidx == idx and e.tag == ftag and hit and not dvalid:
                 line, dvalid = fill.data, True
         return hit, idx, off, line, dvalid
 
@@ -235,7 +233,7 @@ class PointerChasePrefetcher(Component):
                 if hit:
                     # invalidate before forwarding so no stale data survives
                     e = self.entries[idx]
-                    e.tag_valid = e.data_valid = e.pending = False
+                    e.tag_valid = e.data_valid = False
                 self.state = PrefetchFsm.WAIT_MEM
             return
         hit, idx, off = self.tag_check(req.addr)
@@ -275,18 +273,16 @@ class PointerChasePrefetcher(Component):
         # claim the entry now so a demand to this line waits instead of
         # duplicating the memory request
         self.entries[idx] = PrefetchEntry(tag=tag, tag_valid=True,
-                                          data_valid=False, pending=True,
-                                          prefetched=True)
+                                          data_valid=False, prefetched=True)
         self.state = PrefetchFsm.BUFFER_TO_MEM
 
     def _apply_fill(self, resp: MemResponse):
         assert self.buffer.busy, "prefetch fill with no prefetch outstanding"
         tag, idx, _ = split_address(self.buffer.next_addr, PREFETCH_GEOMETRY)
         e = self.entries[idx]
-        if e.tag_valid and e.tag == tag and e.pending:
+        if e.tag_valid and e.tag == tag and not e.data_valid:
             e.data = resp.data
             e.data_valid = True
-            e.pending = False
             self.stats.prefetch_fills += 1
         else:
             # entry invalidated (write) since the issue: drop the fill

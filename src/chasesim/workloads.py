@@ -327,6 +327,37 @@ def gen_random_stream(n: int, seed: int, base: int = 0x0000, lines: int = 256,
 
 
 # ---------------------------------------------------------------------------
+# named workloads
+
+
+def _traversal(seed, nodes, nodes_per_line, gap):
+    flist = build_free_list(nodes, seed=seed, nodes_per_line=nodes_per_line)
+    return Workload("traversal", flist.segments, gen_traversal(flist, gap),
+                    meta={"free_list": flist})
+
+
+def _insertion(seed, nodes, nodes_per_line, inserts):
+    flist = build_free_list(nodes, seed=seed, nodes_per_line=nodes_per_line,
+                            linked_count=nodes - inserts)
+    return Workload("insertion", flist.segments, gen_insertion(flist, inserts, seed),
+                    meta={"free_list": flist, "inserts": inserts})
+
+
+# name -> (builder(seed, **params), default params). These are the only
+# defaults: make_workload and the command line fill unset parameters from here.
+WORKLOADS: dict[str, tuple[Callable[..., Workload], dict]] = {
+    "traversal": (_traversal, {"nodes": 64, "nodes_per_line": 1, "gap": 0}),
+    "insertion": (_insertion, {"nodes": 64, "nodes_per_line": 1, "inserts": 8}),
+    "hashtable": (lambda seed, buckets, keys: gen_hashtable(buckets, keys, seed),
+                  {"buckets": 16, "keys": 64}),
+    "hanoi": (lambda seed, disks: gen_hanoi_like(disks), {"disks": 6}),
+    "array": (lambda seed, elements, gap: gen_array_kernel(elements, gap, seed=seed),
+              {"elements": 256, "gap": 2}),
+    "random": (lambda seed, n: gen_random_stream(n, seed), {"n": 10000}),
+}
+
+
+# ---------------------------------------------------------------------------
 # flat-memory replay oracle
 
 
@@ -363,11 +394,9 @@ def replay_program(program, segments) -> tuple[list[tuple[int, int]], FlatMemory
     gen = as_generator(program)
     loads = []
     value = None
-    started = False
     while True:
         try:
-            tok = gen.send(value) if started else next(gen)
-            started = True
+            tok = gen.send(value)
         except StopIteration:
             return loads, flat
         if isinstance(tok, (Read, ReadCP)):

@@ -1,87 +1,14 @@
-"""Shared builders for directed tests.
+"""Shared helpers for directed tests.
 
-Most directed tests wire a scripted TestSource and a TestSink around one
-device under test (cache, prefetcher, or memory) and compare acceptance /
+Directed tests wire a device under test between a scripted source/sink pair
+and a memory with ``chasesim.build_testbench`` and compare acceptance /
 response cycles from their logs.
 """
 
 from __future__ import annotations
-
-import pytest
-
-from chasesim import (BlockingCache, PointerChasePrefetcher, PipelinedMemory,
-                      System, TestSink, TestSource)
-
-# the Test* harness classes are simulator components, not test cases
-TestSource.__test__ = False
-TestSink.__test__ = False
-
-
-def build_memory_testbench(latency, script, sink_delays=(), segments=()):
-    """source -> memory -> sink."""
-    sys_ = System()
-    src = TestSource(script)
-    sink = TestSink(sink_delays)
-    mem = PipelinedMemory(latency)
-    mem.load_image(segments)
-    sys_.add(src, sink, mem)
-    sys_.connect((src, "req"), (mem, "req"), "src.req")
-    sys_.connect((mem, "resp"), (sink, "resp"), "mem.resp")
-    return sys_, src, sink, mem
-
-
-def build_cache_testbench(latency, script, sink_delays=(), segments=()):
-    """source -> cache -> memory, responses to sink."""
-    sys_ = System()
-    src = TestSource(script)
-    sink = TestSink(sink_delays)
-    cache = BlockingCache()
-    mem = PipelinedMemory(latency)
-    mem.load_image(segments)
-    sys_.add(src, sink, cache, mem)
-    sys_.connect((src, "req"), (cache, "core_req"), "src.req")
-    sys_.connect((cache, "core_resp"), (sink, "resp"), "cache.resp")
-    sys_.connect((cache, "mem_req"), (mem, "req"), "cache.memreq")
-    sys_.connect((mem, "resp"), (cache, "mem_resp"), "cache.memresp")
-    return sys_, src, sink, cache, mem
-
-
-def build_hierarchy_testbench(topology, latency, script, sink_delays=(),
-                              segments=(), trace=None):
-    """source -> cache [-> prefetcher] -> memory, responses to sink."""
-    sys_ = System()
-    src = TestSource(script)
-    sink = TestSink(sink_delays)
-    cache = BlockingCache()
-    mem = PipelinedMemory(latency)
-    mem.load_image(segments)
-    sys_.add(src, sink, cache)
-    sys_.connect((src, "req"), (cache, "core_req"), "src.req")
-    sys_.connect((cache, "core_resp"), (sink, "resp"), "cache.resp")
-    pf = None
-    if topology == "alternate":
-        pf = PointerChasePrefetcher()
-        sys_.add(pf, mem)
-        sys_.connect((cache, "mem_req"), (pf, "cache_req"), "cache.memreq")
-        sys_.connect((pf, "cache_resp"), (cache, "mem_resp"), "cache.memresp")
-        sys_.connect((pf, "mem_req"), (mem, "req"), "pf.memreq")
-        sys_.connect((mem, "resp"), (pf, "mem_resp"), "pf.memresp")
-    else:
-        sys_.add(mem)
-        sys_.connect((cache, "mem_req"), (mem, "req"), "cache.memreq")
-        sys_.connect((mem, "resp"), (cache, "mem_resp"), "cache.memresp")
-    if trace is not None:
-        sys_.attach_trace(trace)
-    return sys_, src, sink, cache, pf, mem
 
 
 def run_to_responses(sys_, sink, count, max_cycles=100_000):
     ok = sys_.run_until(lambda: len(sink.received) >= count, max_cycles)
     assert ok, f"expected {count} responses, got {len(sink.received)}"
     return sink.responses()
-
-
-@pytest.fixture
-def trace_buffer():
-    import io
-    return io.StringIO()

@@ -13,13 +13,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from chasesim import (MemRequest, MsgKind, build_prefetcher_testbench,
-                      build_system, make_config, replay_program,
-                      PREFETCH_OPAQUE)
+from chasesim import (BlockingCache, MemRequest, MsgKind,
+                      PointerChasePrefetcher, build_system, build_testbench,
+                      make_config, replay_program, PREFETCH_OPAQUE)
 from chasesim.harness import report, sweep
 from chasesim.messages import set_word_in_line
 
-from conftest import build_hierarchy_testbench, run_to_responses
+from conftest import run_to_responses
 
 
 @contextmanager
@@ -65,9 +65,9 @@ def test_01_coherence_oracle():
 def test_02_single_cycle_prefetcher_hit():
     with criterion(2, "prefetcher buffer hit serviced in a single cycle"):
         line = bytes(range(16))
-        sys_, src, sink, pf, mem = build_prefetcher_testbench(
+        sys_, src, sink, pf, mem = build_testbench(
             5, [MemRequest(MsgKind.INIT, 0x1000, data=line),
-                MemRequest(MsgKind.READ, 0x1004)])
+                MemRequest(MsgKind.READ, 0x1004)], PointerChasePrefetcher())
         run_to_responses(sys_, sink, 2)
         accept = src.log[1][0]
         resp_cycle, resp = sink.received[1]
@@ -80,8 +80,11 @@ def test_03_miss_overhead_exactly_one_cycle():
         for latency in LATENCIES:
             times = {}
             for topo in ("baseline", "alternate"):
-                sys_, src, sink, cache, pf, mem = build_hierarchy_testbench(
-                    topo, latency, [MemRequest(MsgKind.READ, 0x1000, length=4)],
+                stages = [BlockingCache()]
+                if topo == "alternate":
+                    stages.append(PointerChasePrefetcher())
+                sys_, src, sink, *_ = build_testbench(
+                    latency, [MemRequest(MsgKind.READ, 0x1000)], *stages,
                     segments=[(0x1000, bytes(range(16)))])
                 run_to_responses(sys_, sink, 1)
                 times[topo] = sink.received[0][0] - src.log[0][0]
@@ -98,8 +101,9 @@ def test_04_write_invalidation():
             (MemRequest(MsgKind.WRITE, ptr, data=new_line), 15),
             (MemRequest(MsgKind.READ, ptr), 2),
         ]
-        sys_, src, sink, pf, mem = build_prefetcher_testbench(
-            5, script, segments=[(ptr & ~0xF, bytes(range(16, 32)))])
+        sys_, src, sink, pf, mem = build_testbench(
+            5, script, PointerChasePrefetcher(),
+            segments=[(ptr & ~0xF, bytes(range(16, 32)))])
         run_to_responses(sys_, sink, 4)
         assert pf.stats.prefetch_fills == 1  # the line was prefetched first
         final = sink.responses()[3]
@@ -118,8 +122,9 @@ def test_05_duplicate_suppression():
             MemRequest(MsgKind.READCP, 0x1000),
             MemRequest(MsgKind.READ, ptr),
         ]
-        sys_, src, sink, pf, mem = build_prefetcher_testbench(
-            10, script, segments=[(ptr & ~0xF, payload)], trace=trace)
+        sys_, src, sink, pf, mem = build_testbench(
+            10, script, PointerChasePrefetcher(),
+            segments=[(ptr & ~0xF, payload)], trace=trace)
         run_to_responses(sys_, sink, 3)
         line_reqs = [r for r in mem.request_log if r.addr == (ptr & ~0xF)]
         assert len(line_reqs) == 1
@@ -188,7 +193,7 @@ def test_10_drop_policy():
             MemRequest(MsgKind.READCP, 0x1000),
             MemRequest(MsgKind.READCP, 0x1010),
         ]
-        sys_, src, sink, pf, mem = build_prefetcher_testbench(30, script)
+        sys_, src, sink, pf, mem = build_testbench(30, script, PointerChasePrefetcher())
         run_to_responses(sys_, sink, 4)
         for _ in range(80):
             sys_.step()

@@ -2,32 +2,33 @@
 
 import pytest
 
-from chasesim import (MemRequest, MsgKind, build_system, make_config,
-                      replay_program)
+from chasesim import (BlockingCache, MemRequest, MsgKind, build_system,
+                      build_testbench, make_config, replay_program)
 from chasesim.cache import CacheFsm
 from chasesim.messages import line_base, word_bytes, word_value
 
-from conftest import build_cache_testbench, run_to_responses
+from conftest import run_to_responses
 
 LINE_A = bytes(range(1, 17))
 
 
 def rd(addr):
-    return MemRequest(MsgKind.READ, addr, length=4)
+    return MemRequest(MsgKind.READ, addr)
 
 
 def cp(addr):
-    return MemRequest(MsgKind.READCP, addr, length=4)
+    return MemRequest(MsgKind.READCP, addr)
 
 
 def wr(addr, value):
-    return MemRequest(MsgKind.WRITE, addr, length=4, data=word_bytes(value))
+    return MemRequest(MsgKind.WRITE, addr, data=word_bytes(value))
 
 
 def test_read_miss_then_hit_timing():
     latency = 5
-    sys_, src, sink, cache, mem = build_cache_testbench(
-        latency, [rd(0x1000), rd(0x1004)], segments=[(0x1000, LINE_A)])
+    sys_, src, sink, cache, mem = build_testbench(
+        latency, [rd(0x1000), rd(0x1004)], BlockingCache(),
+        segments=[(0x1000, LINE_A)])
     run_to_responses(sys_, sink, 2)
     (a0, _), (a1, _) = src.log
     (r0, resp0), (r1, resp1) = sink.received
@@ -45,15 +46,15 @@ def test_read_miss_then_hit_timing():
 
 @pytest.mark.parametrize("latency", [2, 10, 40])
 def test_miss_service_time_scales_with_latency(latency):
-    sys_, src, sink, cache, mem = build_cache_testbench(
-        latency, [rd(0x1000)], segments=[(0x1000, LINE_A)])
+    sys_, src, sink, cache, mem = build_testbench(
+        latency, [rd(0x1000)], BlockingCache(), segments=[(0x1000, LINE_A)])
     run_to_responses(sys_, sink, 1)
     assert sink.received[0][0] - src.log[0][0] == latency + 4
 
 
 def test_write_miss_allocates_with_read_refill():
-    sys_, src, sink, cache, mem = build_cache_testbench(
-        3, [wr(0x1000, 0xABCD), rd(0x1000)])
+    sys_, src, sink, cache, mem = build_testbench(
+        3, [wr(0x1000, 0xABCD), rd(0x1000)], BlockingCache())
     run_to_responses(sys_, sink, 2)
     # refill for a write miss goes downstream as a plain read
     assert [r.kind for r in mem.request_log] == [MsgKind.READ]
@@ -64,8 +65,8 @@ def test_write_miss_allocates_with_read_refill():
 
 
 def test_readcp_kind_and_offset_preserved_downstream():
-    sys_, src, sink, cache, mem = build_cache_testbench(
-        3, [cp(0x1008)], segments=[(0x1000, LINE_A)])
+    sys_, src, sink, cache, mem = build_testbench(
+        3, [cp(0x1008)], BlockingCache(), segments=[(0x1000, LINE_A)])
     run_to_responses(sys_, sink, 1)
     assert len(mem.request_log) == 1
     downstream = mem.request_log[0]
@@ -76,8 +77,9 @@ def test_readcp_kind_and_offset_preserved_downstream():
 
 def test_dirty_eviction_writes_full_victim_line():
     # 0x1000 and 0x2000 share cache index 0 but differ in tag
-    sys_, src, sink, cache, mem = build_cache_testbench(
-        3, [wr(0x1004, 0x5555), rd(0x2000)], segments=[(0x1000, LINE_A)])
+    sys_, src, sink, cache, mem = build_testbench(
+        3, [wr(0x1004, 0x5555), rd(0x2000)], BlockingCache(),
+        segments=[(0x1000, LINE_A)])
     run_to_responses(sys_, sink, 2)
     kinds = [r.kind for r in mem.request_log]
     assert kinds == [MsgKind.READ, MsgKind.WRITE, MsgKind.READ]
@@ -90,8 +92,8 @@ def test_dirty_eviction_writes_full_victim_line():
 
 
 def test_clean_eviction_skips_writeback():
-    sys_, src, sink, cache, mem = build_cache_testbench(
-        3, [rd(0x1000), rd(0x2000)], segments=[(0x1000, LINE_A)])
+    sys_, src, sink, cache, mem = build_testbench(
+        3, [rd(0x1000), rd(0x2000)], BlockingCache(), segments=[(0x1000, LINE_A)])
     run_to_responses(sys_, sink, 2)
     assert [r.kind for r in mem.request_log] == [MsgKind.READ, MsgKind.READ]
     assert cache.stats.evictions == 0
@@ -99,7 +101,7 @@ def test_clean_eviction_skips_writeback():
 
 def test_direct_mapped_conflict_never_hits():
     script = [rd(0x1000), rd(0x2000), rd(0x1000), rd(0x2000)]
-    sys_, src, sink, cache, mem = build_cache_testbench(2, script)
+    sys_, src, sink, cache, mem = build_testbench(2, script, BlockingCache())
     run_to_responses(sys_, sink, 4)
     assert cache.stats.read_misses == 4
     assert cache.stats.read_hits == 0
@@ -107,8 +109,8 @@ def test_direct_mapped_conflict_never_hits():
 
 def test_blocking_one_outstanding_miss():
     latency = 10
-    sys_, src, sink, cache, mem = build_cache_testbench(
-        latency, [rd(0x1000), rd(0x2000)])
+    sys_, src, sink, cache, mem = build_testbench(
+        latency, [rd(0x1000), rd(0x2000)], BlockingCache())
     run_to_responses(sys_, sink, 2)
     first_resp = sink.received[0][0]
     second_accept = src.log[1][0]
@@ -117,12 +119,12 @@ def test_blocking_one_outstanding_miss():
 
 def test_flush_dirty_counts():
     out = {}
-    cache_sys = build_cache_testbench(2, [])
+    cache_sys = build_testbench(2, [], BlockingCache())
     cache = cache_sys[3]
     assert cache.flush_dirty(out.__setitem__) == 0
 
-    sys_, src, sink, cache, mem = build_cache_testbench(
-        2, [wr(0x1000, 1)] + [wr(0x10 * i, i) for i in range(16)])
+    sys_, src, sink, cache, mem = build_testbench(
+        2, [wr(0x1000, 1)] + [wr(0x10 * i, i) for i in range(16)], BlockingCache())
     run_to_responses(sys_, sink, 17)
     assert cache.state is CacheFsm.IDLE
     flushed = {}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from chasesim import WORKLOADS, make_config, report, run_experiment
 from chasesim.cli import main
 
 
@@ -57,6 +58,15 @@ def test_sweep_single_topology(capsys):
                  "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["topology"] for r in rows] == ["alternate"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_run_defaults_match_library_defaults(name, capsys):
+    # with no size flags the command line must run exactly what the library
+    # runs by default: both take their defaults from WORKLOADS
+    assert main(["run", "--workload", name, "--format", "csv"]) == 0
+    expect = report([run_experiment(make_config("alternate", 5, name))], "csv")
+    assert capsys.readouterr().out == expect
 
 
 def test_unknown_subcommand_rejected():

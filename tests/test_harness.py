@@ -28,6 +28,20 @@ def test_config_params_are_order_independent():
     assert a == b
 
 
+@pytest.mark.parametrize("topology,components,channels", [
+    ("baseline", ["core", "cache", "mem"],
+     ["core.req", "core.resp", "cache.req", "cache.resp"]),
+    ("alternate", ["core", "cache", "pf", "mem"],
+     ["core.req", "core.resp", "cache.req", "cache.resp", "pf.req", "pf.resp"]),
+])
+def test_build_system_wiring_order(topology, components, channels):
+    # the trace prints components and transfers in this order, and request
+    # channels are the ones whose names end in ".req"
+    system = build_system(make_config(topology, 5, "traversal", nodes=4)).system
+    assert [c.name for c in system.components] == components
+    assert [ch.name for ch in system.channels] == channels
+
+
 def test_baseline_has_no_prefetcher_counters():
     stats = run_experiment(make_config("baseline", 5, "traversal", nodes=16))
     assert stats.completed

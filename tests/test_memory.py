@@ -2,11 +2,12 @@
 
 import pytest
 
-from chasesim import ConfigurationError, MemRequest, MsgKind, PipelinedMemory
+from chasesim import (ConfigurationError, MemRequest, MsgKind, PipelinedMemory,
+                      build_testbench)
 from chasesim.memory import dump_image, parse_image
 from chasesim.messages import LINE_BYTES
 
-from conftest import build_memory_testbench, run_to_responses
+from conftest import run_to_responses
 
 
 def rd(addr, opaque=0):
@@ -54,7 +55,7 @@ def test_load_image_partial_lines():
 
 @pytest.mark.parametrize("latency", [1, 2, 5, 40])
 def test_response_exactly_latency_after_accept(latency):
-    sys_, src, sink, _ = build_memory_testbench(
+    sys_, src, sink, _ = build_testbench(
         latency, [rd(0x1000)], segments=[(0x1000, LINE_A)])
     run_to_responses(sys_, sink, 1)
     accept_cycle = src.log[0][0]
@@ -65,7 +66,7 @@ def test_response_exactly_latency_after_accept(latency):
 
 
 def test_back_to_back_pipelining():
-    sys_, src, sink, _ = build_memory_testbench(
+    sys_, src, sink, _ = build_testbench(
         5, [rd(0x1000), rd(0x2000)],
         segments=[(0x1000, LINE_A), (0x2000, LINE_B)])
     run_to_responses(sys_, sink, 2)
@@ -79,14 +80,14 @@ def test_back_to_back_pipelining():
 def test_inelastic_stall_shifts_everything():
     # sink not ready until cycle 8: the head response (due cycle 5) stalls
     # 3 cycles and the trailing response shifts with it
-    sys_, src, sink, _ = build_memory_testbench(
+    sys_, src, sink, _ = build_testbench(
         5, [rd(0x1000), rd(0x2000)], sink_delays=[8])
     run_to_responses(sys_, sink, 2)
     assert [c for c, _ in sink.received] == [8, 9]
 
 
 def test_stalled_memory_stops_accepting():
-    sys_, src, sink, mem = build_memory_testbench(
+    sys_, src, sink, mem = build_testbench(
         2, [rd(0x10 * i) for i in range(6)], sink_delays=[4])
     run_to_responses(sys_, sink, 6)
     # during the stall the request port was not ready, so acceptance cycles
@@ -98,7 +99,7 @@ def test_stalled_memory_stops_accepting():
 
 def test_read_your_writes():
     line = b"\x11" * 16
-    sys_, src, sink, mem = build_memory_testbench(
+    sys_, src, sink, mem = build_testbench(
         4, [wr_line(0x1000, line), rd(0x1000)])
     run_to_responses(sys_, sink, 2)
     assert sink.responses()[0].kind is MsgKind.WRITE
@@ -107,7 +108,7 @@ def test_read_your_writes():
 
 def test_order_preserved_across_kinds():
     script = [rd(0x1000), wr_line(0x2000, LINE_B), rd(0x2000), rd(0x1000)]
-    sys_, src, sink, _ = build_memory_testbench(
+    sys_, src, sink, _ = build_testbench(
         3, script, segments=[(0x1000, LINE_A)])
     run_to_responses(sys_, sink, 4)
     kinds = [r.kind for r in sink.responses()]
@@ -116,14 +117,14 @@ def test_order_preserved_across_kinds():
 
 
 def test_opaque_echoed():
-    sys_, src, sink, _ = build_memory_testbench(2, [rd(0x1000, opaque=1)])
+    sys_, src, sink, _ = build_testbench(2, [rd(0x1000, opaque=1)])
     run_to_responses(sys_, sink, 1)
     assert sink.responses()[0].opaque == 1
 
 
 def test_occupancy_never_exceeds_latency():
     latency = 4
-    sys_, src, sink, mem = build_memory_testbench(
+    sys_, src, sink, mem = build_testbench(
         latency, [rd(0x10 * i) for i in range(12)], sink_delays=[0, 2, 0, 3])
     max_occ = 0
     while len(sink.received) < 12:
@@ -134,7 +135,7 @@ def test_occupancy_never_exceeds_latency():
 
 
 def test_partial_write_rejected():
-    sys_, src, sink, _ = build_memory_testbench(
+    sys_, src, sink, _ = build_testbench(
         1, [MemRequest(MsgKind.WRITE, 0x1000, data=b"\x01\x00\x00\x00")])
     with pytest.raises(AssertionError):
         run_to_responses(sys_, sink, 1)

@@ -6,7 +6,7 @@ import io
 import pytest
 
 from chasesim import (MemRequest, MsgKind, PointerChasePrefetcher,
-                      agu_next_address, build_prefetcher_testbench,
+                      agu_next_address, build_testbench,
                       PREFETCH_OPAQUE, DEMAND_OPAQUE)
 from chasesim.messages import set_word_in_line, word_bytes
 from chasesim.prefetcher import PrefetchFsm
@@ -72,13 +72,13 @@ def test_tag_check_direct():
     assert pf.tag_check(ADDR_A + 8) == (True, 0, 8)  # same line, other word
     assert pf.tag_check(ADDR_A + 0x40)[0] is False   # same index, other tag
     # a pending (data-invalid) entry still tag-hits
-    e.pending, e.data_valid = True, False
+    e.data_valid = False
     assert pf.tag_check(ADDR_A)[0] is True
 
 
 def test_init_loads_entry_without_memory_traffic():
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        5, [init(ADDR_A, PAYLOAD_P)])
+    sys_, src, sink, pf, mem = build_testbench(
+        5, [init(ADDR_A, PAYLOAD_P)], PointerChasePrefetcher())
     run_to_responses(sys_, sink, 1)
     assert sink.responses()[0].kind is MsgKind.INIT
     assert mem.request_log == []
@@ -86,8 +86,8 @@ def test_init_loads_entry_without_memory_traffic():
 
 
 def test_read_hit_is_single_cycle():
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        5, [init(ADDR_A, PAYLOAD_P), rd(ADDR_A + 4)])
+    sys_, src, sink, pf, mem = build_testbench(
+        5, [init(ADDR_A, PAYLOAD_P), rd(ADDR_A + 4)], PointerChasePrefetcher())
     run_to_responses(sys_, sink, 2)
     accept = src.log[1][0]
     resp_cycle, resp = sink.received[1]
@@ -100,8 +100,8 @@ def test_read_hit_is_single_cycle():
 
 @pytest.mark.parametrize("latency", [2, 5, 10, 40])
 def test_read_miss_adds_exactly_one_cycle(latency):
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        latency, [rd(ADDR_A)], segments=[(ADDR_A, PAYLOAD_P)])
+    sys_, src, sink, pf, mem = build_testbench(
+        latency, [rd(ADDR_A)], PointerChasePrefetcher(), segments=[(ADDR_A, PAYLOAD_P)])
     run_to_responses(sys_, sink, 1)
     accept = src.log[0][0]
     resp_cycle, resp = sink.received[0]
@@ -114,8 +114,8 @@ def test_read_miss_adds_exactly_one_cycle(latency):
 
 
 def test_readcp_hit_issues_prefetch():
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        5, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A)],
+    sys_, src, sink, pf, mem = build_testbench(
+        5, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A)], PointerChasePrefetcher(),
         segments=[(PTR_P & ~0xF, PAYLOAD_P)])
     run_to_responses(sys_, sink, 2)
     drain(sys_, pf)
@@ -132,8 +132,8 @@ def test_readcp_miss_prefetches_from_response():
     # the chased line comes from memory; its pointer word (selected by the
     # request's offset bits) still triggers a prefetch
     src_line = line_with_ptr(PTR_P, offset=8)
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        4, [cp(0x3008)], segments=[(0x3000, src_line),
+    sys_, src, sink, pf, mem = build_testbench(
+        4, [cp(0x3008)], PointerChasePrefetcher(), segments=[(0x3000, src_line),
                                    (PTR_P & ~0xF, PAYLOAD_P)])
     run_to_responses(sys_, sink, 1)
     drain(sys_, pf)
@@ -144,8 +144,9 @@ def test_readcp_miss_prefetches_from_response():
 
 
 def test_prefetched_line_hits_later_demand():
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
+    sys_, src, sink, pf, mem = build_testbench(
         5, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A), (rd(PTR_P), 20)],
+        PointerChasePrefetcher(),
         segments=[(PTR_P & ~0xF, PAYLOAD_P)])
     run_to_responses(sys_, sink, 3)
     final = sink.responses()[2]
@@ -155,8 +156,8 @@ def test_prefetched_line_hits_later_demand():
 
 
 def test_null_pointer_suppresses_prefetch():
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        5, [init(ADDR_A, line_with_ptr(0)), cp(ADDR_A)])
+    sys_, src, sink, pf, mem = build_testbench(
+        5, [init(ADDR_A, line_with_ptr(0)), cp(ADDR_A)], PointerChasePrefetcher())
     run_to_responses(sys_, sink, 2)
     for _ in range(20):
         sys_.step()
@@ -166,8 +167,9 @@ def test_null_pointer_suppresses_prefetch():
 
 
 def test_plain_read_does_not_prefetch():
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        4, [rd(0x3000)], segments=[(0x3000, line_with_ptr(PTR_P))])
+    sys_, src, sink, pf, mem = build_testbench(
+        4, [rd(0x3000)], PointerChasePrefetcher(),
+        segments=[(0x3000, line_with_ptr(PTR_P))])
     run_to_responses(sys_, sink, 1)
     for _ in range(20):
         sys_.step()
@@ -175,9 +177,9 @@ def test_plain_read_does_not_prefetch():
 
 
 def test_prefetch_disabled_issues_nothing():
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
+    sys_, src, sink, pf, mem = build_testbench(
         5, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A)],
-        prefetch_enabled=False)
+        PointerChasePrefetcher(prefetch_enabled=False))
     run_to_responses(sys_, sink, 2)
     for _ in range(20):
         sys_.step()
@@ -187,8 +189,9 @@ def test_prefetch_disabled_issues_nothing():
 
 def test_write_invalidates_matching_entry():
     new_line = b"\x99" * 16
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        3, [init(ADDR_A, PAYLOAD_P), wr(ADDR_A, new_line), rd(ADDR_A)])
+    sys_, src, sink, pf, mem = build_testbench(
+        3, [init(ADDR_A, PAYLOAD_P), wr(ADDR_A, new_line), rd(ADDR_A)],
+        PointerChasePrefetcher())
     run_to_responses(sys_, sink, 3)
     w, r = sink.responses()[1:]
     assert w.kind is MsgKind.WRITE
@@ -202,8 +205,9 @@ def test_write_invalidates_matching_entry():
 
 def test_write_to_unrelated_line_keeps_entry():
     new_line = b"\x77" * 16
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        3, [init(ADDR_A, PAYLOAD_P), wr(ADDR_B, new_line), rd(ADDR_A)])
+    sys_, src, sink, pf, mem = build_testbench(
+        3, [init(ADDR_A, PAYLOAD_P), wr(ADDR_B, new_line), rd(ADDR_A)],
+        PointerChasePrefetcher())
     run_to_responses(sys_, sink, 3)
     assert sink.responses()[2].hit is True
     assert sink.responses()[2].data == PAYLOAD_P
@@ -213,8 +217,9 @@ def test_demand_waits_on_inflight_fill_without_duplicate():
     # a demand to a line whose prefetch is still in flight waits in the
     # data-invalid state; memory sees exactly one request for that line
     trace = io.StringIO()
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
+    sys_, src, sink, pf, mem = build_testbench(
         10, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A), rd(PTR_P)],
+        PointerChasePrefetcher(),
         segments=[(PTR_P & ~0xF, PAYLOAD_P)], trace=trace)
     run_to_responses(sys_, sink, 3)
     final = sink.responses()[2]
@@ -229,8 +234,9 @@ def test_demand_waits_on_inflight_fill_without_duplicate():
 def test_demand_fill_race_all_alignments(delay):
     # whatever the relative timing of demand arrival and fill return, the
     # demand gets the correct data from a single memory request
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
+    sys_, src, sink, pf, mem = build_testbench(
         6, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A), (rd(PTR_P), delay)],
+        PointerChasePrefetcher(),
         segments=[(PTR_P & ~0xF, PAYLOAD_P)])
     run_to_responses(sys_, sink, 3)
     final = sink.responses()[2]
@@ -239,10 +245,10 @@ def test_demand_fill_race_all_alignments(delay):
 
 
 def test_second_prefetch_dropped_while_busy():
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
+    sys_, src, sink, pf, mem = build_testbench(
         30, [init(ADDR_A, line_with_ptr(PTR_P)),
              init(ADDR_B, line_with_ptr(PTR_Q)),
-             cp(ADDR_A), cp(ADDR_B)])
+             cp(ADDR_A), cp(ADDR_B)], PointerChasePrefetcher())
     run_to_responses(sys_, sink, 4)
     drain(sys_, pf)
     assert pf.stats.prefetches_issued == 2
@@ -253,9 +259,9 @@ def test_second_prefetch_dropped_while_busy():
 
 def test_invalidated_inflight_fill_is_dropped():
     new_line = b"\x55" * 16
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
+    sys_, src, sink, pf, mem = build_testbench(
         10, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A),
-             wr(PTR_P, new_line), (rd(PTR_P), 25)],
+             wr(PTR_P, new_line), (rd(PTR_P), 25)], PointerChasePrefetcher(),
         segments=[(PTR_P & ~0xF, PAYLOAD_P)])
     run_to_responses(sys_, sink, 4)
     final = sink.responses()[3]
@@ -271,8 +277,8 @@ def test_invalidated_inflight_fill_is_dropped():
 
 def test_stall_mem_when_sink_not_ready():
     trace = io.StringIO()
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
-        5, [rd(ADDR_A)], sink_delays=[15],
+    sys_, src, sink, pf, mem = build_testbench(
+        5, [rd(ADDR_A)], PointerChasePrefetcher(), sink_delays=[15],
         segments=[(ADDR_A, PAYLOAD_P)], trace=trace)
     run_to_responses(sys_, sink, 1)
     assert sink.responses()[0].data == PAYLOAD_P
@@ -281,10 +287,10 @@ def test_stall_mem_when_sink_not_ready():
 
 def test_issue_accounting_invariant():
     # issued prefetches are exactly fills + drops once the buffer drains
-    sys_, src, sink, pf, mem = build_prefetcher_testbench(
+    sys_, src, sink, pf, mem = build_testbench(
         7, [init(ADDR_A, line_with_ptr(PTR_P)),
             init(ADDR_B, line_with_ptr(PTR_Q)),
-            cp(ADDR_A), (cp(ADDR_B), 3), (cp(ADDR_A), 3)],
+            cp(ADDR_A), (cp(ADDR_B), 3), (cp(ADDR_A), 3)], PointerChasePrefetcher(),
         segments=[(PTR_P & ~0xF, PAYLOAD_P), (PTR_Q & ~0xF, PAYLOAD_Q)])
     run_to_responses(sys_, sink, 5)
     drain(sys_, pf)

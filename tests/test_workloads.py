@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from chasesim import (Compute, ConfigurationError, FlatMemory, Lcg, Read,
-                      ReadCP, Write, build_free_list, format_program,
+from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
+                      Read, ReadCP, Write, build_free_list, format_program,
                       gen_array_kernel, gen_hanoi_like, gen_hashtable,
                       gen_insertion, gen_random_stream, gen_traversal,
                       lcg_next, parse_program, replay_program)
@@ -257,6 +257,21 @@ def test_random_stream_mix_and_determinism():
     assert w1.segments == w2.segments
     kinds = [type(t).__name__ for t in w1.program]
     assert {"Read", "Write", "ReadCP"} <= set(kinds)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_registered_workload_builds_with_defaults(name):
+    w = make_workload(name)
+    assert w.name == name
+    assert w.segments
+    loads, _ = replay_program(w.program, w.segments)
+    assert loads
+
+
+def test_make_workload_ignores_parameters_it_does_not_take():
+    a = make_workload("hanoi", disks=3, nodes=8)
+    b = make_workload("hanoi", disks=3)
+    assert a.segments == b.segments and a.meta == b.meta
 
 
 def test_make_workload_unknown_name():
