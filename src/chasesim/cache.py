@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .kernel import Component
+from .kernel import IDLE_FOREVER, Component
 from .messages import (CACHE_GEOMETRY, LINE_BYTES, ZERO_LINE, MemRequest,
                        MemResponse, MsgKind, join_address, set_word_in_line,
                        split_address, word_in_line)
@@ -37,6 +37,9 @@ class CacheFsm(enum.Enum):
     REFILL_REQ = "RR"
     REFILL_WAIT = "RW"
     REFILL_UPDATE = "RU"
+
+
+_WAITING = frozenset((CacheFsm.IDLE, CacheFsm.EVICT_WAIT, CacheFsm.REFILL_WAIT))
 
 
 @dataclass
@@ -175,6 +178,10 @@ class BlockingCache(Component):
                 line.dirty = False
                 count += 1
         return count
+
+    def idle_cycles(self):
+        # waiting states: no val, and tick acts only on an arriving message
+        return IDLE_FOREVER if self.state in _WAITING else 0
 
     def trace_state(self):
         return self.state.value

@@ -3,7 +3,8 @@
     chasesim run --topology alternate --latency 5 --workload traversal ...
     chasesim sweep --latencies 2,5,10,20,40 --workloads traversal,array ...
 
-Exit code 0 on success, nonzero on deadlock or per-row failure.
+Exit code 0 on success, 1 on deadlock or per-row failure, 2 on bad input
+(one ``chasesim: error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import sys
 
 from .harness import TOPOLOGIES, make_config, report, run_experiment, sweep
+from .kernel import ConfigurationError
 from .workloads import WORKLOADS
 
 
@@ -56,34 +58,37 @@ def main(argv=None) -> int:
     _add_workload_opts(p_sweep)
 
     args = parser.parse_args(argv)
+    try:
+        if args.cmd == "run":
+            cfg = make_config(args.topology, args.latency, args.workload,
+                              seed=args.seed, max_cycles=args.max_cycles,
+                              **_workload_params(args, args.workload))
+            trace = open(args.trace, "w") if args.trace else None
+            try:
+                stats = run_experiment(cfg, trace=trace)
+            finally:
+                if trace:
+                    trace.close()
+            sys.stdout.write(report([stats], args.format))
+            if not stats.completed:
+                sys.stderr.write("deadlock: " + str(stats.deadlock_states) + "\n")
+                return 1
+            return 0
 
-    if args.cmd == "run":
-        cfg = make_config(args.topology, args.latency, args.workload,
-                          seed=args.seed, max_cycles=args.max_cycles,
-                          **_workload_params(args, args.workload))
-        trace = open(args.trace, "w") if args.trace else None
-        try:
-            stats = run_experiment(cfg, trace=trace)
-        finally:
-            if trace:
-                trace.close()
-        sys.stdout.write(report([stats], args.format))
-        if not stats.completed:
-            sys.stderr.write("deadlock: " + str(stats.deadlock_states) + "\n")
-            return 1
-        return 0
-
-    latencies = [int(x) for x in args.latencies.split(",") if x]
-    names = [x.strip() for x in args.workloads.split(",") if x.strip()]
-    topologies = [x.strip() for x in args.topologies.split(",") if x.strip()]
-    configs = [
-        make_config(topo, lat, name, seed=args.seed, max_cycles=args.max_cycles,
-                    **_workload_params(args, name))
-        for name in names for lat in latencies for topo in topologies
-    ]
-    results = sweep(configs)
-    sys.stdout.write(report(results, args.format))
-    return 0 if all(r.completed for r in results) else 1
+        latencies = [int(x) for x in args.latencies.split(",") if x]
+        names = [x.strip() for x in args.workloads.split(",") if x.strip()]
+        topologies = [x.strip() for x in args.topologies.split(",") if x.strip()]
+        configs = [
+            make_config(topo, lat, name, seed=args.seed, max_cycles=args.max_cycles,
+                        **_workload_params(args, name))
+            for name in names for lat in latencies for topo in topologies
+        ]
+        results = sweep(configs)
+        sys.stdout.write(report(results, args.format))
+        return 0 if all(r.completed for r in results) else 1
+    except ConfigurationError as e:
+        sys.stderr.write(f"chasesim: error: {e}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .kernel import Component
+from .kernel import IDLE_FOREVER, Component
 from .messages import MemRequest, MsgKind, word_bytes, word_value
 
 
@@ -119,6 +119,15 @@ class CoreModel(Component):
             self._compute_left -= 1
             if self._compute_left <= 0:
                 self._advance(None)
+
+    def idle_cycles(self):
+        if self._state == "compute":
+            return self._compute_left - 1
+        return 0 if self._state == "issue" else IDLE_FOREVER
+
+    def skip(self, n):
+        if self._state == "compute":
+            self._compute_left -= n
 
     def trace_state(self):
         return {"issue": "RQ", "wait": "WT", "compute": "CP", "done": "."}[self._state]

@@ -136,7 +136,8 @@ def _speedups(results) -> dict[int, float | None]:
 
 def result_rows(results) -> tuple[list[str], list[list]]:
     """Stable column order: workload, topology, latency, cycles, speedup,
-    then counters alphabetically."""
+    then counters alphabetically. A row that failed before it could count
+    anything has empty counter cells."""
     counter_names = sorted({k for r in results for k in r.counters})
     header = ["workload", "topology", "latency", "cycles", "speedup"] + counter_names
     speed = _speedups(results)
@@ -146,7 +147,7 @@ def result_rows(results) -> tuple[list[str], list[list]]:
         rows.append([r.workload, r.topology, r.latency,
                      r.cycles if r.completed else f"error:{r.error or 'deadlock'}",
                      f"{s:.6f}" if s is not None else ""]
-                    + [r.counters.get(k, 0) for k in counter_names])
+                    + [r.counters.get(k, "") for k in counter_names])
     return header, rows
 
 

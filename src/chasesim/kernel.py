@@ -6,6 +6,15 @@ fixpoint (bounded iteration; a combinational loop aborts with a diagnostic).
 In the commit phase every channel where val and rdy are both asserted
 transfers exactly one message, and each component's sequential ``tick`` runs
 exactly once.
+
+``System.run_until`` advances time to the next cycle in which some component
+can act. Each component reports ``idle_cycles()``: for how many cycles from
+now it asserts no val and its tick only counts down. When all of them report
+n > 0, no channel can transfer in those n cycles, so the kernel applies the n
+countdowns at once with ``skip(n)`` (writing the n trace lines unchanged)
+instead of stepping. The predicate is therefore evaluated at every cycle where
+some component can change state, which makes predicates over component state
+exact. ``step`` always advances exactly one cycle.
 """
 
 from __future__ import annotations
@@ -15,6 +24,9 @@ from typing import Callable
 # Deepest combinational val/rdy chain (core-cache-prefetcher-memory and back)
 # has fewer than 8 handshake stages.
 SETTLE_BOUND = 8
+
+# idle_cycles() of a component that stays idle until something arrives
+IDLE_FOREVER = float("inf")
 
 
 class ConfigurationError(Exception):
@@ -97,6 +109,14 @@ class Component:
     def tick(self):
         """Apply one cycle's sequential state update."""
 
+    def idle_cycles(self):
+        """Cycles from now in which this component asserts no val and its
+        tick only counts down; 0 means it may act now."""
+        return 0
+
+    def skip(self, n: int):
+        """Apply n idle cycles' countdowns (n <= idle_cycles())."""
+
     def trace_state(self) -> str:
         return "--"
 
@@ -168,24 +188,47 @@ class System:
         self.cycle += 1
 
     def run_until(self, predicate: Callable[[], bool], max_cycles: int = 10_000_000) -> bool:
-        """Step until predicate holds. False signals probable deadlock."""
-        assert max_cycles > 0
+        """Advance until predicate holds, skipping cycles in which every
+        component is idle. False signals probable deadlock."""
+        if max_cycles < 1:
+            raise ConfigurationError("max_cycles must be >= 1")
         steps = 0
         while not predicate():
             if steps >= max_cycles:
                 return False
-            self.step()
-            steps += 1
+            n = max_cycles - steps
+            for c in self.components:
+                k = c.idle_cycles()
+                if k < n:
+                    n = k
+                    if n <= 0:
+                        break
+            if n > 0:
+                self._skip(n)
+            else:
+                self.step()
+                n = 1
+            steps += n
         return True
+
+    def _skip(self, n: int):
+        """Advance n cycles in which no component asserts val."""
+        if self._trace is not None:
+            self._write_trace(n)
+        for c in self.components:
+            c.skip(n)
+        for ch in self.channels:
+            ch.clear()  # as the skipped cycles' evals would have left them
+        self.cycle += n
 
     def state_summary(self) -> dict[str, str]:
         return {c.name: c.trace_state() for c in self.components}
 
-    def _write_trace(self):
-        parts = [f"{self.cycle:8d}"]
-        for c in self.components:
-            parts.append(f"{c.name}:{c.trace_state():<2}")
-        for ch in self.channels:
-            if ch._xfer:
-                parts.append(f"[{ch.name} {ch.msg}]")
-        self._trace.write(" ".join(parts) + "\n")
+    def _write_trace(self, n: int = 1):
+        """One line per cycle for this cycle and the n - 1 after it, which
+        must be idle (same states, no transfers)."""
+        parts = [f"{c.name}:{c.trace_state():<2}" for c in self.components]
+        parts += [f"[{ch.name} {ch.msg}]" for ch in self.channels if ch._xfer]
+        tail = "".join(" " + p for p in parts) + "\n"
+        self._trace.writelines(f"{cy:8d}{tail}"
+                               for cy in range(self.cycle, self.cycle + n))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .kernel import Component, ConfigurationError
+from .kernel import IDLE_FOREVER, Component, ConfigurationError
 from .messages import (LINE_BYTES, WORD_BYTES, ZERO_LINE, MemRequest,
                        MemResponse, MsgKind, line_base)
 
@@ -89,6 +89,13 @@ class PipelinedMemory(Component):
                 assert len(r.data) == LINE_BYTES, "memory writes must be full-line"
                 self.store[line_base(r.addr)] = r.data
             self.pipeline.append([r, self.latency])
+
+    def idle_cycles(self):
+        return self.pipeline[0][1] - 1 if self.pipeline else IDLE_FOREVER
+
+    def skip(self, n):
+        for entry in self.pipeline:
+            entry[1] -= n
 
     def _response(self, req: MemRequest) -> MemResponse:
         if req.kind is MsgKind.WRITE:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .kernel import Component
+from .kernel import IDLE_FOREVER, Component
 from .messages import (PREFETCH_GEOMETRY, ZERO_LINE, MemRequest, MemResponse,
                        MsgKind, line_base, split_address, word_in_line)
 
@@ -53,6 +53,9 @@ class PrefetchFsm(enum.Enum):
     WAIT_MEM = "WM"
     STALL_MEM = "SM"
     WAIT_DATA_INVALID = "DI"
+
+
+_WAITING = frozenset((PrefetchFsm.IDLE, PrefetchFsm.WAIT_MEM, PrefetchFsm.STALL_MEM))
 
 
 @dataclass
@@ -305,6 +308,15 @@ class PointerChasePrefetcher(Component):
             self.state = PrefetchFsm.TAG_CHECK
         else:
             self.state = PrefetchFsm.IDLE
+
+    def idle_cycles(self):
+        # waiting states: no val, and tick acts only on an arriving message
+        st = self.state
+        if st is PrefetchFsm.WAIT_DATA_INVALID:
+            # idle until the fill has landed in the entry
+            hit, _, _, _, dvalid = self._lookup(self.req.addr, None)
+            return 0 if hit and dvalid else IDLE_FOREVER
+        return IDLE_FOREVER if st in _WAITING else 0
 
     def trace_state(self):
         return self.state.value

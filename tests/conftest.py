@@ -12,3 +12,16 @@ def run_to_responses(sys_, sink, count, max_cycles=100_000):
     ok = sys_.run_until(lambda: len(sink.received) >= count, max_cycles)
     assert ok, f"expected {count} responses, got {len(sink.received)}"
     return sink.responses()
+
+
+def count_steps(system):
+    """Make system.step count its calls in the returned one-item list."""
+    steps = [0]
+    step = system.step
+
+    def counted():
+        steps[0] += 1
+        step()
+
+    system.step = counted
+    return steps

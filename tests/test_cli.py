@@ -69,6 +69,31 @@ def test_run_defaults_match_library_defaults(name, capsys):
     assert capsys.readouterr().out == expect
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--workload", "bogus"], "unknown workload 'bogus'"),
+    (["--workload", "hanoi", "--latency", "0"], "memory latency must be >= 1 cycle"),
+    (["--workload", "hanoi", "--max-cycles", "0"], "max_cycles must be >= 1"),
+])
+def test_run_bad_input_is_one_error_line(argv, message, capsys):
+    assert main(["run", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chasesim: error: {message}\n"
+
+
+def test_sweep_failed_rows_print_no_counters(capsys):
+    assert main(["sweep", "--workloads", "bogus,hanoi", "--disks", "3",
+                 "--latencies", "5", "--format", "csv"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    ncounters = len(lines[0].split(",")) - 5
+    assert len(lines) == 5
+    for line in lines[1:3]:
+        assert line.startswith("bogus,")
+        assert line.endswith(",error:unknown workload 'bogus'," + "," * ncounters)
+    for line in lines[3:]:
+        assert line.startswith("hanoi,") and not line.endswith(",")
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,13 +1,16 @@
 """Experiment harness: topologies, sweeps, reports, and the checking sink."""
 
+import io
 import json
 
 import pytest
 
-from chasesim import (ConfigurationError, MemResponse, MsgKind, SinkReport,
-                      build_system, checking_sink, make_config, replay_program,
-                      run_experiment)
-from chasesim.harness import RunStats, report, result_rows, sweep
+from chasesim import (WORKLOADS, ConfigurationError, MemResponse, MsgKind,
+                      SinkReport, build_system, checking_sink, dump_image,
+                      make_config, replay_program, run_experiment)
+from chasesim.harness import (RunStats, collect_counters, report, result_rows,
+                              sweep)
+from conftest import count_steps
 
 
 def run_handle(config):
@@ -88,6 +91,11 @@ def test_sweep_produces_row_per_config_and_survives_errors():
     assert len(results) == 5
     assert all(r.completed for r in results[:4])
     assert not results[4].completed and results[4].error
+    # the failed row counted nothing, so its counter cells are empty, not 0
+    header, rows = result_rows(results)
+    first = header.index("speedup") + 1
+    assert rows[4][first:] == [""] * (len(header) - first)
+    assert all(isinstance(v, int) for v in rows[0][first:])
 
 
 def test_speedup_against_matching_baseline():
@@ -154,6 +162,58 @@ def test_run_determinism():
     a = run_experiment(make_config("alternate", 5, "hashtable"))
     b = run_experiment(make_config("alternate", 5, "hashtable"))
     assert (a.cycles, a.counters) == (b.cycles, b.counters)
+
+
+# -- idle-cycle skipping --
+
+SMALL = {"traversal": {"nodes": 16, "gap": 5}, "insertion": {"nodes": 16, "inserts": 4},
+         "hashtable": {"buckets": 4, "keys": 16}, "hanoi": {"disks": 3},
+         "array": {"elements": 32}, "random": {"n": 200}}
+
+
+def finish(config, advance):
+    """Run config to core.done with advance(handle); return what it made."""
+    trace = io.StringIO()
+    handle = build_system(config, trace=trace)
+    steps = advance(handle)
+    handle.cache.flush_dirty(handle.memory.poke_line)
+    return (handle.system.cycle, collect_counters(handle),
+            dump_image(handle.memory.store), trace.getvalue()), steps
+
+
+def stepped(handle):
+    steps = 0
+    while not handle.core.done:
+        handle.system.step()
+        steps += 1
+    return steps
+
+
+def skipping(handle):
+    steps = count_steps(handle.system)
+    assert handle.system.run_until(lambda: handle.core.done, max_cycles=200_000)
+    return steps[0]
+
+
+def test_skip_table_covers_every_workload():
+    assert set(SMALL) == set(WORKLOADS)
+
+
+@pytest.mark.parametrize("latency", (1, 4, 40))
+@pytest.mark.parametrize("topology", ("baseline", "alternate"))
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_run_until_skips_to_the_same_result_as_stepping(name, topology, latency):
+    # cycles, every counter, the final image and the trace bytes must not
+    # depend on whether idle cycles are stepped one by one or skipped
+    cfg = make_config(topology, latency, name, **SMALL[name])
+    want, cycles = finish(cfg, stepped)
+    got, steps = finish(cfg, skipping)
+    assert got[0] == want[0] == cycles
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    assert got[3] == want[3]
+    if latency == 40:
+        assert steps < cycles  # memory waits are skipped, not stepped
 
 
 # -- checking sink --

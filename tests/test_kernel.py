@@ -1,9 +1,13 @@
 """Channel handshake and cycle-loop semantics."""
 
+import time
+
 import pytest
 
-from chasesim import (ConfigurationError, MemRequest, MsgKind, System,
-                      TestSink, TestSource)
+from chasesim import (BlockingCache, Compute, ConfigurationError, CoreModel,
+                      MemRequest, MsgKind, PipelinedMemory, System, TestSink,
+                      TestSource)
+from conftest import count_steps
 
 
 def req(addr, kind=MsgKind.READ):
@@ -83,6 +87,37 @@ def test_run_until_reports_deadlock_as_false():
     assert ch.transfers == 0
     summary = sys_.state_summary()
     assert set(summary) == {"src", "sink"}
+
+
+def test_run_until_rejects_empty_budget():
+    sys_, src, _, _ = wire_source_to_sink([req(0x10)])
+    with pytest.raises(ConfigurationError, match="max_cycles"):
+        sys_.run_until(lambda: src.done, max_cycles=0)
+
+
+@pytest.mark.parametrize("budget,steps_taken", [(3_000_000, 0), (10_000_000, 1)])
+def test_run_until_jumps_idle_cycles_to_the_budget(budget, steps_taken):
+    # a core computing for 5M cycles, then done: every cycle but the one that
+    # ends the compute is idle, so a never-true predicate reaches the budget
+    # at once instead of stepping through it
+    system = System()
+    core = CoreModel([Compute(5_000_000)])
+    system.chain(core, BlockingCache(), PipelinedMemory(4))
+    steps = count_steps(system)
+    t0 = time.perf_counter()
+    assert system.run_until(lambda: False, max_cycles=budget) is False
+    assert time.perf_counter() - t0 < 1.0
+    assert system.cycle == budget
+    assert steps[0] == steps_taken
+
+
+def test_run_until_predicate_sees_the_exact_cycle():
+    system = System()
+    core = CoreModel([Compute(5_000_000)])
+    system.chain(core, BlockingCache(), PipelinedMemory(4))
+    assert system.run_until(lambda: False, max_cycles=3_000_000) is False
+    assert system.run_until(lambda: core.done)
+    assert system.cycle == 5_000_000  # one compute tick per cycle
 
 
 def test_channel_conservation():
