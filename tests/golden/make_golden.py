@@ -67,22 +67,24 @@ def render(matrix: dict) -> str:
     return f'{{"csv": {json.dumps(matrix["csv"])},\n"rows": [\n{rows}\n]}}\n'
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def check_or_regen(path: Path, doc: str, make_text, argv=None) -> int:
+    """Command line of a golden script: compare ``make_text()`` with the file
+    at ``path``, or rewrite the file with ``--regen``."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--regen", action="store_true",
-                        help=f"rewrite {GOLDEN.name} from the current tree")
+                        help=f"rewrite {path.name} from the current tree")
     args = parser.parse_args(argv)
-    text = render(compute())
+    text = make_text()
     if args.regen:
-        GOLDEN.write_text(text)
-        print(f"wrote {GOLDEN}")
+        path.write_text(text)
+        print(f"wrote {path}")
         return 0
-    if GOLDEN.is_file() and GOLDEN.read_text() == text:
-        print(f"{GOLDEN.name}: unchanged")
+    if path.is_file() and path.read_text() == text:
+        print(f"{path.name}: unchanged")
         return 0
-    print(f"{GOLDEN.name}: differs from the current tree (use --regen to rewrite)")
+    print(f"{path.name}: differs from the current tree (use --regen to rewrite)")
     return 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(check_or_regen(GOLDEN, __doc__, lambda: render(compute())))
