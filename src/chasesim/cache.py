@@ -58,6 +58,7 @@ class BlockingCache(Component):
     name = "cache"
     up = ("core_req", "core_resp")
     down = ("mem_req", "mem_resp")
+    blocks = {"eval": ((), ("core_req.rdy", "core_resp.val", "mem_req.val", "mem_resp.rdy"))}
 
     def __init__(self):
         super().__init__()
@@ -170,7 +171,8 @@ class BlockingCache(Component):
 
         Zero-time drain for end-of-run image comparison; cache must be Idle.
         """
-        assert self.state is CacheFsm.IDLE, "flush requires an idle cache"
+        if self.state is not CacheFsm.IDLE:
+            raise RuntimeError(f"flush requires an idle cache, not {self.state.name}")
         count = 0
         for idx, line in enumerate(self.lines):
             if line.valid and line.dirty:

@@ -10,9 +10,11 @@ Exit code 0 on success, 1 on deadlock or per-row failure, 2 on bad input
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-from .harness import TOPOLOGIES, make_config, report, run_experiment, sweep
+from .harness import (TOPOLOGIES, build_system, make_config, report, run_built,
+                      sweep)
 from .kernel import ConfigurationError
 from .workloads import WORKLOADS
 
@@ -63,19 +65,24 @@ def main(argv=None) -> int:
             cfg = make_config(args.topology, args.latency, args.workload,
                               seed=args.seed, max_cycles=args.max_cycles,
                               **_workload_params(args, args.workload))
-            trace = open(args.trace, "w") if args.trace else None
-            try:
-                stats = run_experiment(cfg, trace=trace)
-            finally:
-                if trace:
-                    trace.close()
+            handle = build_system(cfg)
+            # opened only now, so bad input leaves an existing file alone
+            with (open(args.trace, "w") if args.trace
+                  else contextlib.nullcontext()) as trace:
+                handle.system.attach_trace(trace)
+                stats = run_built(cfg, handle)
             sys.stdout.write(report([stats], args.format))
             if not stats.completed:
                 sys.stderr.write("deadlock: " + str(stats.deadlock_states) + "\n")
                 return 1
             return 0
 
-        latencies = [int(x) for x in args.latencies.split(",") if x]
+        try:
+            latencies = [int(x) for x in args.latencies.split(",") if x]
+        except ValueError:
+            raise ConfigurationError(
+                f"--latencies must be comma-separated integers, not "
+                f"{args.latencies!r}") from None
         names = [x.strip() for x in args.workloads.split(",") if x.strip()]
         topologies = [x.strip() for x in args.topologies.split(",") if x.strip()]
         configs = [

@@ -55,6 +55,7 @@ def as_generator(program):
 class CoreModel(Component):
     name = "core"
     down = ("mem_req", "mem_resp")
+    blocks = {"eval": ((), ("mem_req.val", "mem_resp.rdy"))}
 
     def __init__(self, program):
         super().__init__()

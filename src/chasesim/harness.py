@@ -7,9 +7,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .cache import BlockingCache
+from .cache import BlockingCache, CacheStats
 from .core import CoreModel
 from .kernel import ConfigurationError, System
 from .memory import PipelinedMemory
@@ -36,6 +36,8 @@ def make_config(topology, latency, workload, seed=1, max_cycles=10_000_000,
                 **params) -> ExperimentConfig:
     if topology not in TOPOLOGIES:
         raise ConfigurationError(f"unknown topology {topology!r}")
+    if max_cycles < 1:
+        raise ConfigurationError("max_cycles must be >= 1")
     return ExperimentConfig(topology, latency, workload,
                             tuple(sorted(params.items())), seed, max_cycles)
 
@@ -87,17 +89,27 @@ def build_system(config: ExperimentConfig, trace=None) -> SimHandle:
     return SimHandle(sys_, core, cache, pf, memory, workload)
 
 
+# counter names, built once so every counters dict shares the key strings
+_CACHE_KEYS = tuple(f"cache_{f.name}" for f in fields(CacheStats))
+_PF_KEYS = tuple(f"pf_{f.name}" for f in fields(PrefetchStats))
+
+
 def collect_counters(handle: SimHandle) -> dict[str, int]:
-    counters = {f"cache_{k}": v for k, v in vars(handle.cache.stats).items()}
     pf_stats = handle.prefetcher.stats if handle.prefetcher else PrefetchStats()
-    counters.update({f"pf_{k}": v for k, v in vars(pf_stats).items()})
+    counters = dict(zip(_CACHE_KEYS, vars(handle.cache.stats).values()))
+    counters.update(zip(_PF_KEYS, vars(pf_stats).values()))
     counters["mem_requests"] = len(handle.memory.request_log)
     return counters
 
 
 def run_experiment(config: ExperimentConfig, trace=None) -> RunStats:
     """Build the topology, run to completion, flush the cache, return stats."""
-    handle = build_system(config, trace=trace)
+    return run_built(config, build_system(config, trace=trace))
+
+
+def run_built(config: ExperimentConfig, handle: SimHandle) -> RunStats:
+    """Run a system built from config to completion, flush the cache,
+    return stats."""
     completed = handle.system.run_until(lambda: handle.core.done, config.max_cycles)
     if completed:
         handle.cache.flush_dirty(handle.memory.poke_line)

@@ -1,8 +1,11 @@
 """Valid/ready channels and the deterministic two-phase cycle loop.
 
-Every cycle has two phases. In the settle phase each component's
-combinational ``eval`` runs repeatedly until channel val/rdy signals reach a
-fixpoint (bounded iteration; a combinational loop aborts with a diagnostic).
+Every cycle has two phases. In the eval phase each combinational eval block
+runs exactly once, in a static order computed once per wiring. A component
+declares its blocks in ``blocks``: per block method, the ``port.val`` and
+``port.rdy`` signals it reads and those it writes. Over the bound channels, a
+block that reads a signal runs after the block that writes it; blocks that
+form a cycle raise ``CombinationalLoopError`` before the first cycle runs.
 In the commit phase every channel where val and rdy are both asserted
 transfers exactly one message, and each component's sequential ``tick`` runs
 exactly once.
@@ -20,10 +23,6 @@ exact. ``step`` always advances exactly one cycle.
 from __future__ import annotations
 
 from typing import Callable
-
-# Deepest combinational val/rdy chain (core-cache-prefetcher-memory and back)
-# has fewer than 8 handshake stages.
-SETTLE_BOUND = 8
 
 # idle_cycles() of a component that stays idle until something arrives
 IDLE_FOREVER = float("inf")
@@ -50,7 +49,7 @@ class Channel:
         self._xfer = False
         self.transfers = 0
 
-    # -- producer side, settle phase --
+    # -- producer side, eval phase --
     def send(self, msg):
         self.msg = msg
         self.val = True
@@ -59,7 +58,7 @@ class Channel:
         self.msg = None
         self.val = False
 
-    # -- consumer side, settle phase --
+    # -- consumer side, eval phase --
     def set_rdy(self, rdy):
         self.rdy = bool(rdy)
 
@@ -89,13 +88,16 @@ class Channel:
 
 
 class Component:
-    """Base role: a combinational eval plus a sequential tick."""
+    """Base role: combinational eval blocks plus a sequential tick."""
 
     name = "comp"
     # port attribute names for System.chain:
     # up = (request-in, response-out), down = (request-out, response-in)
     up: tuple[str, ...] = ()
     down: tuple[str, ...] = ()
+    # eval blocks: method name -> (signals read, signals written), each signal
+    # "<port>.val" (val and msg) or "<port>.rdy"
+    blocks: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {"eval": ((), ())}
 
     def __init__(self):
         self.system: System | None = None
@@ -103,7 +105,8 @@ class Component:
     def eval(self):
         """Recompute outputs (val/msg on output ports, rdy on input ports).
 
-        Must be idempotent within a cycle and must not mutate state.
+        Runs once per stepped cycle, after the blocks that write the signals
+        it declares it reads. Must not mutate state.
         """
 
     def tick(self):
@@ -129,11 +132,13 @@ class System:
         self.channels: list[Channel] = []
         self.cycle = 0
         self._trace = None
+        self._schedule: list[Callable[[], None]] | None = None
 
     def add(self, *comps: Component):
         for c in comps:
             c.system = self
             self.components.append(c)
+        self._schedule = None
         return comps[0] if len(comps) == 1 else comps
 
     def connect(self, producer: tuple[Component, str], consumer: tuple[Component, str],
@@ -150,6 +155,7 @@ class System:
         setattr(pcomp, pport, ch)
         setattr(ccomp, cport, ch)
         self.channels.append(ch)
+        self._schedule = None
         return ch
 
     def chain(self, *comps: Component):
@@ -164,19 +170,56 @@ class System:
         """Write one line per cycle: component states plus transfer markers."""
         self._trace = stream
 
-    def step(self):
-        prev = None
-        for _ in range(SETTLE_BOUND):
-            for c in self.components:
-                c.eval()
-            sig = tuple((ch.val, ch.rdy, ch.msg) for ch in self.channels)
-            if sig == prev:
-                break
-            prev = sig
-        else:
+    def schedule(self) -> list[Callable[[], None]]:
+        """The bound eval blocks in the order ``step`` calls them.
+
+        Computed once per wiring: a topological order of the blocks over the
+        declared signals (writer before readers; blocks with no pending
+        reads run in component order). Raises ``CombinationalLoopError`` if
+        the blocks form a cycle.
+        """
+        if self._schedule is not None:
+            return self._schedule
+        blocks, writer, reads = [], {}, []
+        for c in self.components:
+            for method, (rd, wr) in c.blocks.items():
+                i = len(blocks)
+                blocks.append((c, method))
+                reads.append([self._signal(c, s) for s in rd])
+                for s in wr:
+                    writer[self._signal(c, s)] = i
+        succ = [[] for _ in blocks]
+        pending = [0] * len(blocks)
+        for i, rd in enumerate(reads):
+            for w in {writer[s] for s in rd if s in writer} - {i}:
+                succ[w].append(i)
+                pending[i] += 1
+        order = [i for i, n in enumerate(pending) if n == 0]
+        for i in order:  # grows while it is walked
+            for j in succ[i]:
+                pending[j] -= 1
+                if pending[j] == 0:
+                    order.append(j)
+        if len(order) < len(blocks):
+            stuck = ", ".join(f"{c.name}.{m}" for (c, m), n in zip(blocks, pending) if n)
             raise CombinationalLoopError(
-                f"val/rdy signals did not settle within {SETTLE_BOUND} "
-                f"iterations at cycle {self.cycle}")
+                f"eval blocks form a combinational loop; unschedulable: {stuck}")
+        self._schedule = [getattr(*blocks[i]) for i in order]
+        return self._schedule
+
+    @staticmethod
+    def _signal(comp: Component, signal: str) -> tuple[Channel, str]:
+        port, _, wire = signal.partition(".")
+        if wire not in ("val", "rdy"):
+            raise ConfigurationError(f"{comp.name}: bad signal {signal!r}")
+        ch = getattr(comp, port, None)
+        if ch is None:
+            raise ConfigurationError(f"{comp.name}.{port} is not bound")
+        return ch, wire
+
+    def step(self):
+        for block in self._schedule or self.schedule():
+            block()
         for ch in self.channels:
             ch._commit()
         if self._trace is not None:
@@ -192,6 +235,7 @@ class System:
         component is idle. False signals probable deadlock."""
         if max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
+        self.schedule()  # a combinational loop fails before the first cycle
         steps = 0
         while not predicate():
             if steps >= max_cycles:

@@ -17,6 +17,8 @@ from .messages import (LINE_BYTES, WORD_BYTES, ZERO_LINE, MemRequest,
 class PipelinedMemory(Component):
     name = "mem"
     up = ("req", "resp")
+    blocks = {"eval": ((), ("resp.val",)),
+              "eval_req_rdy": (("resp.val", "resp.rdy"), ("req.rdy",))}
 
     def __init__(self, latency: int):
         super().__init__()
@@ -42,7 +44,8 @@ class PipelinedMemory(Component):
             self._write_bytes(addr, data)
 
     def poke_line(self, addr: int, data: bytes):
-        assert len(data) == LINE_BYTES
+        if len(data) != LINE_BYTES:
+            raise ValueError(f"poke_line needs {LINE_BYTES} bytes, got {len(data)}")
         self.store[line_base(addr)] = bytes(data)
 
     def peek_line(self, addr: int) -> bytes:
@@ -63,11 +66,12 @@ class PipelinedMemory(Component):
 
     def eval(self):
         self.resp.clear()
-        head_due = bool(self.pipeline) and self.pipeline[0][1] == 1
-        if head_due:
+        if self.pipeline and self.pipeline[0][1] == 1:
             self.resp.send(self._response(self.pipeline[0][0]))
-        stalled = head_due and not self.resp.rdy
-        self.req.set_rdy(not stalled)
+
+    def eval_req_rdy(self):
+        # a due head that is not accepted stalls the whole pipeline
+        self.req.set_rdy(not self.resp.val or self.resp.rdy)
 
     def tick(self):
         if self.pipeline:
@@ -86,7 +90,9 @@ class PipelinedMemory(Component):
             if r.kind is MsgKind.WRITE:
                 # writes are full-line; applied at acceptance so later reads
                 # in the pipeline observe them (read-your-writes)
-                assert len(r.data) == LINE_BYTES, "memory writes must be full-line"
+                if len(r.data) != LINE_BYTES:
+                    raise ValueError(f"memory writes must be full-line, got "
+                                     f"{len(r.data)} bytes for {r.addr:#x}")
                 self.store[line_base(r.addr)] = r.data
             self.pipeline.append([r, self.latency])
 

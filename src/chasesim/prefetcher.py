@@ -75,6 +75,12 @@ class PointerChasePrefetcher(Component):
     name = "pf"
     up = ("cache_req", "cache_resp")
     down = ("mem_req", "mem_resp")
+    blocks = {
+        "eval": (("mem_resp.val", "cache_resp.rdy"),
+                 ("cache_resp.val", "mem_req.val", "mem_resp.rdy")),
+        "eval_cache_req_rdy": (("cache_resp.val", "cache_resp.rdy", "mem_req.rdy"),
+                               ("cache_req.rdy",)),
+    }
 
     def __init__(self, prefetch_enabled: bool = True):
         super().__init__()
@@ -125,11 +131,8 @@ class PointerChasePrefetcher(Component):
         fill = incoming if (incoming is not None
                             and incoming.opaque == PREFETCH_OPAQUE) else None
         mresp_rdy = fill is not None  # fills are always drained
-        creq_rdy = False
         st = self.state
-        if st is PrefetchFsm.IDLE:
-            creq_rdy = True
-        elif st is PrefetchFsm.TAG_CHECK:
+        if st is PrefetchFsm.TAG_CHECK:
             req = self.req
             if req.kind is MsgKind.INIT:
                 pass
@@ -141,17 +144,12 @@ class PointerChasePrefetcher(Component):
                 if hit and dvalid:
                     self.cache_resp.send(
                         MemResponse(req.kind, req.opaque, line, hit=True))
-                    if req.kind is MsgKind.READ:
-                        # single-cycle hit: accept the next request as the
-                        # response drains
-                        creq_rdy = self.cache_resp.rdy
                 elif hit:
                     pass  # pending fill: wait, never re-request
                 else:
                     self.mem_req.send(MemRequest(req.kind, req.addr, DEMAND_OPAQUE))
         elif st is PrefetchFsm.INIT:
             self.cache_resp.send(MemResponse(MsgKind.INIT, self.req.opaque))
-            creq_rdy = self.cache_resp.rdy
         elif st is PrefetchFsm.WAIT_DATA_INVALID:
             hit, _, _, line, dvalid = self._lookup(self.req.addr, fill)
             if hit and dvalid:
@@ -160,7 +158,6 @@ class PointerChasePrefetcher(Component):
         elif st is PrefetchFsm.BUFFER_TO_MEM:
             self.mem_req.send(MemRequest(MsgKind.READ, line_base(self.buffer.next_addr),
                                          PREFETCH_OPAQUE))
-            creq_rdy = self.mem_req.rdy
         elif st in (PrefetchFsm.WAIT_MEM, PrefetchFsm.STALL_MEM):
             if incoming is not None and incoming.opaque == DEMAND_OPAQUE:
                 # forward the demand response combinationally; flow control
@@ -168,8 +165,22 @@ class PointerChasePrefetcher(Component):
                 self.cache_resp.send(MemResponse(
                     incoming.kind, self.req.opaque, incoming.data, hit=False))
                 mresp_rdy = self.cache_resp.rdy
-        self.cache_req.set_rdy(creq_rdy)
         self.mem_resp.set_rdy(mresp_rdy)
+
+    def eval_cache_req_rdy(self):
+        st = self.state
+        if st is PrefetchFsm.IDLE:
+            rdy = True
+        elif st is PrefetchFsm.BUFFER_TO_MEM:
+            rdy = self.mem_req.rdy
+        elif st is PrefetchFsm.INIT or (st is PrefetchFsm.TAG_CHECK
+                                        and self.req.kind is MsgKind.READ):
+            # INIT, or a single-cycle read hit: accept the next request as
+            # the response drains
+            rdy = self.cache_resp.val and self.cache_resp.rdy
+        else:
+            rdy = False
+        self.cache_req.set_rdy(rdy)
 
     def tick(self):
         got = self.mem_resp.recv()
@@ -208,7 +219,9 @@ class PointerChasePrefetcher(Component):
                 self._next_or_idle()
         elif st in (PrefetchFsm.WAIT_MEM, PrefetchFsm.STALL_MEM):
             if got is not None:
-                assert got.opaque == DEMAND_OPAQUE
+                if got.opaque != DEMAND_OPAQUE:
+                    raise RuntimeError(f"memory response with unknown opaque "
+                                       f"{got.opaque:#x}")
                 if (self.req.kind is MsgKind.READCP and not self.buffer.busy
                         and self.prefetch_enabled):
                     self.resp_line = got.data
@@ -280,7 +293,8 @@ class PointerChasePrefetcher(Component):
         self.state = PrefetchFsm.BUFFER_TO_MEM
 
     def _apply_fill(self, resp: MemResponse):
-        assert self.buffer.busy, "prefetch fill with no prefetch outstanding"
+        if not self.buffer.busy:
+            raise RuntimeError("prefetch fill with no prefetch outstanding")
         tag, idx, _ = split_address(self.buffer.next_addr, PREFETCH_GEOMETRY)
         e = self.entries[idx]
         if e.tag_valid and e.tag == tag and not e.data_valid:

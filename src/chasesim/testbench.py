@@ -17,6 +17,7 @@ class TestSource(Component):
 
     __test__ = False  # a simulator component, not a pytest test class
     name = "src"
+    blocks = {"eval": ((), ("req.val",))}
 
     def __init__(self, script):
         super().__init__()
@@ -56,6 +57,7 @@ class TestSink(Component):
 
     __test__ = False
     name = "sink"
+    blocks = {"eval": ((), ("resp.rdy",))}
 
     def __init__(self, delays=()):
         super().__init__()

@@ -1,5 +1,7 @@
 """Blocking cache: hit/miss timing, allocation policy, eviction, transparency."""
 
+import textwrap
+
 import pytest
 
 from chasesim import (BlockingCache, MemRequest, MsgKind, build_system,
@@ -7,7 +9,7 @@ from chasesim import (BlockingCache, MemRequest, MsgKind, build_system,
 from chasesim.cache import CacheFsm
 from chasesim.messages import line_base, word_bytes, word_value
 
-from conftest import run_to_responses
+from conftest import raised_optimized, run_to_responses
 
 LINE_A = bytes(range(1, 17))
 
@@ -133,6 +135,23 @@ def test_flush_dirty_counts():
     assert flushed[0x0000][0:4] == word_bytes(0)
     # second flush is a no-op
     assert cache.flush_dirty(lambda a, d: None) == 0
+
+
+BUSY_FLUSH = """
+    from chasesim import BlockingCache, MemRequest, MsgKind, build_testbench
+    sys_, src, sink, cache, mem = build_testbench(
+        10, [MemRequest(MsgKind.READ, 0x1000)], BlockingCache())
+    for _ in range(3):
+        sys_.step()  # accept, tag check, refill request: now waiting
+    cache.flush_dirty(lambda addr, data: None)
+"""
+
+
+def test_flush_on_busy_cache_raises():
+    with pytest.raises(RuntimeError, match="idle cache, not REFILL_WAIT"):
+        exec(textwrap.dedent(BUSY_FLUSH), {})
+    assert raised_optimized(BUSY_FLUSH) == (
+        "RuntimeError: flush requires an idle cache, not REFILL_WAIT")
 
 
 def test_functional_transparency_against_flat_replay():

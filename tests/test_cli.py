@@ -81,6 +81,29 @@ def test_run_bad_input_is_one_error_line(argv, message, capsys):
     assert captured.err == f"chasesim: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--workload", "bogus"],
+    ["--workload", "hanoi", "--latency", "0"],
+    ["--workload", "hanoi", "--max-cycles", "0"],
+])
+def test_run_bad_input_leaves_trace_file_alone(argv, tmp_path, capsys):
+    kept, absent = tmp_path / "kept.txt", tmp_path / "absent.txt"
+    kept.write_text("earlier trace\n")
+    for trace in (kept, absent):
+        assert main(["run", *argv, "--trace", str(trace)]) == 2
+    assert capsys.readouterr().out == ""
+    assert kept.read_text() == "earlier trace\n"
+    assert not absent.exists()
+
+
+def test_sweep_bad_latencies_is_one_error_line(capsys):
+    assert main(["sweep", "--workloads", "hanoi", "--latencies", "2,x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("chasesim: error: --latencies must be "
+                            "comma-separated integers, not '2,x'\n")
+
+
 def test_sweep_failed_rows_print_no_counters(capsys):
     assert main(["sweep", "--workloads", "bogus,hanoi", "--disks", "3",
                  "--latencies", "5", "--format", "csv"]) == 1

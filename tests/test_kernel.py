@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from chasesim import (BlockingCache, Compute, ConfigurationError, CoreModel,
-                      MemRequest, MsgKind, PipelinedMemory, System, TestSink,
-                      TestSource)
+from chasesim import (BlockingCache, CombinationalLoopError, Component, Compute,
+                      ConfigurationError, CoreModel, MemRequest, MsgKind,
+                      PipelinedMemory, PointerChasePrefetcher, System, TestSink,
+                      TestSource, build_system, make_config, make_workload)
 from conftest import count_steps
 
 
@@ -142,3 +143,111 @@ def test_trace_lines_one_per_cycle(tmp_path):
     assert "src:" in lines[0] and "sink:" in lines[0]
     # transfer marker with the rendered message on the transfer cycle
     assert "[direct rd 00000010 op=00]" in lines[0]
+
+
+# -- static eval schedule --
+
+
+class RdyFollower(Component):
+    """Toy consumer whose input rdy copies the rdy it sees on its output."""
+
+    blocks = {"eval": (("out.rdy",), ("inp.rdy",))}
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+        self.inp = self.out = None
+        self.ticks = 0
+
+    def eval(self):
+        self.inp.set_rdy(self.out.rdy)
+
+    def tick(self):
+        self.ticks += 1
+
+
+@pytest.mark.parametrize("advance", [System.step,
+                                     lambda s: s.run_until(lambda: False, 10)])
+def test_declared_rdy_loop_raises_before_any_cycle(advance):
+    system = System()
+    a, b = system.add(RdyFollower("a"), RdyFollower("b"))
+    system.connect((a, "out"), (b, "inp"))
+    system.connect((b, "out"), (a, "inp"))
+    with pytest.raises(CombinationalLoopError, match="a.eval, b.eval"):
+        advance(system)
+    assert system.cycle == 0
+    assert a.ticks == b.ticks == 0
+
+
+def test_declared_signal_on_unbound_port_raises():
+    system = System()
+    a, b = system.add(RdyFollower("a"), RdyFollower("b"))
+    system.connect((a, "out"), (b, "inp"))
+    with pytest.raises(ConfigurationError, match="a.inp is not bound"):
+        system.step()
+
+
+def block_names(system):
+    return [f"{b.__self__.name}.{b.__name__}" for b in system.schedule()]
+
+
+def test_schedule_orders_blocks_across_components():
+    # pf.cache_req.rdy needs mem.req.rdy, which needs pf.mem_resp.rdy: no
+    # order of whole components works, an order of their blocks does
+    handle = build_system(make_config("alternate", 4, "random", n=20))
+    assert block_names(handle.system) == [
+        "core.eval", "cache.eval", "mem.eval", "pf.eval", "mem.eval_req_rdy",
+        "pf.eval_cache_req_rdy"]
+
+
+def test_schedule_follows_rewiring():
+    sys_, src, sink, ch = wire_source_to_sink([req(0x10)])
+    assert block_names(sys_) == ["src.eval", "sink.eval"]
+    src2, mem, sink2 = sys_.add(TestSource([]), PipelinedMemory(1), TestSink())
+    src2.name, sink2.name = "src2", "sink2"
+    sys_.connect((src2, "req"), (mem, "req"))
+    sys_.connect((mem, "resp"), (sink2, "resp"))
+    assert block_names(sys_) == ["src.eval", "sink.eval", "src2.eval", "mem.eval",
+                                 "sink2.eval", "mem.eval_req_rdy"]
+
+
+@pytest.mark.parametrize("latency", [1, 4])
+def test_schedule_does_not_depend_on_component_order(latency):
+    # the same alternate system added memory-first: only the declared
+    # signals order the blocks, so every result must be the same
+    want = build_system(make_config("alternate", latency, "random", n=300))
+    assert want.system.run_until(lambda: want.core.done)
+    work = make_workload("random", n=300)
+    core, cache, pf = CoreModel(work.program), BlockingCache(), PointerChasePrefetcher()
+    mem = PipelinedMemory(latency)
+    mem.load_image(work.segments)
+    system = System()
+    system.add(mem, pf, cache, core)
+    for a, b in ((core, cache), (cache, pf), (pf, mem)):
+        system.connect((a, a.down[0]), (b, b.up[0]))
+        system.connect((b, b.up[1]), (a, a.down[1]))
+    assert system.run_until(lambda: core.done)
+    assert system.cycle == want.system.cycle
+    assert core.loads == want.core.loads
+    assert (cache.stats, pf.stats) == (want.cache.stats, want.prefetcher.stats)
+    assert mem.store == want.memory.store
+
+
+@pytest.mark.parametrize("topology", ["baseline", "alternate"])
+def test_each_eval_block_runs_once_per_stepped_cycle(topology):
+    handle = build_system(make_config(topology, 4, "random", n=200))
+    calls = {}
+    for comp in handle.system.components:
+        for method in comp.blocks:
+            key = f"{comp.name}.{method}"
+            calls[key] = 0
+
+            def counted(block=getattr(comp, method), key=key):
+                calls[key] += 1
+                block()
+
+            setattr(comp, method, counted)
+    steps = count_steps(handle.system)
+    assert handle.system.run_until(lambda: handle.core.done)
+    assert steps[0] > 100
+    assert calls == dict.fromkeys(calls, steps[0])

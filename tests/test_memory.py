@@ -7,7 +7,7 @@ from chasesim import (ConfigurationError, MemRequest, MsgKind, PipelinedMemory,
 from chasesim.memory import dump_image, parse_image
 from chasesim.messages import LINE_BYTES
 
-from conftest import run_to_responses
+from conftest import raised_optimized, run_to_responses
 
 
 def rd(addr, opaque=0):
@@ -137,8 +137,24 @@ def test_occupancy_never_exceeds_latency():
 def test_partial_write_rejected():
     sys_, src, sink, _ = build_testbench(
         1, [MemRequest(MsgKind.WRITE, 0x1000, data=b"\x01\x00\x00\x00")])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="full-line"):
         run_to_responses(sys_, sink, 1)
+
+
+def test_partial_write_rejected_under_optimize():
+    assert raised_optimized("""
+        from chasesim import MemRequest, MsgKind, build_testbench
+        sys_, src, sink, _ = build_testbench(
+            1, [MemRequest(MsgKind.WRITE, 0x1000, data=bytes(4))])
+        sys_.run_until(lambda: sink.received, 100)
+    """) == "ValueError: memory writes must be full-line, got 4 bytes for 0x1000"
+
+
+def test_poke_line_rejects_partial_line():
+    mem = PipelinedMemory(1)
+    with pytest.raises(ValueError, match="needs 16 bytes, got 4"):
+        mem.poke_line(0x1000, bytes(4))
+    assert mem.store == {}
 
 
 def test_image_dump_parse_roundtrip():

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from chasesim import (MemRequest, MsgKind, PointerChasePrefetcher,
+from chasesim import (MemRequest, MemResponse, MsgKind, PointerChasePrefetcher,
                       agu_next_address, build_testbench,
                       PREFETCH_OPAQUE, DEMAND_OPAQUE)
 from chasesim.messages import set_word_in_line, word_bytes
@@ -296,3 +296,9 @@ def test_issue_accounting_invariant():
     drain(sys_, pf)
     s = pf.stats
     assert s.prefetches_issued == s.prefetch_fills + s.prefetches_dropped
+
+
+def test_fill_with_no_prefetch_outstanding_raises():
+    pf = PointerChasePrefetcher()
+    with pytest.raises(RuntimeError, match="no prefetch outstanding"):
+        pf._apply_fill(MemResponse(MsgKind.READ, PREFETCH_OPAQUE, PAYLOAD_P))
