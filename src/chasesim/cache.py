@@ -9,12 +9,12 @@ sees the offset bits).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
-from .messages import (CACHE_GEOMETRY, LINE_BYTES, ZERO_LINE, MemRequest,
-                       MemResponse, MsgKind, join_address, set_word_in_line,
-                       split_address, word_in_line)
+from .messages import (CACHE_GEOMETRY, ZERO_LINE, MemRequest, MemResponse,
+                       MsgKind, join_address, set_word_in_line, split_address,
+                       word_in_line)
 
 NUM_LINES = CACHE_GEOMETRY.num_indices
 
@@ -66,9 +66,6 @@ class BlockingCache(Component):
         self.state = CacheFsm.IDLE
         self.req: MemRequest | None = None
         self.was_hit = False
-        self.refill_data = ZERO_LINE
-        self.victim_addr = 0
-        self.victim_data = ZERO_LINE
         self.stats = CacheStats()
         # ports
         self.core_req = None
@@ -91,8 +88,12 @@ class BlockingCache(Component):
             self.core_resp.send(
                 MemResponse(MsgKind.WRITE, self.req.opaque, hit=self.was_hit))
         elif st is CacheFsm.EVICT_REQ:
+            # the victim stays in its line until the refill replaces it
+            _, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
+            victim = self.lines[idx]
             self.mem_req.send(MemRequest(
-                MsgKind.WRITE, self.victim_addr, opaque=0, data=self.victim_data))
+                MsgKind.WRITE, join_address(victim.tag, idx, 0, CACHE_GEOMETRY),
+                opaque=0, data=victim.data))
         elif st is CacheFsm.REFILL_REQ:
             kind = MsgKind.READCP if self.req.kind is MsgKind.READCP else MsgKind.READ
             self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))
@@ -121,12 +122,11 @@ class BlockingCache(Component):
         elif st is CacheFsm.REFILL_WAIT:
             r = self.mem_resp.recv()
             if r is not None:
-                self.refill_data = r.data
+                tag, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
+                self.lines[idx] = CacheLine(tag=tag, valid=True, dirty=False,
+                                            data=r.data)
                 self.state = CacheFsm.REFILL_UPDATE
         elif st is CacheFsm.REFILL_UPDATE:
-            tag, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
-            self.lines[idx] = CacheLine(tag=tag, valid=True, dirty=False,
-                                        data=self.refill_data)
             self.state = (CacheFsm.WRITE_DATA if self.req.kind is MsgKind.WRITE
                           else CacheFsm.READ_DATA)
         elif st is CacheFsm.READ_DATA:
@@ -160,8 +160,6 @@ class BlockingCache(Component):
             self.state = (CacheFsm.WRITE_DATA if kind is MsgKind.WRITE
                           else CacheFsm.READ_DATA)
         elif line.valid and line.dirty:
-            self.victim_addr = join_address(line.tag, idx, 0, CACHE_GEOMETRY)
-            self.victim_data = line.data
             self.state = CacheFsm.EVICT_REQ
         else:
             self.state = CacheFsm.REFILL_REQ

@@ -85,6 +85,10 @@ def main(argv=None) -> int:
                 f"{args.latencies!r}") from None
         names = [x.strip() for x in args.workloads.split(",") if x.strip()]
         topologies = [x.strip() for x in args.topologies.split(",") if x.strip()]
+        for flag, items in (("--latencies", latencies), ("--workloads", names),
+                            ("--topologies", topologies)):
+            if not items:
+                raise ConfigurationError(f"{flag} must name at least one value")
         configs = [
             make_config(topo, lat, name, seed=args.seed, max_cycles=args.max_cycles,
                         **_workload_params(args, name))

@@ -42,14 +42,7 @@ Token = Union[Read, Write, ReadCP, Compute]
 
 def as_generator(program):
     """Accept a generator function or a plain token iterable."""
-    if callable(program):
-        return program()
-
-    def gen():
-        for tok in program:
-            yield tok
-
-    return gen()
+    return program() if callable(program) else (tok for tok in program)
 
 
 class CoreModel(Component):

@@ -36,6 +36,8 @@ def make_config(topology, latency, workload, seed=1, max_cycles=10_000_000,
                 **params) -> ExperimentConfig:
     if topology not in TOPOLOGIES:
         raise ConfigurationError(f"unknown topology {topology!r}")
+    if latency < 1:
+        raise ConfigurationError("memory latency must be >= 1 cycle")
     if max_cycles < 1:
         raise ConfigurationError("max_cycles must be >= 1")
     return ExperimentConfig(topology, latency, workload,

@@ -1,8 +1,10 @@
 """Main memory: a magic backing store behind a fixed-latency inelastic pipeline.
 
 The pipeline accepts one request per cycle while unstalled and returns
-responses in order, each exactly ``latency`` cycles after acceptance. When
-the head response is not accepted downstream, no pipeline entry advances.
+responses in order, each exactly ``latency`` cycles after acceptance. Each
+entry holds the pipeline-clock value at which its response is due; the clock
+stops while the head response is not accepted downstream, so no entry
+advances then.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ class PipelinedMemory(Component):
         self.latency = latency
         # sparse map: 16-byte-aligned address -> 16-byte line
         self.store: dict[int, bytes] = {}
-        # in-flight entries: [request, remaining-cycles]
-        self.pipeline: deque[list] = deque()
+        # in-flight entries: (due pipeline-clock value, request)
+        self.pipeline: deque[tuple[int, MemRequest]] = deque()
+        self.clock = 0
         self.request_log: list[MemRequest] = []
         # ports
         self.req = None
@@ -66,24 +69,18 @@ class PipelinedMemory(Component):
 
     def eval(self):
         self.resp.clear()
-        if self.pipeline and self.pipeline[0][1] == 1:
-            self.resp.send(self._response(self.pipeline[0][0]))
+        if self.pipeline and self.pipeline[0][0] == self.clock:
+            self.resp.send(self._response(self.pipeline[0][1]))
 
     def eval_req_rdy(self):
         # a due head that is not accepted stalls the whole pipeline
         self.req.set_rdy(not self.resp.val or self.resp.rdy)
 
     def tick(self):
-        if self.pipeline:
-            if self.pipeline[0][1] == 1:
-                if self.resp.took():
-                    self.pipeline.popleft()
-                    for entry in self.pipeline:
-                        entry[1] -= 1
-                # else: head stalled, nothing advances
-            else:
-                for entry in self.pipeline:
-                    entry[1] -= 1
+        if self.resp.took():
+            self.pipeline.popleft()
+        elif self.resp.val:
+            return  # due head stalled: the clock stops, req was not ready
         r = self.req.recv()
         if r is not None:
             self.request_log.append(r)
@@ -94,14 +91,14 @@ class PipelinedMemory(Component):
                     raise ValueError(f"memory writes must be full-line, got "
                                      f"{len(r.data)} bytes for {r.addr:#x}")
                 self.store[line_base(r.addr)] = r.data
-            self.pipeline.append([r, self.latency])
+            self.pipeline.append((self.clock + self.latency, r))
+        self.clock += 1
 
     def idle_cycles(self):
-        return self.pipeline[0][1] - 1 if self.pipeline else IDLE_FOREVER
+        return self.pipeline[0][0] - self.clock if self.pipeline else IDLE_FOREVER
 
     def skip(self, n):
-        for entry in self.pipeline:
-            entry[1] -= n
+        self.clock += n
 
     def _response(self, req: MemRequest) -> MemResponse:
         if req.kind is MsgKind.WRITE:

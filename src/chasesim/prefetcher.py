@@ -2,9 +2,10 @@
 
 Four entries of {26-bit tag, tag-valid, data-valid, 16-byte line}. On
 read-cp traffic the address generation unit extracts the next-node pointer
-from the serviced line and a single buffer address register issues one
-outstanding prefetch (opaque=1) for it. Separate tag/data valid bits let a
-demand to a line whose fill is still in flight wait instead of re-requesting.
+from the serviced line into one latched output (``next_ptr``), and a single
+buffer address register issues one outstanding prefetch (opaque=1) for it.
+``tag_check`` is the only lookup. Separate tag/data valid bits let a demand
+to a line whose fill is still in flight wait instead of re-requesting.
 """
 
 from __future__ import annotations
@@ -90,11 +91,7 @@ class PointerChasePrefetcher(Component):
         self.buffer = BufferAddressRegister()
         self.state = PrefetchFsm.IDLE
         self.req: MemRequest | None = None
-        # push-next source: data array (hit) or latched memory response (miss)
-        self.push_from_resp = False
-        self.push_offset = 0
-        self.push_index = 0
-        self.resp_line = ZERO_LINE
+        self.next_ptr = 0  # AGU output latched for PUSH_NEXT
         self.stats = PrefetchStats()
         # ports
         self.cache_req = None
@@ -104,25 +101,19 @@ class PointerChasePrefetcher(Component):
 
     # -- combinational helpers --
 
-    def tag_check(self, addr: int) -> tuple[bool, int, int]:
-        """Hit iff the indexed entry's tag is valid and matches; hit is true
-        even when the data is still pending (the FSM then waits)."""
-        tag, idx, off = split_address(addr, PREFETCH_GEOMETRY)
-        e = self.entries[idx]
-        return (e.tag_valid and e.tag == tag), idx, off
-
-    def _lookup(self, addr, fill):
-        """Entry view with an arriving fill applied combinationally, so a
-        same-cycle demand to the filling line sees fresh data."""
+    def tag_check(self, addr: int, fill: MemResponse | None = None):
+        """(hit, index, offset, line, data_valid) for addr. Hit iff the
+        indexed entry's tag is valid and matches; hit is true even when the
+        data is still pending (the FSM then waits). An arriving prefetch fill
+        for the pending line is applied combinationally, so a same-cycle
+        demand sees its data."""
         tag, idx, off = split_address(addr, PREFETCH_GEOMETRY)
         e = self.entries[idx]
         hit = e.tag_valid and e.tag == tag
-        line, dvalid = e.data, e.data_valid
-        if fill is not None and self.buffer.busy:
-            ftag, fidx, _ = split_address(self.buffer.next_addr, PREFETCH_GEOMETRY)
-            if fidx == idx and e.tag == ftag and hit and not dvalid:
-                line, dvalid = fill.data, True
-        return hit, idx, off, line, dvalid
+        if (fill is not None and hit and not e.data_valid and self.buffer.busy
+                and line_base(self.buffer.next_addr) == line_base(addr)):
+            return hit, idx, off, fill.data, True
+        return hit, idx, off, e.data, e.data_valid
 
     def eval(self):
         self.cache_resp.clear()
@@ -132,29 +123,19 @@ class PointerChasePrefetcher(Component):
                             and incoming.opaque == PREFETCH_OPAQUE) else None
         mresp_rdy = fill is not None  # fills are always drained
         st = self.state
-        if st is PrefetchFsm.TAG_CHECK:
+        if st is PrefetchFsm.TAG_CHECK or st is PrefetchFsm.WAIT_DATA_INVALID:
             req = self.req
-            if req.kind is MsgKind.INIT:
-                pass
-            elif req.kind is MsgKind.WRITE:
-                self.mem_req.send(MemRequest(MsgKind.WRITE, req.addr,
-                                             DEMAND_OPAQUE, data=req.data))
-            else:
-                hit, _, _, line, dvalid = self._lookup(req.addr, fill)
-                if hit and dvalid:
+            if req.kind is not MsgKind.INIT:
+                hit, _, _, line, dvalid = self.tag_check(req.addr, fill)
+                if req.kind is MsgKind.WRITE or not hit:
+                    self.mem_req.send(MemRequest(req.kind, req.addr,
+                                                 DEMAND_OPAQUE, data=req.data))
+                elif dvalid:
                     self.cache_resp.send(
                         MemResponse(req.kind, req.opaque, line, hit=True))
-                elif hit:
-                    pass  # pending fill: wait, never re-request
-                else:
-                    self.mem_req.send(MemRequest(req.kind, req.addr, DEMAND_OPAQUE))
+                # else a hit on a pending fill: wait, never re-request
         elif st is PrefetchFsm.INIT:
             self.cache_resp.send(MemResponse(MsgKind.INIT, self.req.opaque))
-        elif st is PrefetchFsm.WAIT_DATA_INVALID:
-            hit, _, _, line, dvalid = self._lookup(self.req.addr, fill)
-            if hit and dvalid:
-                self.cache_resp.send(
-                    MemResponse(self.req.kind, self.req.opaque, line, hit=True))
         elif st is PrefetchFsm.BUFFER_TO_MEM:
             self.mem_req.send(MemRequest(MsgKind.READ, line_base(self.buffer.next_addr),
                                          PREFETCH_OPAQUE))
@@ -190,7 +171,7 @@ class PointerChasePrefetcher(Component):
         st = self.state
         if st is PrefetchFsm.IDLE:
             self._next_or_idle()
-        elif st is PrefetchFsm.TAG_CHECK:
+        elif st is PrefetchFsm.TAG_CHECK or st is PrefetchFsm.WAIT_DATA_INVALID:
             self._tick_tag_check()
         elif st is PrefetchFsm.INIT:
             if self.cache_resp.took():
@@ -200,17 +181,6 @@ class PointerChasePrefetcher(Component):
                 self.entries[idx] = PrefetchEntry(tag=tag, tag_valid=True,
                                                   data_valid=True, data=data)
                 self._next_or_idle()
-        elif st is PrefetchFsm.WAIT_DATA_INVALID:
-            if self.cache_resp.took():
-                _, idx, off = split_address(self.req.addr, PREFETCH_GEOMETRY)
-                self._count_hit(self.req.kind, self.entries[idx])
-                if self.req.kind is MsgKind.READCP:
-                    self.push_from_resp = False
-                    self.push_index = idx
-                    self.push_offset = off
-                    self.state = PrefetchFsm.PUSH_NEXT
-                else:
-                    self.state = PrefetchFsm.IDLE
         elif st is PrefetchFsm.PUSH_NEXT:
             self._tick_push_next()
         elif st is PrefetchFsm.BUFFER_TO_MEM:
@@ -224,11 +194,8 @@ class PointerChasePrefetcher(Component):
                                        f"{got.opaque:#x}")
                 if (self.req.kind is MsgKind.READCP and not self.buffer.busy
                         and self.prefetch_enabled):
-                    self.resp_line = got.data
-                    self.push_from_resp = True
-                    self.push_offset = split_address(self.req.addr,
-                                                     PREFETCH_GEOMETRY)[2]
-                    self.state = PrefetchFsm.PUSH_NEXT
+                    self._push(got.data, split_address(self.req.addr,
+                                                       PREFETCH_GEOMETRY)[2])
                 else:
                     self.state = PrefetchFsm.IDLE
             else:
@@ -238,45 +205,38 @@ class PointerChasePrefetcher(Component):
                     self.state = PrefetchFsm.STALL_MEM
 
     def _tick_tag_check(self):
+        # TAG_CHECK and WAIT_DATA_INVALID: the fill of this cycle has landed
         req = self.req
+        hit, idx, off, line, dvalid = self.tag_check(req.addr)
         if req.kind is MsgKind.INIT:
             self.state = PrefetchFsm.INIT
-            return
-        if req.kind is MsgKind.WRITE:
-            if self.mem_req.took():
+        elif self.cache_resp.took():
+            self._count_hit(req.kind, self.entries[idx])
+            if req.kind is MsgKind.READCP:
+                self._push(line, off)
+            else:
+                self._next_or_idle()  # cache_req is not ready in DI: idle
+        elif self.mem_req.took():
+            if req.kind is MsgKind.WRITE:
                 self.stats.writes += 1
-                hit, idx, _ = self.tag_check(req.addr)
                 if hit:
                     # invalidate before forwarding so no stale data survives
                     e = self.entries[idx]
                     e.tag_valid = e.data_valid = False
-                self.state = PrefetchFsm.WAIT_MEM
-            return
-        hit, idx, off = self.tag_check(req.addr)
-        e = self.entries[idx]
-        if hit and e.data_valid:
-            if self.cache_resp.took():
-                self._count_hit(req.kind, e)
-                if req.kind is MsgKind.READCP:
-                    self.push_from_resp = False
-                    self.push_index = idx
-                    self.push_offset = off
-                    self.state = PrefetchFsm.PUSH_NEXT
-                else:
-                    self._next_or_idle()
-        elif hit:
+            elif req.kind is MsgKind.READ:
+                self.stats.read_misses += 1
+            else:
+                self.stats.readcp_misses += 1
+            self.state = PrefetchFsm.WAIT_MEM
+        elif hit and not dvalid and req.kind is not MsgKind.WRITE:
             self.state = PrefetchFsm.WAIT_DATA_INVALID
-        else:
-            if self.mem_req.took():
-                if req.kind is MsgKind.READ:
-                    self.stats.read_misses += 1
-                else:
-                    self.stats.readcp_misses += 1
-                self.state = PrefetchFsm.WAIT_MEM
+
+    def _push(self, line: bytes, offset: int):
+        self.next_ptr = agu_next_address(line, offset)
+        self.state = PrefetchFsm.PUSH_NEXT
 
     def _tick_push_next(self):
-        line = self.resp_line if self.push_from_resp else self.entries[self.push_index].data
-        nxt = agu_next_address(line, self.push_offset)
+        nxt = self.next_ptr
         self.state = PrefetchFsm.IDLE
         if nxt == 0 or not self.prefetch_enabled:
             return  # null next pointer: prefetch suppressed
@@ -295,9 +255,9 @@ class PointerChasePrefetcher(Component):
     def _apply_fill(self, resp: MemResponse):
         if not self.buffer.busy:
             raise RuntimeError("prefetch fill with no prefetch outstanding")
-        tag, idx, _ = split_address(self.buffer.next_addr, PREFETCH_GEOMETRY)
-        e = self.entries[idx]
-        if e.tag_valid and e.tag == tag and not e.data_valid:
+        hit, idx, _, _, dvalid = self.tag_check(self.buffer.next_addr)
+        if hit and not dvalid:
+            e = self.entries[idx]
             e.data = resp.data
             e.data_valid = True
             self.stats.prefetch_fills += 1
@@ -328,7 +288,7 @@ class PointerChasePrefetcher(Component):
         st = self.state
         if st is PrefetchFsm.WAIT_DATA_INVALID:
             # idle until the fill has landed in the entry
-            hit, _, _, _, dvalid = self._lookup(self.req.addr, None)
+            hit, _, _, _, dvalid = self.tag_check(self.req.addr)
             return 0 if hit and dvalid else IDLE_FOREVER
         return IDLE_FOREVER if st in _WAITING else 0
 

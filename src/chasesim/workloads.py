@@ -90,7 +90,8 @@ def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
     if LINE_BYTES + node_count * node_size > region_bytes:
         raise ConfigurationError("nodes exceed the address budget")
     linked = node_count if linked_count is None else linked_count
-    assert 0 <= linked <= node_count
+    if not 0 <= linked <= node_count:
+        raise ConfigurationError(f"linked_count must be in 0..{node_count}")
 
     rng = Lcg(seed)
     perm = list(range(node_count))
@@ -280,6 +281,8 @@ def gen_hanoi_like(disks: int, base: int = 0x1000, log_base: int = 0x2000) -> Wo
 def gen_array_kernel(elements: int = 256, gap: int = 2, base: int = 0x4000,
                      seed: int = 1) -> Workload:
     """Dense-array read and write passes with compute gaps; zero ReadCP."""
+    if elements < 0:
+        raise ConfigurationError("elements must be >= 0")
     rng = Lcg(seed)
     region = bytearray(elements * WORD_BYTES)
     for i in range(elements):
@@ -337,8 +340,11 @@ def _traversal(seed, nodes, nodes_per_line, gap):
 
 
 def _insertion(seed, nodes, nodes_per_line, inserts):
+    if inserts < 0:
+        raise ConfigurationError("inserts must be >= 0")
+    # more inserts than nodes: gen_insertion names the shortage
     flist = build_free_list(nodes, seed=seed, nodes_per_line=nodes_per_line,
-                            linked_count=nodes - inserts)
+                            linked_count=max(nodes - inserts, 0))
     return Workload("insertion", flist.segments, gen_insertion(flist, inserts, seed),
                     meta={"free_list": flist, "inserts": inserts})
 

@@ -73,6 +73,10 @@ def test_run_defaults_match_library_defaults(name, capsys):
     (["--workload", "bogus"], "unknown workload 'bogus'"),
     (["--workload", "hanoi", "--latency", "0"], "memory latency must be >= 1 cycle"),
     (["--workload", "hanoi", "--max-cycles", "0"], "max_cycles must be >= 1"),
+    (["--workload", "insertion", "--inserts", "100"],
+     "not enough pool nodes for the requested inserts"),
+    (["--workload", "insertion", "--inserts", "-1"], "inserts must be >= 0"),
+    (["--workload", "array", "--elements", "-1"], "elements must be >= 0"),
 ])
 def test_run_bad_input_is_one_error_line(argv, message, capsys):
     assert main(["run", *argv]) == 2
@@ -102,6 +106,21 @@ def test_sweep_bad_latencies_is_one_error_line(capsys):
     assert captured.out == ""
     assert captured.err == ("chasesim: error: --latencies must be "
                             "comma-separated integers, not '2,x'\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--latencies", ""], "--latencies must name at least one value"),
+    (["--latencies", ","], "--latencies must name at least one value"),
+    (["--workloads", ","], "--workloads must name at least one value"),
+    (["--topologies", ""], "--topologies must name at least one value"),
+    (["--latencies", "2,0"], "memory latency must be >= 1 cycle"),
+])
+def test_sweep_empty_or_bad_list_is_one_error_line(argv, message, capsys):
+    # an empty sweep would print only the CSV header and look like a success
+    assert main(["sweep", "--workloads", "hanoi", *argv, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chasesim: error: {message}\n"
 
 
 def test_sweep_failed_rows_print_no_counters(capsys):

@@ -10,6 +10,8 @@ from chasesim import (CACHE_GEOMETRY, PREFETCH_GEOMETRY, MemRequest,
                       split_address, word_in_line)
 from chasesim.messages import set_word_in_line, word_bytes, word_value
 
+from conftest import raised_optimized
+
 
 def test_split_prefetch_geometry_example():
     assert split_address(0x00001008, PREFETCH_GEOMETRY) == (0x40, 0, 8)
@@ -49,6 +51,22 @@ def test_set_word_in_line_roundtrip():
     out = set_word_in_line(line, 8, 0x12345678)
     assert word_in_line(out, 8) == 0x12345678
     assert out[:8] == bytes(8) and out[12:] == bytes(4)
+
+
+@pytest.mark.parametrize("offset", [2, -4, 16])
+def test_word_helpers_reject_bad_offsets(offset):
+    with pytest.raises(ValueError, match="misaligned or outside the line"):
+        word_in_line(bytes(16), offset)
+    with pytest.raises(ValueError, match="misaligned or outside the line"):
+        set_word_in_line(bytes(16), offset, 1)
+
+
+@pytest.mark.parametrize("call,offset", [("word_in_line(bytes(16), 2)", 2),
+                                         ("set_word_in_line(bytes(16), 16, 1)", 16)])
+def test_word_helpers_reject_bad_offsets_under_optimize(call, offset):
+    assert raised_optimized(
+        "from chasesim.messages import set_word_in_line, word_in_line\n" + call
+    ) == f"ValueError: word offset {offset} is misaligned or outside the line"
 
 
 def test_split_join_identity_random_sample():

@@ -9,7 +9,8 @@ from chasesim import (MemRequest, MemResponse, MsgKind, PointerChasePrefetcher,
                       agu_next_address, build_testbench,
                       PREFETCH_OPAQUE, DEMAND_OPAQUE)
 from chasesim.messages import set_word_in_line, word_bytes
-from chasesim.prefetcher import PrefetchFsm
+from chasesim.kernel import IDLE_FOREVER
+from chasesim.prefetcher import PrefetchEntry, PrefetchFsm
 
 from conftest import run_to_responses
 
@@ -64,16 +65,29 @@ def test_agu_examples():
 
 def test_tag_check_direct():
     pf = PointerChasePrefetcher()
-    hit, idx, off = pf.tag_check(ADDR_A)
+    hit, idx, off = pf.tag_check(ADDR_A)[:3]
     assert (hit, idx, off) == (False, 0, 0)
     e = pf.entries[0]
     e.tag, e.tag_valid = ADDR_A >> 6, True
     assert pf.tag_check(ADDR_A)[0] is True
-    assert pf.tag_check(ADDR_A + 8) == (True, 0, 8)  # same line, other word
+    assert pf.tag_check(ADDR_A + 8)[:3] == (True, 0, 8)  # same line, other word
     assert pf.tag_check(ADDR_A + 0x40)[0] is False   # same index, other tag
     # a pending (data-invalid) entry still tag-hits
     e.data_valid = False
     assert pf.tag_check(ADDR_A)[0] is True
+
+
+def test_wait_data_invalid_is_idle_until_the_fill_lands():
+    # a demand that hit a claimed entry waits in DI; the kernel may skip
+    # cycles only while the entry's data is still invalid
+    pf = PointerChasePrefetcher()
+    pf.entries[0] = PrefetchEntry(tag=ADDR_A >> 6, tag_valid=True,
+                                  data_valid=False, prefetched=True)
+    pf.buffer.next_addr, pf.buffer.busy = ADDR_A, True
+    pf.state, pf.req = PrefetchFsm.WAIT_DATA_INVALID, rd(ADDR_A + 4)
+    assert pf.idle_cycles() == IDLE_FOREVER
+    pf._apply_fill(MemResponse(MsgKind.READ, PREFETCH_OPAQUE, PAYLOAD_P))
+    assert pf.entries[0].data_valid and pf.idle_cycles() == 0
 
 
 def test_init_loads_entry_without_memory_traffic():
