@@ -39,7 +39,11 @@ class CacheFsm(enum.Enum):
     REFILL_UPDATE = "RU"
 
 
-_WAITING = frozenset((CacheFsm.IDLE, CacheFsm.EVICT_WAIT, CacheFsm.REFILL_WAIT))
+# states whose tick does nothing while nothing arrives, and the states that
+# assert no val and act at the end of the cycle (a tuple, not a set: tuple
+# membership compares identity first, set membership hashes the Enum)
+_WAITING = (CacheFsm.IDLE, CacheFsm.EVICT_WAIT, CacheFsm.REFILL_WAIT)
+_ONE_CYCLE = (CacheFsm.TAG_CHECK, CacheFsm.REFILL_UPDATE)
 
 
 @dataclass
@@ -74,8 +78,6 @@ class BlockingCache(Component):
         self.mem_resp = None
 
     def eval(self):
-        self.core_resp.clear()
-        self.mem_req.clear()
         st = self.state
         self.core_req.set_rdy(st is CacheFsm.IDLE)
         self.mem_resp.set_rdy(st in (CacheFsm.EVICT_WAIT, CacheFsm.REFILL_WAIT))
@@ -180,8 +182,14 @@ class BlockingCache(Component):
         return count
 
     def idle_cycles(self):
-        # waiting states: no val, and tick acts only on an arriving message
-        return IDLE_FOREVER if self.state in _WAITING else 0
+        st = self.state
+        if st in _WAITING:
+            return IDLE_FOREVER
+        return 1 if st in _ONE_CYCLE else 0
+
+    def skip(self, n):
+        if self.state in _ONE_CYCLE:
+            self.tick()  # n == 1; a waiting state's tick does nothing
 
     def trace_state(self):
         return self.state.value

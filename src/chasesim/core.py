@@ -91,7 +91,6 @@ class CoreModel(Component):
         return MemRequest(MsgKind.WRITE, tok.addr, data=word_bytes(tok.value))
 
     def eval(self):
-        self.mem_req.clear()
         if self._state == "issue":
             self.mem_req.send(self._request())
         self.mem_resp.set_rdy(self._state == "wait")
@@ -110,18 +109,19 @@ class CoreModel(Component):
                 else:
                     self._advance(None)
         elif self._state == "compute":
-            self._compute_left -= 1
-            if self._compute_left <= 0:
-                self._advance(None)
+            self.skip(1)
 
     def idle_cycles(self):
         if self._state == "compute":
-            return self._compute_left - 1
+            return self._compute_left
         return 0 if self._state == "issue" else IDLE_FOREVER
 
     def skip(self, n):
+        # issue is never idle; wait and done do nothing while nothing arrives
         if self._state == "compute":
             self._compute_left -= n
+            if self._compute_left <= 0:
+                self._advance(None)
 
     def trace_state(self):
         return {"issue": "RQ", "wait": "WT", "compute": "CP", "done": "."}[self._state]

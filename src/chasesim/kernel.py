@@ -6,18 +6,22 @@ declares its blocks in ``blocks``: per block method, the ``port.val`` and
 ``port.rdy`` signals it reads and those it writes. Over the bound channels, a
 block that reads a signal runs after the block that writes it; blocks that
 form a cycle raise ``CombinationalLoopError`` before the first cycle runs.
-In the commit phase every channel where val and rdy are both asserted
-transfers exactly one message, and each component's sequential ``tick`` runs
-exactly once.
+Blocks only assert signals: every cycle starts with each channel's val and
+rdy low. In the commit phase each component's sequential ``tick`` runs
+exactly once and sees a transfer on every channel where val and rdy are both
+asserted; then the kernel counts those transfers and resets every channel.
 
-``System.run_until`` advances time to the next cycle in which some component
-can act. Each component reports ``idle_cycles()``: for how many cycles from
-now it asserts no val and its tick only counts down. When all of them report
-n > 0, no channel can transfer in those n cycles, so the kernel applies the n
-countdowns at once with ``skip(n)`` (writing the n trace lines unchanged)
-instead of stepping. The predicate is therefore evaluated at every cycle where
-some component can change state, which makes predicates over component state
-exact. ``step`` always advances exactly one cycle.
+``System.run_until`` steps only the cycles in which some channel asserts
+val. Each component reports ``idle_cycles()``: for how many cycles from now
+it asserts no val while no val arrives and its trace state holds (it may
+change at the end of the last of them). When all of them report n > 0, no
+val is asserted in those n cycles, so nothing can transfer, and the kernel
+applies them at once with ``skip(n)`` (writing the n trace lines unchanged)
+instead of stepping. The predicate is therefore evaluated at every cycle
+where a component's trace state, a transfer log or a counter can change,
+which makes predicates over those exact; countdowns (a core's compute, the
+memory clock) are only current where the kernel stops. ``step`` always
+advances exactly one cycle.
 """
 
 from __future__ import annotations
@@ -39,24 +43,19 @@ class CombinationalLoopError(Exception):
 class Channel:
     """Single-message val/rdy channel. Capacity 1, no queuing."""
 
-    __slots__ = ("name", "msg", "val", "rdy", "_xfer", "transfers")
+    __slots__ = ("name", "msg", "val", "rdy", "transfers")
 
     def __init__(self, name: str = "chan"):
         self.name = name
         self.msg = None
         self.val = False
         self.rdy = False
-        self._xfer = False
         self.transfers = 0
 
     # -- producer side, eval phase --
     def send(self, msg):
         self.msg = msg
         self.val = True
-
-    def clear(self):
-        self.msg = None
-        self.val = False
 
     # -- consumer side, eval phase --
     def set_rdy(self, rdy):
@@ -68,23 +67,11 @@ class Channel:
     # -- commit phase --
     def took(self) -> bool:
         """Producer: was my message accepted this cycle?"""
-        return self._xfer
+        return self.val and self.rdy
 
     def recv(self):
         """Consumer: message transferred this cycle, or None."""
-        return self.msg if self._xfer else None
-
-    def _commit(self):
-        self._xfer = self.val and self.rdy
-        if self._xfer:
-            self.transfers += 1
-
-    def _finish(self):
-        if self._xfer:
-            self.msg = None
-            self.val = False
-        self._xfer = False
-        self.rdy = False
+        return self.msg if self.val and self.rdy else None
 
 
 class Component:
@@ -103,22 +90,27 @@ class Component:
         self.system: System | None = None
 
     def eval(self):
-        """Recompute outputs (val/msg on output ports, rdy on input ports).
+        """Assert outputs (send on output ports, set_rdy on input ports).
 
         Runs once per stepped cycle, after the blocks that write the signals
-        it declares it reads. Must not mutate state.
+        it declares it reads; every channel starts the cycle with val and
+        rdy low. Must not mutate state.
         """
 
     def tick(self):
         """Apply one cycle's sequential state update."""
 
     def idle_cycles(self):
-        """Cycles from now in which this component asserts no val and its
-        tick only counts down; 0 means it may act now."""
+        """Cycles from now in which this component asserts no val while no
+        val arrives, and its trace state holds (it may change at the end of
+        the last of them); 0 means it may assert val now."""
         return 0
 
     def skip(self, n: int):
-        """Apply n idle cycles' countdowns (n <= idle_cycles())."""
+        """Do exactly what n ticks with nothing arriving would do
+        (n <= idle_cycles())."""
+        for _ in range(n):
+            self.tick()
 
     def trace_state(self) -> str:
         return "--"
@@ -220,19 +212,22 @@ class System:
     def step(self):
         for block in self._schedule or self.schedule():
             block()
-        for ch in self.channels:
-            ch._commit()
         if self._trace is not None:
             self._write_trace()
         for c in self.components:
             c.tick()
         for ch in self.channels:
-            ch._finish()
+            if ch.val:
+                if ch.rdy:
+                    ch.transfers += 1
+                ch.msg = None
+                ch.val = False
+            ch.rdy = False
         self.cycle += 1
 
     def run_until(self, predicate: Callable[[], bool], max_cycles: int = 10_000_000) -> bool:
-        """Advance until predicate holds, skipping cycles in which every
-        component is idle. False signals probable deadlock."""
+        """Advance until predicate holds, skipping cycles in which no
+        component asserts val. False signals probable deadlock."""
         if max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
         self.schedule()  # a combinational loop fails before the first cycle
@@ -261,8 +256,6 @@ class System:
             self._write_trace(n)
         for c in self.components:
             c.skip(n)
-        for ch in self.channels:
-            ch.clear()  # as the skipped cycles' evals would have left them
         self.cycle += n
 
     def state_summary(self) -> dict[str, str]:
@@ -272,7 +265,7 @@ class System:
         """One line per cycle for this cycle and the n - 1 after it, which
         must be idle (same states, no transfers)."""
         parts = [f"{c.name}:{c.trace_state():<2}" for c in self.components]
-        parts += [f"[{ch.name} {ch.msg}]" for ch in self.channels if ch._xfer]
+        parts += [f"[{ch.name} {ch.msg}]" for ch in self.channels if ch.val and ch.rdy]
         tail = "".join(" " + p for p in parts) + "\n"
         self._trace.writelines(f"{cy:8d}{tail}"
                                for cy in range(self.cycle, self.cycle + n))

@@ -68,7 +68,6 @@ class PipelinedMemory(Component):
     # -- cycle behavior --
 
     def eval(self):
-        self.resp.clear()
         if self.pipeline and self.pipeline[0][0] == self.clock:
             self.resp.send(self._response(self.pipeline[0][1]))
 

@@ -56,7 +56,10 @@ class PrefetchFsm(enum.Enum):
     WAIT_DATA_INVALID = "DI"
 
 
-_WAITING = frozenset((PrefetchFsm.IDLE, PrefetchFsm.WAIT_MEM, PrefetchFsm.STALL_MEM))
+# states whose tick does nothing while nothing arrives, and the states that
+# may assert no val and act at the end of the cycle (tuples, as in cache.py)
+_WAITING = (PrefetchFsm.IDLE, PrefetchFsm.WAIT_MEM, PrefetchFsm.STALL_MEM)
+_ONE_CYCLE = (PrefetchFsm.PUSH_NEXT, PrefetchFsm.TAG_CHECK)
 
 
 @dataclass
@@ -116,8 +119,6 @@ class PointerChasePrefetcher(Component):
         return hit, idx, off, e.data, e.data_valid
 
     def eval(self):
-        self.cache_resp.clear()
-        self.mem_req.clear()
         incoming = self.mem_resp.peek()
         fill = incoming if (incoming is not None
                             and incoming.opaque == PREFETCH_OPAQUE) else None
@@ -284,13 +285,22 @@ class PointerChasePrefetcher(Component):
             self.state = PrefetchFsm.IDLE
 
     def idle_cycles(self):
-        # waiting states: no val, and tick acts only on an arriving message
         st = self.state
-        if st is PrefetchFsm.WAIT_DATA_INVALID:
-            # idle until the fill has landed in the entry
+        if st in _WAITING:
+            return IDLE_FOREVER
+        if st is PrefetchFsm.PUSH_NEXT:
+            return 1
+        if st is PrefetchFsm.TAG_CHECK or st is PrefetchFsm.WAIT_DATA_INVALID:
             hit, _, _, _, dvalid = self.tag_check(self.req.addr)
-            return 0 if hit and dvalid else IDLE_FOREVER
-        return IDLE_FOREVER if st in _WAITING else 0
+            if hit and not dvalid and self.req.kind is not MsgKind.WRITE:
+                # a hit on a pending fill asserts nothing: TAG_CHECK moves to
+                # DI at the end of the cycle, DI waits for the fill
+                return 1 if st is PrefetchFsm.TAG_CHECK else IDLE_FOREVER
+        return 0
+
+    def skip(self, n):
+        if self.state in _ONE_CYCLE:
+            self.tick()  # n == 1; a waiting state's tick does nothing
 
     def trace_state(self):
         return self.state.value

@@ -33,7 +33,6 @@ class TestSource(Component):
         return self.index >= len(self.script)
 
     def eval(self):
-        self.req.clear()
         if not self.done and self.wait == 0:
             self.req.send(self.script[self.index][0])
 
