@@ -36,7 +36,7 @@ def _add_workload_opts(p):
 
 def _workload_params(args, name):
     """The given flags that the named workload takes as parameters."""
-    _, defaults = WORKLOADS.get(name, (None, {}))
+    defaults = WORKLOADS[name][1] if name in WORKLOADS else {}
     return {k: v for k, v in vars(args).items() if k in defaults and v is not None}
 
 

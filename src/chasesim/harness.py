@@ -40,6 +40,8 @@ def make_config(topology, latency, workload, seed=1, max_cycles=10_000_000,
         raise ConfigurationError("memory latency must be >= 1 cycle")
     if max_cycles < 1:
         raise ConfigurationError("max_cycles must be >= 1")
+    if workload in wl.WORKLOADS:  # an unknown name fails when it is built
+        _workload_params(workload, params)
     return ExperimentConfig(topology, latency, workload,
                             tuple(sorted(params.items())), seed, max_cycles)
 
@@ -57,14 +59,21 @@ class RunStats:
     error: str = ""
 
 
+def _workload_params(name: str, params: dict) -> dict:
+    """The parameters of workload ``name``: given ones, else the registry's
+    defaults; parameters the workload does not take are ignored. Raises
+    ConfigurationError if its validator rejects them."""
+    _, defaults, check = wl.WORKLOADS[name]
+    full = {k: params.get(k, v) for k, v in defaults.items()}
+    check(full)
+    return full
+
+
 def make_workload(name: str, seed: int = 1, **params) -> wl.Workload:
-    """Instantiate a workload from ``WORKLOADS``; unset parameters take the
-    registry's defaults and parameters the workload does not take are
-    ignored."""
+    """Instantiate a workload from ``WORKLOADS`` (see ``_workload_params``)."""
     if name not in wl.WORKLOADS:
         raise ConfigurationError(f"unknown workload {name!r}")
-    build, defaults = wl.WORKLOADS[name]
-    return build(seed, **{k: params.get(k, v) for k, v in defaults.items()})
+    return wl.WORKLOADS[name][0](seed, **_workload_params(name, params))
 
 
 @dataclass
@@ -100,7 +109,7 @@ def collect_counters(handle: SimHandle) -> dict[str, int]:
     pf_stats = handle.prefetcher.stats if handle.prefetcher else PrefetchStats()
     counters = dict(zip(_CACHE_KEYS, vars(handle.cache.stats).values()))
     counters.update(zip(_PF_KEYS, vars(pf_stats).values()))
-    counters["mem_requests"] = len(handle.memory.request_log)
+    counters["mem_requests"] = handle.memory.requests
     return counters
 
 

@@ -1,6 +1,6 @@
 """Directed-test harness: a scripted request source, a response sink with
 acceptance delays, a hit-flag checker, and the testbench that wires a device
-under test between them and a pipelined memory.
+under test between them and a pipelined memory that logs its requests.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .kernel import Component, System
 from .memory import PipelinedMemory
-from .messages import MemResponse
+from .messages import MemRequest, MemResponse
 
 
 class TestSource(Component):
@@ -81,6 +81,21 @@ class TestSink(Component):
         return [r for _, r in self.received]
 
 
+class LoggingMemory(PipelinedMemory):
+    """A pipelined memory that also keeps every request it accepts, in order,
+    in ``request_log``. Full systems count requests only."""
+
+    def __init__(self, latency: int):
+        super().__init__(latency)
+        self.request_log: list[MemRequest] = []
+
+    def tick(self):
+        r = self.req.recv()  # req is not ready while stalled: received is accepted
+        super().tick()
+        if r is not None:
+            self.request_log.append(r)
+
+
 @dataclass
 class SinkReport:
     ok: bool
@@ -114,12 +129,13 @@ def build_testbench(latency: int, script, *stages: Component, sink_delays=(),
     """source -> stages -> memory, the first stage's responses to the sink.
 
     With no stages the source talks to memory directly. Returns
-    ``(system, src, sink, *stages, mem)``.
+    ``(system, src, sink, *stages, mem)``; ``mem.request_log`` lists the
+    requests memory accepted.
     """
     sys_ = System()
     src = TestSource(script)
     sink = TestSink(sink_delays)
-    mem = PipelinedMemory(latency)
+    mem = LoggingMemory(latency)
     mem.load_image(segments)
     head = stages[0] if stages else mem
     sys_.add(src, sink)

@@ -73,6 +73,16 @@ class FreeList:
         return self.base + LINE_BYTES + i * self.node_size
 
 
+def check_free_list(node_count: int, nodes_per_line: int, region_bytes: int = 1 << 20):
+    """Raise ConfigurationError unless such a free list fits its region."""
+    if node_count < 1:
+        raise ConfigurationError("node_count must be >= 1")
+    if nodes_per_line not in (1, 2):
+        raise ConfigurationError("nodes_per_line must be 1 or 2")
+    if LINE_BYTES + node_count * (LINE_BYTES // nodes_per_line) > region_bytes:
+        raise ConfigurationError("nodes exceed the address budget")
+
+
 def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
                     base: int = 0x1000, linked_count: int | None = None,
                     region_bytes: int = 1 << 20) -> FreeList:
@@ -82,13 +92,8 @@ def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
     line at `base` is a head-pointer cell. With nodes_per_line=2, 8-byte
     nodes pack two per cache line (the spatial-locality knob).
     """
-    if node_count < 1:
-        raise ConfigurationError("node_count must be >= 1")
-    if nodes_per_line not in (1, 2):
-        raise ConfigurationError("nodes_per_line must be 1 or 2")
+    check_free_list(node_count, nodes_per_line, region_bytes)
     node_size = LINE_BYTES // nodes_per_line
-    if LINE_BYTES + node_count * node_size > region_bytes:
-        raise ConfigurationError("nodes exceed the address budget")
     linked = node_count if linked_count is None else linked_count
     if not 0 <= linked <= node_count:
         raise ConfigurationError(f"linked_count must be in 0..{node_count}")
@@ -340,26 +345,48 @@ def _traversal(seed, nodes, nodes_per_line, gap):
 
 
 def _insertion(seed, nodes, nodes_per_line, inserts):
-    if inserts < 0:
-        raise ConfigurationError("inserts must be >= 0")
-    # more inserts than nodes: gen_insertion names the shortage
     flist = build_free_list(nodes, seed=seed, nodes_per_line=nodes_per_line,
                             linked_count=max(nodes - inserts, 0))
     return Workload("insertion", flist.segments, gen_insertion(flist, inserts, seed),
                     meta={"free_list": flist, "inserts": inserts})
 
 
-# name -> (builder(seed, **params), default params). These are the only
-# defaults: make_workload and the command line fill unset parameters from here.
-WORKLOADS: dict[str, tuple[Callable[..., Workload], dict]] = {
-    "traversal": (_traversal, {"nodes": 64, "nodes_per_line": 1, "gap": 0}),
-    "insertion": (_insertion, {"nodes": 64, "nodes_per_line": 1, "inserts": 8}),
+def _check(params: dict, **ranges):
+    """Raise ConfigurationError for the first named parameter outside its
+    inclusive (low, high) range; a high of None is unbounded."""
+    for name, (low, high) in ranges.items():
+        value = params[name]
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise ConfigurationError(f"{name} must be {bound}")
+
+
+def _check_list(params: dict):
+    check_free_list(params["nodes"], params["nodes_per_line"])
+    _check(params, **{k: (0, None) for k in ("gap", "inserts") if k in params})
+    if params.get("inserts", 0) > params["nodes"]:
+        raise ConfigurationError("not enough pool nodes for the requested inserts")
+
+
+# name -> (builder(seed, **params), default params, validator(params)). These
+# are the only defaults: make_workload and the command line fill unset
+# parameters from here. make_config runs the validator on the filled-in
+# parameters, so a bad size fails before anything is built or run.
+WORKLOADS: dict[str, tuple[Callable[..., Workload], dict, Callable[[dict], None]]] = {
+    "traversal": (_traversal, {"nodes": 64, "nodes_per_line": 1, "gap": 0}, _check_list),
+    "insertion": (_insertion, {"nodes": 64, "nodes_per_line": 1, "inserts": 8},
+                  _check_list),
     "hashtable": (lambda seed, buckets, keys: gen_hashtable(buckets, keys, seed),
-                  {"buckets": 16, "keys": 64}),
-    "hanoi": (lambda seed, disks: gen_hanoi_like(disks), {"disks": 6}),
+                  {"buckets": 16, "keys": 64},
+                  # keys are distinct nonzero 24-bit values
+                  lambda p: _check(p, buckets=(1, None), keys=(0, 0xFFFFFF))),
+    "hanoi": (lambda seed, disks: gen_hanoi_like(disks), {"disks": 6},
+              lambda p: _check(p, disks=(1, 10))),
     "array": (lambda seed, elements, gap: gen_array_kernel(elements, gap, seed=seed),
-              {"elements": 256, "gap": 2}),
-    "random": (lambda seed, n: gen_random_stream(n, seed), {"n": 10000}),
+              {"elements": 256, "gap": 2},
+              lambda p: _check(p, elements=(0, None), gap=(0, None))),
+    "random": (lambda seed, n: gen_random_stream(n, seed), {"n": 10000},
+               lambda p: _check(p, n=(0, None))),
 }
 
 

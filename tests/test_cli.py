@@ -77,6 +77,12 @@ def test_run_defaults_match_library_defaults(name, capsys):
      "not enough pool nodes for the requested inserts"),
     (["--workload", "insertion", "--inserts", "-1"], "inserts must be >= 0"),
     (["--workload", "array", "--elements", "-1"], "elements must be >= 0"),
+    (["--workload", "hashtable", "--keys", "-1"], "keys must be in 0..16777215"),
+    (["--workload", "hashtable", "--buckets", "0"], "buckets must be >= 1"),
+    (["--workload", "traversal", "--gap", "-1"], "gap must be >= 0"),
+    (["--workload", "array", "--gap", "-1"], "gap must be >= 0"),
+    (["--workload", "traversal", "--nodes", "0"], "node_count must be >= 1"),
+    (["--workload", "hanoi", "--disks", "11"], "disks must be in 1..10"),
 ])
 def test_run_bad_input_is_one_error_line(argv, message, capsys):
     assert main(["run", *argv]) == 2
@@ -118,6 +124,20 @@ def test_sweep_bad_latencies_is_one_error_line(capsys):
 def test_sweep_empty_or_bad_list_is_one_error_line(argv, message, capsys):
     # an empty sweep would print only the CSV header and look like a success
     assert main(["sweep", "--workloads", "hanoi", *argv, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chasesim: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--workloads", "hashtable", "--keys", "-1"], "keys must be in 0..16777215"),
+    (["--workloads", "array,traversal", "--gap", "-1"], "gap must be >= 0"),
+    (["--workloads", "hanoi,insertion", "--inserts", "100"],
+     "not enough pool nodes for the requested inserts"),
+])
+def test_sweep_bad_size_is_one_error_line(argv, message, capsys):
+    # the registry's validators run at config time: no row is simulated
+    assert main(["sweep", *argv, "--latencies", "5", "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"chasesim: error: {message}\n"

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from chasesim import (WORKLOADS, ConfigurationError, MemResponse, MsgKind,
-                      SinkReport, build_system, checking_sink, dump_image,
-                      make_config, replay_program, run_experiment)
+from chasesim import (WORKLOADS, ConfigurationError, ExperimentConfig,
+                      MemResponse, MsgKind, SinkReport, build_system,
+                      checking_sink, dump_image, make_config, replay_program,
+                      run_experiment)
 from chasesim.harness import (RunStats, collect_counters, report, result_rows,
                               sweep)
 from conftest import count_steps
@@ -86,7 +87,10 @@ def test_downstream_request_conservation():
 def test_sweep_produces_row_per_config_and_survives_errors():
     configs = [make_config(t, lat, "traversal", nodes=8)
                for lat in (2, 5) for t in ("baseline", "alternate")]
-    configs.append(make_config("baseline", 2, "traversal", nodes=0))  # invalid
+    with pytest.raises(ConfigurationError, match="node_count must be >= 1"):
+        make_config("baseline", 2, "traversal", nodes=0)
+    # built around make_config's check, the row fails when its system is built
+    configs.append(ExperimentConfig("baseline", 2, "traversal", (("nodes", 0),)))
     results = sweep(configs)
     assert len(results) == 5
     assert all(r.completed for r in results[:4])
