@@ -73,7 +73,7 @@ class FreeList:
         return self.base + LINE_BYTES + i * self.node_size
 
 
-def check_free_list(node_count: int, nodes_per_line: int, region_bytes: int = 1 << 20):
+def _check_free_list(node_count: int, nodes_per_line: int, region_bytes: int = 1 << 20):
     """Raise ConfigurationError unless such a free list fits its region."""
     if node_count < 1:
         raise ConfigurationError("node_count must be >= 1")
@@ -92,7 +92,7 @@ def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
     line at `base` is a head-pointer cell. With nodes_per_line=2, 8-byte
     nodes pack two per cache line (the spatial-locality knob).
     """
-    check_free_list(node_count, nodes_per_line, region_bytes)
+    _check_free_list(node_count, nodes_per_line, region_bytes)
     node_size = LINE_BYTES // nodes_per_line
     linked = node_count if linked_count is None else linked_count
     if not 0 <= linked <= node_count:
@@ -346,7 +346,7 @@ def _traversal(seed, nodes, nodes_per_line, gap):
 
 def _insertion(seed, nodes, nodes_per_line, inserts):
     flist = build_free_list(nodes, seed=seed, nodes_per_line=nodes_per_line,
-                            linked_count=max(nodes - inserts, 0))
+                            linked_count=nodes - inserts)
     return Workload("insertion", flist.segments, gen_insertion(flist, inserts, seed),
                     meta={"free_list": flist, "inserts": inserts})
 
@@ -362,7 +362,7 @@ def _check(params: dict, **ranges):
 
 
 def _check_list(params: dict):
-    check_free_list(params["nodes"], params["nodes_per_line"])
+    _check_free_list(params["nodes"], params["nodes_per_line"])
     _check(params, **{k: (0, None) for k in ("gap", "inserts") if k in params})
     if params.get("inserts", 0) > params["nodes"]:
         raise ConfigurationError("not enough pool nodes for the requested inserts")
