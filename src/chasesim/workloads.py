@@ -361,10 +361,15 @@ def _check(params: dict, **ranges):
             raise ConfigurationError(f"{name} must be {bound}")
 
 
-def _check_list(params: dict):
+def _check_traversal(params: dict):
     _check_free_list(params["nodes"], params["nodes_per_line"])
-    _check(params, **{k: (0, None) for k in ("gap", "inserts") if k in params})
-    if params.get("inserts", 0) > params["nodes"]:
+    _check(params, gap=(0, None))
+
+
+def _check_insertion(params: dict):
+    _check_free_list(params["nodes"], params["nodes_per_line"])
+    _check(params, inserts=(0, None))
+    if params["inserts"] > params["nodes"]:
         raise ConfigurationError("not enough pool nodes for the requested inserts")
 
 
@@ -373,9 +378,10 @@ def _check_list(params: dict):
 # parameters from here. make_config runs the validator on the filled-in
 # parameters, so a bad size fails before anything is built or run.
 WORKLOADS: dict[str, tuple[Callable[..., Workload], dict, Callable[[dict], None]]] = {
-    "traversal": (_traversal, {"nodes": 64, "nodes_per_line": 1, "gap": 0}, _check_list),
+    "traversal": (_traversal, {"nodes": 64, "nodes_per_line": 1, "gap": 0},
+                  _check_traversal),
     "insertion": (_insertion, {"nodes": 64, "nodes_per_line": 1, "inserts": 8},
-                  _check_list),
+                  _check_insertion),
     "hashtable": (lambda seed, buckets, keys: gen_hashtable(buckets, keys, seed),
                   {"buckets": 16, "keys": 64},
                   # keys are distinct nonzero 24-bit values

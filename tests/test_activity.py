@@ -78,18 +78,17 @@ class RecordingChannel(Channel):
 
 
 def _directed_tests():
-    """The directed testbench tests as (name, call) pairs, one per
-    parametrization."""
+    """The directed testbench tests as calls, one per parametrization."""
     for module in (test_cache, test_memory, test_prefetcher):
         for name, fn in sorted(vars(module).items()):
             if not name.startswith("test_"):
                 continue
             marks = [m for m in getattr(fn, "pytestmark", []) if m.name == "parametrize"]
             if not marks:
-                yield name, fn
+                yield fn
             for mark in marks:
                 for value in mark.args[1]:
-                    yield f"{name}[{value}]", lambda fn=fn, value=value: fn(value)
+                    yield lambda fn=fn, value=value: fn(value)
 
 
 def _declared():
@@ -113,7 +112,7 @@ def test_eval_blocks_touch_exactly_their_declared_signals(monkeypatch):
     for name, topo, lat in TRACE_LOCK:
         handle = build_system(make_config(topo, lat, name, **SMALL[name]))
         assert handle.system.run_until(lambda: handle.core.done)
-    for _, test in _directed_tests():
+    for test in _directed_tests():
         test()
     assert ACCESSES, "no block access was recorded"
     touched = set()
@@ -123,26 +122,6 @@ def test_eval_blocks_touch_exactly_their_declared_signals(monkeypatch):
     declared = _declared()
     assert sorted(touched - declared) == [], "undeclared signals"
     assert sorted(declared - touched) == [], "declared signals never touched"
-
-
-def test_recording_channel_attributes_accesses_to_the_running_block():
-    class Probe(Component):
-        name = "probe"
-        blocks = {"eval": (("inp.val",), ("out.val",))}
-
-        def eval(self):
-            if self.inp.peek() is None:
-                self.out.send("x")
-                self.out.rdy  # noqa: B018 - an undeclared read
-
-    probe = Probe()
-    probe.inp, probe.out = RecordingChannel("in"), RecordingChannel("out")
-    ACCESSES.clear()
-    probe.eval()
-    probe.inp.took()  # not inside a block: not recorded
-    got = {(block, ch.name, wire, mode) for _, block, ch, wire, mode in ACCESSES}
-    assert got == {("eval", "in", "val", "read"), ("eval", "out", "val", "write"),
-                   ("eval", "out", "rdy", "read")}
 
 
 # -- the kernel steps only cycles that carry a val --
