@@ -32,13 +32,11 @@ TRACE_LOCK = [(name, topo, lat) for name in WORKLOADS for topo in TOPOLOGIES
 
 # -- declared-signal audit --
 
-ACCESSES: set[tuple] = set()  # (component, block, channel, wire, "read"/"write")
-
-
 COMPONENTS = (CoreModel, BlockingCache, PointerChasePrefetcher, PipelinedMemory,
               TestSource, TestSink)
 BLOCK_NAMES = {block for cls in COMPONENTS for block in cls.blocks}
-KERNEL = (System.step.__code__, System._skip.__code__)
+KERNEL = (System.step.__code__, System._skip.__code__)  # ticks run from these
+ACCESSES: set[tuple] = set()  # (component, block, channel, wire, "read"/"write")
 
 
 def _note(ch, wire, mode):
