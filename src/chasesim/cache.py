@@ -79,8 +79,8 @@ class BlockingCache(Component):
 
     def eval(self):
         st = self.state
-        self.core_req.set_rdy(st is CacheFsm.IDLE)
-        self.mem_resp.set_rdy(st in (CacheFsm.EVICT_WAIT, CacheFsm.REFILL_WAIT))
+        self.core_req.rdy = st is CacheFsm.IDLE
+        self.mem_resp.rdy = st in (CacheFsm.EVICT_WAIT, CacheFsm.REFILL_WAIT)
         if st is CacheFsm.READ_DATA:
             _, idx, off = split_address(self.req.addr, CACHE_GEOMETRY)
             word = self.lines[idx].data[off:off + 4]

@@ -93,7 +93,7 @@ class CoreModel(Component):
     def eval(self):
         if self._state == "issue":
             self.mem_req.send(self._request())
-        self.mem_resp.set_rdy(self._state == "wait")
+        self.mem_resp.rdy = self._state == "wait"
 
     def tick(self):
         if self._state == "issue":

@@ -109,7 +109,7 @@ def collect_counters(handle: SimHandle) -> dict[str, int]:
     pf_stats = handle.prefetcher.stats if handle.prefetcher else PrefetchStats()
     counters = dict(zip(_CACHE_KEYS, vars(handle.cache.stats).values()))
     counters.update(zip(_PF_KEYS, vars(pf_stats).values()))
-    counters["mem_requests"] = handle.memory.requests
+    counters["mem_requests"] = handle.memory.req.transfers
     return counters
 
 

@@ -5,11 +5,11 @@ runs exactly once, in a static order computed once per wiring. A component
 declares its blocks in ``blocks``: per block method, the ``port.val`` and
 ``port.rdy`` signals it reads and those it writes. Over the bound channels, a
 block that reads a signal runs after the block that writes it; blocks that
-form a cycle raise ``CombinationalLoopError`` before the first cycle runs.
-Blocks only assert signals: every cycle starts with each channel's val and
-rdy low. In the commit phase each component's sequential ``tick`` runs
-exactly once and sees a transfer on every channel where val and rdy are both
-asserted; then the kernel counts those transfers and resets every channel.
+form a cycle raise a ``CombinationalLoopError`` naming them before the first
+cycle runs. Blocks only assert signals (``send``, or assign ``rdy``); each
+cycle starts with all of them low. In the commit phase each component's
+``tick`` runs once and sees a transfer where val and rdy are both high;
+then the kernel counts the transfers and resets every channel.
 
 ``System.run_until`` steps only the cycles in which some channel asserts
 val. Each component reports ``idle_cycles()``: for how many cycles from now
@@ -26,6 +26,7 @@ advances exactly one cycle.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable
 
 # idle_cycles() of a component that stays idle until something arrives
@@ -41,7 +42,9 @@ class CombinationalLoopError(Exception):
 
 
 class Channel:
-    """Single-message val/rdy channel. Capacity 1, no queuing."""
+    """Single-message val/rdy channel. Capacity 1, no queuing. In the eval
+    phase the producer calls ``send`` and the consumer assigns ``rdy``;
+    ``msg`` is None whenever ``val`` is low."""
 
     __slots__ = ("name", "msg", "val", "rdy", "transfers")
 
@@ -56,13 +59,6 @@ class Channel:
     def send(self, msg):
         self.msg = msg
         self.val = True
-
-    # -- consumer side, eval phase --
-    def set_rdy(self, rdy):
-        self.rdy = bool(rdy)
-
-    def peek(self):
-        return self.msg if self.val else None
 
     # -- commit phase --
     def took(self) -> bool:
@@ -90,7 +86,7 @@ class Component:
         self.system: System | None = None
 
     def eval(self):
-        """Assert outputs (send on output ports, set_rdy on input ports).
+        """Assert outputs (send on output ports, assign rdy on input ports).
 
         Runs once per stepped cycle, after the blocks that write the signals
         it declares it reads; every channel starts the cycle with val and
@@ -166,9 +162,9 @@ class System:
         """The bound eval blocks in the order ``step`` calls them.
 
         Computed once per wiring: a topological order of the blocks over the
-        declared signals (writer before readers; blocks with no pending
-        reads run in component order). Raises ``CombinationalLoopError`` if
-        the blocks form a cycle.
+        declared signals (writer before readers), in rounds of ready blocks,
+        each in component order. A cycle raises ``CombinationalLoopError``
+        naming the blocks on it.
         """
         if self._schedule is not None:
             return self._schedule
@@ -180,22 +176,20 @@ class System:
                 reads.append([self._signal(c, s) for s in rd])
                 for s in wr:
                     writer[self._signal(c, s)] = i
-        succ = [[] for _ in blocks]
-        pending = [0] * len(blocks)
-        for i, rd in enumerate(reads):
-            for w in {writer[s] for s in rd if s in writer} - {i}:
-                succ[w].append(i)
-                pending[i] += 1
-        order = [i for i, n in enumerate(pending) if n == 0]
-        for i in order:  # grows while it is walked
-            for j in succ[i]:
-                pending[j] -= 1
-                if pending[j] == 0:
-                    order.append(j)
-        if len(order) < len(blocks):
-            stuck = ", ".join(f"{c.name}.{m}" for (c, m), n in zip(blocks, pending) if n)
+        graph = TopologicalSorter({i: {writer[s] for s in rd if s in writer} - {i}
+                                   for i, rd in enumerate(reads)})
+        try:
+            graph.prepare()
+        except CycleError as e:
+            loop = ", ".join(f"{blocks[i][0].name}.{blocks[i][1]}"
+                             for i in sorted(set(e.args[1])))
             raise CombinationalLoopError(
-                f"eval blocks form a combinational loop; unschedulable: {stuck}")
+                f"eval blocks form a combinational loop: {loop}") from None
+        order = []
+        while graph.is_active():
+            ready = sorted(graph.get_ready())
+            order += ready
+            graph.done(*ready)
         self._schedule = [getattr(*blocks[i]) for i in order]
         return self._schedule
 

@@ -32,7 +32,6 @@ class PipelinedMemory(Component):
         # in-flight entries: (due pipeline-clock value, request)
         self.pipeline: deque[tuple[int, MemRequest]] = deque()
         self.clock = 0
-        self.requests = 0  # accepted, counted only: a long run stays bounded
         # ports
         self.req = None
         self.resp = None
@@ -73,7 +72,7 @@ class PipelinedMemory(Component):
 
     def eval_req_rdy(self):
         # a due head that is not accepted stalls the whole pipeline
-        self.req.set_rdy(not self.resp.val or self.resp.rdy)
+        self.req.rdy = not self.resp.val or self.resp.rdy
 
     def tick(self):
         if self.resp.took():
@@ -82,7 +81,6 @@ class PipelinedMemory(Component):
             return  # due head stalled: the clock stops, req was not ready
         r = self.req.recv()
         if r is not None:
-            self.requests += 1
             if r.kind is MsgKind.WRITE:
                 # writes are full-line; applied at acceptance so later reads
                 # in the pipeline observe them (read-your-writes)

@@ -86,10 +86,8 @@ class PointerChasePrefetcher(Component):
                                ("cache_req.rdy",)),
     }
 
-    def __init__(self, prefetch_enabled: bool = True):
+    def __init__(self):
         super().__init__()
-        # prefetch_enabled=False is a fault-injection knob for mutation tests
-        self.prefetch_enabled = prefetch_enabled
         self.entries = [PrefetchEntry() for _ in range(NUM_ENTRIES)]
         self.buffer = BufferAddressRegister()
         self.state = PrefetchFsm.IDLE
@@ -119,7 +117,7 @@ class PointerChasePrefetcher(Component):
         return hit, idx, off, e.data, e.data_valid
 
     def eval(self):
-        incoming = self.mem_resp.peek()
+        incoming = self.mem_resp.msg
         fill = incoming if (incoming is not None
                             and incoming.opaque == PREFETCH_OPAQUE) else None
         mresp_rdy = fill is not None  # fills are always drained
@@ -147,7 +145,7 @@ class PointerChasePrefetcher(Component):
                 self.cache_resp.send(MemResponse(
                     incoming.kind, self.req.opaque, incoming.data, hit=False))
                 mresp_rdy = self.cache_resp.rdy
-        self.mem_resp.set_rdy(mresp_rdy)
+        self.mem_resp.rdy = mresp_rdy
 
     def eval_cache_req_rdy(self):
         st = self.state
@@ -162,7 +160,7 @@ class PointerChasePrefetcher(Component):
             rdy = self.cache_resp.val and self.cache_resp.rdy
         else:
             rdy = False
-        self.cache_req.set_rdy(rdy)
+        self.cache_req.rdy = rdy
 
     def tick(self):
         got = self.mem_resp.recv()
@@ -193,14 +191,13 @@ class PointerChasePrefetcher(Component):
                 if got.opaque != DEMAND_OPAQUE:
                     raise RuntimeError(f"memory response with unknown opaque "
                                        f"{got.opaque:#x}")
-                if (self.req.kind is MsgKind.READCP and not self.buffer.busy
-                        and self.prefetch_enabled):
+                if self.req.kind is MsgKind.READCP and not self.buffer.busy:
                     self._push(got.data, split_address(self.req.addr,
                                                        PREFETCH_GEOMETRY)[2])
                 else:
                     self.state = PrefetchFsm.IDLE
             else:
-                pending = self.mem_resp.peek()
+                pending = self.mem_resp.msg
                 if (st is PrefetchFsm.WAIT_MEM and pending is not None
                         and pending.opaque == DEMAND_OPAQUE):
                     self.state = PrefetchFsm.STALL_MEM
@@ -239,7 +236,7 @@ class PointerChasePrefetcher(Component):
     def _tick_push_next(self):
         nxt = self.next_ptr
         self.state = PrefetchFsm.IDLE
-        if nxt == 0 or not self.prefetch_enabled:
+        if nxt == 0:
             return  # null next pointer: prefetch suppressed
         self.stats.prefetches_issued += 1
         if self.buffer.busy:

@@ -66,7 +66,7 @@ class TestSink(Component):
         self.resp = None  # port
 
     def eval(self):
-        self.resp.set_rdy(self.wait == 0)
+        self.resp.rdy = self.wait == 0
 
     def tick(self):
         r = self.resp.recv()
@@ -83,7 +83,7 @@ class TestSink(Component):
 
 class LoggingMemory(PipelinedMemory):
     """A pipelined memory that also keeps every request it accepts, in order,
-    in ``request_log``. Full systems count requests only."""
+    in ``request_log``. Full systems count them on the request channel only."""
 
     def __init__(self, latency: int):
         super().__init__(latency)

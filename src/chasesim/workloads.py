@@ -176,8 +176,7 @@ def gen_insertion(flist: FreeList, inserts: int, seed: int) -> Program:
 
 def gen_hashtable(buckets: int, keys: int, seed: int, base: int = 0x3000) -> Workload:
     """Bucket array of chain heads plus lookups walking each chain."""
-    if buckets < 1:
-        raise ConfigurationError("buckets must be >= 1")
+    _check_hashtable({"buckets": buckets, "keys": keys})
     rng = Lcg(seed)
     key_vals = []
     seen = set()
@@ -366,6 +365,10 @@ def _check_traversal(params: dict):
     _check(params, gap=(0, None))
 
 
+def _check_hashtable(params: dict):
+    _check(params, buckets=(1, None), keys=(0, 0xFFFFFF))  # distinct nonzero 24-bit keys
+
+
 def _check_insertion(params: dict):
     _check_free_list(params["nodes"], params["nodes_per_line"])
     _check(params, inserts=(0, None))
@@ -383,9 +386,7 @@ WORKLOADS: dict[str, tuple[Callable[..., Workload], dict, Callable[[dict], None]
     "insertion": (_insertion, {"nodes": 64, "nodes_per_line": 1, "inserts": 8},
                   _check_insertion),
     "hashtable": (lambda seed, buckets, keys: gen_hashtable(buckets, keys, seed),
-                  {"buckets": 16, "keys": 64},
-                  # keys are distinct nonzero 24-bit values
-                  lambda p: _check(p, buckets=(1, None), keys=(0, 0xFFFFFF))),
+                  {"buckets": 16, "keys": 64}, _check_hashtable),
     "hanoi": (lambda seed, disks: gen_hanoi_like(disks), {"disks": 6},
               lambda p: _check(p, disks=(1, 10))),
     "array": (lambda seed, elements, gap: gen_array_kernel(elements, gap, seed=seed),

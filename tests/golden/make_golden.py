@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from chasesim import build_system, make_config, report
-from chasesim.harness import RunStats, collect_counters
+from chasesim.harness import RunStats, run_built
 from chasesim.memory import dump_image
 
 GOLDEN = Path(__file__).resolve().parent / "matrix.json"
@@ -41,18 +41,17 @@ def configs():
 
 
 def run_row(config) -> tuple[dict, RunStats]:
+    """Run config through the shipped path (``build_system``, then
+    ``run_built``); the image is read after its flush."""
     handle = build_system(config)
-    if not handle.system.run_until(lambda: handle.core.done, config.max_cycles):
+    stats = run_built(config, handle)
+    if not stats.completed:
         raise RuntimeError(f"{config} did not complete")
-    handle.cache.flush_dirty(handle.memory.poke_line)
-    counters = collect_counters(handle)
     image = dump_image(handle.memory.store).encode()
     row = {"workload": config.workload, "topology": config.topology,
            "latency": config.latency, "seed": config.seed,
-           "cycles": handle.system.cycle, "counters": counters,
+           "cycles": stats.cycles, "counters": stats.counters,
            "image_sha256": hashlib.sha256(image).hexdigest()}
-    stats = RunStats(config.workload, config.topology, config.latency,
-                     config.seed, handle.system.cycle, True, counters)
     return row, stats
 
 

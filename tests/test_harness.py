@@ -5,13 +5,17 @@ import json
 
 import pytest
 
-from chasesim import (WORKLOADS, ConfigurationError, ExperimentConfig,
-                      MemResponse, MsgKind, SinkReport, build_system,
-                      checking_sink, dump_image, make_config, replay_program,
-                      run_experiment)
-from chasesim.harness import (RunStats, collect_counters, report, result_rows,
-                              sweep)
+from chasesim import (WORKLOADS, BlockingCache, Compute, ConfigurationError,
+                      CoreModel, ExperimentConfig, MemResponse, MsgKind,
+                      PipelinedMemory, PointerChasePrefetcher, Read, SinkReport,
+                      System, Write, build_free_list, build_system,
+                      checking_sink, dump_image, gen_insertion, make_config,
+                      replay_program, run_experiment)
+from chasesim.harness import (TOPOLOGIES, RunStats, collect_counters, report,
+                              result_rows, sweep)
+from chasesim.messages import word_bytes
 from conftest import count_steps
+from test_workloads import tokens_of
 
 
 def run_handle(config):
@@ -19,6 +23,18 @@ def run_handle(config):
     assert handle.system.run_until(lambda: handle.core.done, config.max_cycles)
     handle.cache.flush_dirty(handle.memory.poke_line)
     return handle
+
+
+def run_program(topology, program, segments, latency=4):
+    """Run a token program to completion in a system of the given topology;
+    return the system and its core."""
+    core, memory = CoreModel(program), PipelinedMemory(latency)
+    memory.load_image(segments)
+    system = System()
+    pf = [PointerChasePrefetcher()] if topology == "alternate" else []
+    system.chain(core, BlockingCache(), *pf, memory)
+    assert system.run_until(lambda: core.done)
+    return system, core
 
 
 def test_make_config_rejects_unknown_topology():
@@ -70,6 +86,35 @@ def test_alternate_run_matches_flat_replay():
     expect = flat.lines()
     for addr in set(expect) | set(handle.memory.store):
         assert handle.memory.peek_line(addr) == expect.get(addr, bytes(16))
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_insertion_into_an_empty_list_starts_at_the_head(topology):
+    flist = build_free_list(4, seed=3, linked_count=0)
+    new, cell = flist.pool[0], flist.head_cell_addr
+    insert = gen_insertion(flist, 3, 3)
+    program, tokens = tokens_of(insert)
+    loads, flat = replay_program(program, flist.segments)
+    # an empty list has one place to insert: the head
+    assert tokens[:3] == [Read(cell), Write(new, 0), Write(cell, new)]
+    chain, addr = [], flat.read_word(cell)
+    while addr:
+        chain.append(addr)
+        addr = flat.read_word(addr)
+    assert sorted(chain) == sorted(flist.pool[:3])
+    _, core = run_program(topology, insert, flist.segments)
+    assert core.loads == loads
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("cycles", [0, -3])
+def test_compute_of_no_cycles_takes_no_cycle(topology, cycles):
+    segments = [(0x40, word_bytes(7)), (0x80, word_bytes(9))]
+    plain, plain_core = run_program(topology, [Read(0x40), Read(0x80)], segments)
+    system, core = run_program(
+        topology, [Read(0x40), Compute(cycles), Read(0x80)], segments)
+    assert system.cycle == plain.cycle
+    assert core.loads == plain_core.loads == [(0x40, 7), (0x80, 9)]
 
 
 def test_downstream_request_conservation():

@@ -160,7 +160,7 @@ class RdyFollower(Component):
         self.ticks = 0
 
     def eval(self):
-        self.inp.set_rdy(self.out.rdy)
+        self.inp.rdy = self.out.rdy
 
     def tick(self):
         self.ticks += 1

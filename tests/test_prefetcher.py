@@ -190,17 +190,6 @@ def test_plain_read_does_not_prefetch():
     assert prefetch_requests(mem) == []
 
 
-def test_prefetch_disabled_issues_nothing():
-    sys_, src, sink, pf, mem = build_testbench(
-        5, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A)],
-        PointerChasePrefetcher(prefetch_enabled=False))
-    run_to_responses(sys_, sink, 2)
-    for _ in range(20):
-        sys_.step()
-    assert prefetch_requests(mem) == []
-    assert pf.stats.prefetches_issued == 0
-
-
 def test_write_invalidates_matching_entry():
     new_line = b"\x99" * 16
     sys_, src, sink, pf, mem = build_testbench(

@@ -190,6 +190,17 @@ def test_hashtable_lookup_finds_every_key():
     assert set(w.meta["keys"]) <= found
 
 
+@pytest.mark.parametrize("buckets, keys, message", [
+    (0, 8, "buckets must be >= 1"),
+    # more keys than there are nonzero 24-bit values: the key draw never ends
+    (1, 2**24, "keys must be in 0..16777215"),
+])
+def test_hashtable_rejects_bad_sizes_before_building(buckets, keys, message):
+    with pytest.raises(ConfigurationError) as e:
+        gen_hashtable(buckets, keys, seed=1)
+    assert str(e.value) == message
+
+
 def test_hashtable_zero_keys_probes_empty_heads():
     w = gen_hashtable(4, 0, seed=1)
     loads, _ = replay_program(w.program, w.segments)
