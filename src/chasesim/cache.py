@@ -12,9 +12,9 @@ import enum
 from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
-from .messages import (CACHE_GEOMETRY, ZERO_LINE, MemRequest, MemResponse,
-                       MsgKind, join_address, set_word_in_line, split_address,
-                       word_in_line)
+from .messages import (CACHE_GEOMETRY, READ, READCP, WRITE, ZERO_LINE,
+                       MemRequest, MemResponse, join_address, set_word_in_line,
+                       split_address, word_in_line)
 
 NUM_LINES = CACHE_GEOMETRY.num_indices
 
@@ -39,11 +39,15 @@ class CacheFsm(enum.Enum):
     REFILL_UPDATE = "RU"
 
 
+# members as module globals: per-cycle code avoids EnumType.__getattr__
+(IDLE, TAG_CHECK, READ_DATA, WRITE_DATA, EVICT_REQ, EVICT_WAIT, REFILL_REQ,
+ REFILL_WAIT, REFILL_UPDATE) = CacheFsm
+
 # states whose tick does nothing while nothing arrives, and the states that
 # assert no val and act at the end of the cycle (a tuple, not a set: tuple
 # membership compares identity first, set membership hashes the Enum)
-_WAITING = (CacheFsm.IDLE, CacheFsm.EVICT_WAIT, CacheFsm.REFILL_WAIT)
-_ONE_CYCLE = (CacheFsm.TAG_CHECK, CacheFsm.REFILL_UPDATE)
+_WAITING = (IDLE, EVICT_WAIT, REFILL_WAIT)
+_ONE_CYCLE = (TAG_CHECK, REFILL_UPDATE)
 
 
 @dataclass
@@ -67,7 +71,7 @@ class BlockingCache(Component):
     def __init__(self):
         super().__init__()
         self.lines = [CacheLine() for _ in range(NUM_LINES)]
-        self.state = CacheFsm.IDLE
+        self.state = IDLE
         self.req: MemRequest | None = None
         self.was_hit = False
         self.stats = CacheStats()
@@ -79,68 +83,66 @@ class BlockingCache(Component):
 
     def eval(self):
         st = self.state
-        self.core_req.rdy = st is CacheFsm.IDLE
-        self.mem_resp.rdy = st in (CacheFsm.EVICT_WAIT, CacheFsm.REFILL_WAIT)
-        if st is CacheFsm.READ_DATA:
+        self.core_req.rdy = st is IDLE
+        self.mem_resp.rdy = st in (EVICT_WAIT, REFILL_WAIT)
+        if st is READ_DATA:
             _, idx, off = split_address(self.req.addr, CACHE_GEOMETRY)
             word = self.lines[idx].data[off:off + 4]
             self.core_resp.send(
                 MemResponse(self.req.kind, self.req.opaque, word, hit=self.was_hit))
-        elif st is CacheFsm.WRITE_DATA:
-            self.core_resp.send(
-                MemResponse(MsgKind.WRITE, self.req.opaque, hit=self.was_hit))
-        elif st is CacheFsm.EVICT_REQ:
+        elif st is WRITE_DATA:
+            self.core_resp.send(MemResponse(WRITE, self.req.opaque, hit=self.was_hit))
+        elif st is EVICT_REQ:
             # the victim stays in its line until the refill replaces it
             _, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
             victim = self.lines[idx]
             self.mem_req.send(MemRequest(
-                MsgKind.WRITE, join_address(victim.tag, idx, 0, CACHE_GEOMETRY),
+                WRITE, join_address(victim.tag, idx, 0, CACHE_GEOMETRY),
                 opaque=0, data=victim.data))
-        elif st is CacheFsm.REFILL_REQ:
-            kind = MsgKind.READCP if self.req.kind is MsgKind.READCP else MsgKind.READ
+        elif st is REFILL_REQ:
+            kind = READCP if self.req.kind is READCP else READ
             self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))
 
     def tick(self):
         st = self.state
-        if st is CacheFsm.IDLE:
+        if st is IDLE:
             r = self.core_req.recv()
             if r is not None:
                 self.req = r
-                self.state = CacheFsm.TAG_CHECK
-        elif st is CacheFsm.TAG_CHECK:
+                self.state = TAG_CHECK
+        elif st is TAG_CHECK:
             self._tag_check()
-        elif st is CacheFsm.EVICT_REQ:
+        elif st is EVICT_REQ:
             if self.mem_req.took():
                 self.stats.evictions += 1
                 self.stats.downstream_requests += 1
-                self.state = CacheFsm.EVICT_WAIT
-        elif st is CacheFsm.EVICT_WAIT:
+                self.state = EVICT_WAIT
+        elif st is EVICT_WAIT:
             if self.mem_resp.recv() is not None:
-                self.state = CacheFsm.REFILL_REQ
-        elif st is CacheFsm.REFILL_REQ:
+                self.state = REFILL_REQ
+        elif st is REFILL_REQ:
             if self.mem_req.took():
                 self.stats.downstream_requests += 1
-                self.state = CacheFsm.REFILL_WAIT
-        elif st is CacheFsm.REFILL_WAIT:
+                self.state = REFILL_WAIT
+        elif st is REFILL_WAIT:
             r = self.mem_resp.recv()
             if r is not None:
                 tag, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
                 self.lines[idx] = CacheLine(tag=tag, valid=True, dirty=False,
                                             data=r.data)
-                self.state = CacheFsm.REFILL_UPDATE
-        elif st is CacheFsm.REFILL_UPDATE:
-            self.state = (CacheFsm.WRITE_DATA if self.req.kind is MsgKind.WRITE
-                          else CacheFsm.READ_DATA)
-        elif st is CacheFsm.READ_DATA:
+                self.state = REFILL_UPDATE
+        elif st is REFILL_UPDATE:
+            self.state = WRITE_DATA if self.req.kind is WRITE else READ_DATA
+        elif st is READ_DATA:
             if self.core_resp.took():
-                self.state = CacheFsm.IDLE
-        elif st is CacheFsm.WRITE_DATA:
+                self.state = IDLE
+        elif st is WRITE_DATA:
             if self.core_resp.took():
                 _, idx, off = split_address(self.req.addr, CACHE_GEOMETRY)
                 line = self.lines[idx]
                 line.data = set_word_in_line(line.data, off, word_in_line(self.req.data, 0))
                 line.dirty = True
-                self.state = CacheFsm.IDLE
+                self.state = IDLE
 
     def _tag_check(self):
         tag, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
@@ -149,29 +151,28 @@ class BlockingCache(Component):
         self.was_hit = hit
         s = self.stats
         kind = self.req.kind
-        if kind is MsgKind.READ:
+        if kind is READ:
             s.read_hits += hit
             s.read_misses += not hit
-        elif kind is MsgKind.WRITE:
+        elif kind is WRITE:
             s.write_hits += hit
             s.write_misses += not hit
-        elif kind is MsgKind.READCP:
+        elif kind is READCP:
             s.readcp_hits += hit
             s.readcp_misses += not hit
         if hit:
-            self.state = (CacheFsm.WRITE_DATA if kind is MsgKind.WRITE
-                          else CacheFsm.READ_DATA)
+            self.state = WRITE_DATA if kind is WRITE else READ_DATA
         elif line.valid and line.dirty:
-            self.state = CacheFsm.EVICT_REQ
+            self.state = EVICT_REQ
         else:
-            self.state = CacheFsm.REFILL_REQ
+            self.state = REFILL_REQ
 
     def flush_dirty(self, write_line) -> int:
         """Write all dirty lines back via write_line(addr, data); clear dirty.
 
         Zero-time drain for end-of-run image comparison; cache must be Idle.
         """
-        if self.state is not CacheFsm.IDLE:
+        if self.state is not IDLE:
             raise RuntimeError(f"flush requires an idle cache, not {self.state.name}")
         count = 0
         for idx, line in enumerate(self.lines):

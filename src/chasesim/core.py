@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .kernel import IDLE_FOREVER, Component
-from .messages import MemRequest, MsgKind, word_bytes, word_value
+from .messages import READ, READCP, WRITE, MemRequest, word_bytes, word_value
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,10 @@ class CoreModel(Component):
     def _request(self) -> MemRequest:
         tok = self._token
         if isinstance(tok, Read):
-            return MemRequest(MsgKind.READ, tok.addr)
+            return MemRequest(READ, tok.addr)
         if isinstance(tok, ReadCP):
-            return MemRequest(MsgKind.READCP, tok.addr)
-        return MemRequest(MsgKind.WRITE, tok.addr, data=word_bytes(tok.value))
+            return MemRequest(READCP, tok.addr)
+        return MemRequest(WRITE, tok.addr, data=word_bytes(tok.value))
 
     def eval(self):
         if self._state == "issue":

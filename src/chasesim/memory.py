@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import deque
 
 from .kernel import IDLE_FOREVER, Component, ConfigurationError
-from .messages import (LINE_BYTES, WORD_BYTES, ZERO_LINE, MemRequest,
-                       MemResponse, MsgKind, line_base)
+from .messages import (LINE_BYTES, WORD_BYTES, WRITE, ZERO_LINE, MemRequest,
+                       MemResponse, line_base)
 
 
 class PipelinedMemory(Component):
@@ -81,7 +81,7 @@ class PipelinedMemory(Component):
             return  # due head stalled: the clock stops, req was not ready
         r = self.req.recv()
         if r is not None:
-            if r.kind is MsgKind.WRITE:
+            if r.kind is WRITE:
                 # writes are full-line; applied at acceptance so later reads
                 # in the pipeline observe them (read-your-writes)
                 if len(r.data) != LINE_BYTES:
@@ -98,8 +98,8 @@ class PipelinedMemory(Component):
         self.clock += n
 
     def _response(self, req: MemRequest) -> MemResponse:
-        if req.kind is MsgKind.WRITE:
-            return MemResponse(MsgKind.WRITE, req.opaque)
+        if req.kind is WRITE:
+            return MemResponse(WRITE, req.opaque)
         return MemResponse(req.kind, req.opaque, self.peek_line(req.addr), hit=False)
 
     def trace_state(self):

@@ -26,6 +26,10 @@ class MsgKind(enum.Enum):
     READCP = "cp"
 
 
+# members as module globals: per-cycle code avoids EnumType.__getattr__
+INIT, READ, WRITE, READCP = MsgKind
+
+
 @dataclass(frozen=True)
 class MemRequest:
     kind: MsgKind

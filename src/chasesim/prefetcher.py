@@ -14,8 +14,9 @@ import enum
 from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
-from .messages import (PREFETCH_GEOMETRY, ZERO_LINE, MemRequest, MemResponse,
-                       MsgKind, line_base, split_address, word_in_line)
+from .messages import (INIT as INIT_KIND, PREFETCH_GEOMETRY, READ, READCP, WRITE,
+                       ZERO_LINE, MemRequest, MemResponse, MsgKind, line_base,
+                       split_address, word_in_line)
 
 NUM_ENTRIES = PREFETCH_GEOMETRY.num_indices
 
@@ -56,10 +57,14 @@ class PrefetchFsm(enum.Enum):
     WAIT_DATA_INVALID = "DI"
 
 
+# members as module globals: per-cycle code avoids EnumType.__getattr__
+(IDLE, TAG_CHECK, INIT, PUSH_NEXT, BUFFER_TO_MEM, WAIT_MEM, STALL_MEM,
+ WAIT_DATA_INVALID) = PrefetchFsm
+
 # states whose tick does nothing while nothing arrives, and the states that
 # may assert no val and act at the end of the cycle (tuples, as in cache.py)
-_WAITING = (PrefetchFsm.IDLE, PrefetchFsm.WAIT_MEM, PrefetchFsm.STALL_MEM)
-_ONE_CYCLE = (PrefetchFsm.PUSH_NEXT, PrefetchFsm.TAG_CHECK)
+_WAITING = (IDLE, WAIT_MEM, STALL_MEM)
+_ONE_CYCLE = (PUSH_NEXT, TAG_CHECK)
 
 
 @dataclass
@@ -90,7 +95,7 @@ class PointerChasePrefetcher(Component):
         super().__init__()
         self.entries = [PrefetchEntry() for _ in range(NUM_ENTRIES)]
         self.buffer = BufferAddressRegister()
-        self.state = PrefetchFsm.IDLE
+        self.state = IDLE
         self.req: MemRequest | None = None
         self.next_ptr = 0  # AGU output latched for PUSH_NEXT
         self.stats = PrefetchStats()
@@ -122,23 +127,23 @@ class PointerChasePrefetcher(Component):
                             and incoming.opaque == PREFETCH_OPAQUE) else None
         mresp_rdy = fill is not None  # fills are always drained
         st = self.state
-        if st is PrefetchFsm.TAG_CHECK or st is PrefetchFsm.WAIT_DATA_INVALID:
+        if st is TAG_CHECK or st is WAIT_DATA_INVALID:
             req = self.req
-            if req.kind is not MsgKind.INIT:
+            if req.kind is not INIT_KIND:
                 hit, _, _, line, dvalid = self.tag_check(req.addr, fill)
-                if req.kind is MsgKind.WRITE or not hit:
+                if req.kind is WRITE or not hit:
                     self.mem_req.send(MemRequest(req.kind, req.addr,
                                                  DEMAND_OPAQUE, data=req.data))
                 elif dvalid:
                     self.cache_resp.send(
                         MemResponse(req.kind, req.opaque, line, hit=True))
                 # else a hit on a pending fill: wait, never re-request
-        elif st is PrefetchFsm.INIT:
-            self.cache_resp.send(MemResponse(MsgKind.INIT, self.req.opaque))
-        elif st is PrefetchFsm.BUFFER_TO_MEM:
-            self.mem_req.send(MemRequest(MsgKind.READ, line_base(self.buffer.next_addr),
+        elif st is INIT:
+            self.cache_resp.send(MemResponse(INIT_KIND, self.req.opaque))
+        elif st is BUFFER_TO_MEM:
+            self.mem_req.send(MemRequest(READ, line_base(self.buffer.next_addr),
                                          PREFETCH_OPAQUE))
-        elif st in (PrefetchFsm.WAIT_MEM, PrefetchFsm.STALL_MEM):
+        elif st in (WAIT_MEM, STALL_MEM):
             if incoming is not None and incoming.opaque == DEMAND_OPAQUE:
                 # forward the demand response combinationally; flow control
                 # passes through (memory held while the cache is not ready)
@@ -149,12 +154,11 @@ class PointerChasePrefetcher(Component):
 
     def eval_cache_req_rdy(self):
         st = self.state
-        if st is PrefetchFsm.IDLE:
+        if st is IDLE:
             rdy = True
-        elif st is PrefetchFsm.BUFFER_TO_MEM:
+        elif st is BUFFER_TO_MEM:
             rdy = self.mem_req.rdy
-        elif st is PrefetchFsm.INIT or (st is PrefetchFsm.TAG_CHECK
-                                        and self.req.kind is MsgKind.READ):
+        elif st is INIT or (st is TAG_CHECK and self.req.kind is READ):
             # INIT, or a single-cycle read hit: accept the next request as
             # the response drains
             rdy = self.cache_resp.val and self.cache_resp.rdy
@@ -168,11 +172,11 @@ class PointerChasePrefetcher(Component):
             self._apply_fill(got)
             got = None
         st = self.state
-        if st is PrefetchFsm.IDLE:
+        if st is IDLE:
             self._next_or_idle()
-        elif st is PrefetchFsm.TAG_CHECK or st is PrefetchFsm.WAIT_DATA_INVALID:
+        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:
             self._tick_tag_check()
-        elif st is PrefetchFsm.INIT:
+        elif st is INIT:
             if self.cache_resp.took():
                 req = self.req
                 tag, idx, _ = split_address(req.addr, PREFETCH_GEOMETRY)
@@ -180,62 +184,62 @@ class PointerChasePrefetcher(Component):
                 self.entries[idx] = PrefetchEntry(tag=tag, tag_valid=True,
                                                   data_valid=True, data=data)
                 self._next_or_idle()
-        elif st is PrefetchFsm.PUSH_NEXT:
+        elif st is PUSH_NEXT:
             self._tick_push_next()
-        elif st is PrefetchFsm.BUFFER_TO_MEM:
+        elif st is BUFFER_TO_MEM:
             if self.mem_req.took():
                 self.buffer.busy = True
                 self._next_or_idle()
-        elif st in (PrefetchFsm.WAIT_MEM, PrefetchFsm.STALL_MEM):
+        elif st in (WAIT_MEM, STALL_MEM):
             if got is not None:
                 if got.opaque != DEMAND_OPAQUE:
                     raise RuntimeError(f"memory response with unknown opaque "
                                        f"{got.opaque:#x}")
-                if self.req.kind is MsgKind.READCP and not self.buffer.busy:
+                if self.req.kind is READCP and not self.buffer.busy:
                     self._push(got.data, split_address(self.req.addr,
                                                        PREFETCH_GEOMETRY)[2])
                 else:
-                    self.state = PrefetchFsm.IDLE
+                    self.state = IDLE
             else:
                 pending = self.mem_resp.msg
-                if (st is PrefetchFsm.WAIT_MEM and pending is not None
+                if (st is WAIT_MEM and pending is not None
                         and pending.opaque == DEMAND_OPAQUE):
-                    self.state = PrefetchFsm.STALL_MEM
+                    self.state = STALL_MEM
 
     def _tick_tag_check(self):
         # TAG_CHECK and WAIT_DATA_INVALID: the fill of this cycle has landed
         req = self.req
         hit, idx, off, line, dvalid = self.tag_check(req.addr)
-        if req.kind is MsgKind.INIT:
-            self.state = PrefetchFsm.INIT
+        if req.kind is INIT_KIND:
+            self.state = INIT
         elif self.cache_resp.took():
             self._count_hit(req.kind, self.entries[idx])
-            if req.kind is MsgKind.READCP:
+            if req.kind is READCP:
                 self._push(line, off)
             else:
                 self._next_or_idle()  # cache_req is not ready in DI: idle
         elif self.mem_req.took():
-            if req.kind is MsgKind.WRITE:
+            if req.kind is WRITE:
                 self.stats.writes += 1
                 if hit:
                     # invalidate before forwarding so no stale data survives
                     e = self.entries[idx]
                     e.tag_valid = e.data_valid = False
-            elif req.kind is MsgKind.READ:
+            elif req.kind is READ:
                 self.stats.read_misses += 1
             else:
                 self.stats.readcp_misses += 1
-            self.state = PrefetchFsm.WAIT_MEM
-        elif hit and not dvalid and req.kind is not MsgKind.WRITE:
-            self.state = PrefetchFsm.WAIT_DATA_INVALID
+            self.state = WAIT_MEM
+        elif hit and not dvalid and req.kind is not WRITE:
+            self.state = WAIT_DATA_INVALID
 
     def _push(self, line: bytes, offset: int):
         self.next_ptr = agu_next_address(line, offset)
-        self.state = PrefetchFsm.PUSH_NEXT
+        self.state = PUSH_NEXT
 
     def _tick_push_next(self):
         nxt = self.next_ptr
-        self.state = PrefetchFsm.IDLE
+        self.state = IDLE
         if nxt == 0:
             return  # null next pointer: prefetch suppressed
         self.stats.prefetches_issued += 1
@@ -248,7 +252,7 @@ class PointerChasePrefetcher(Component):
         # duplicating the memory request
         self.entries[idx] = PrefetchEntry(tag=tag, tag_valid=True,
                                           data_valid=False, prefetched=True)
-        self.state = PrefetchFsm.BUFFER_TO_MEM
+        self.state = BUFFER_TO_MEM
 
     def _apply_fill(self, resp: MemResponse):
         if not self.buffer.busy:
@@ -265,7 +269,7 @@ class PointerChasePrefetcher(Component):
         self.buffer.busy = False
 
     def _count_hit(self, kind: MsgKind, entry: PrefetchEntry):
-        if kind is MsgKind.READ:
+        if kind is READ:
             self.stats.read_hits += 1
         else:
             self.stats.readcp_hits += 1
@@ -277,22 +281,22 @@ class PointerChasePrefetcher(Component):
         r = self.cache_req.recv()
         if r is not None:
             self.req = r
-            self.state = PrefetchFsm.TAG_CHECK
+            self.state = TAG_CHECK
         else:
-            self.state = PrefetchFsm.IDLE
+            self.state = IDLE
 
     def idle_cycles(self):
         st = self.state
         if st in _WAITING:
             return IDLE_FOREVER
-        if st is PrefetchFsm.PUSH_NEXT:
+        if st is PUSH_NEXT:
             return 1
-        if st is PrefetchFsm.TAG_CHECK or st is PrefetchFsm.WAIT_DATA_INVALID:
+        if st is TAG_CHECK or st is WAIT_DATA_INVALID:
             hit, _, _, _, dvalid = self.tag_check(self.req.addr)
-            if hit and not dvalid and self.req.kind is not MsgKind.WRITE:
+            if hit and not dvalid and self.req.kind is not WRITE:
                 # a hit on a pending fill asserts nothing: TAG_CHECK moves to
                 # DI at the end of the cycle, DI waits for the fill
-                return 1 if st is PrefetchFsm.TAG_CHECK else IDLE_FOREVER
+                return 1 if st is TAG_CHECK else IDLE_FOREVER
         return 0
 
     def skip(self, n):

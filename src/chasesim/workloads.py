@@ -73,7 +73,11 @@ class FreeList:
         return self.base + LINE_BYTES + i * self.node_size
 
 
-def _check_free_list(node_count: int, nodes_per_line: int, region_bytes: int = 1 << 20):
+REGION_BYTES = 1 << 20  # address budget of one generated structure
+
+
+def _check_free_list(node_count: int, nodes_per_line: int,
+                     region_bytes: int = REGION_BYTES):
     """Raise ConfigurationError unless such a free list fits its region."""
     if node_count < 1:
         raise ConfigurationError("node_count must be >= 1")
@@ -85,7 +89,7 @@ def _check_free_list(node_count: int, nodes_per_line: int, region_bytes: int = 1
 
 def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
                     base: int = 0x1000, linked_count: int | None = None,
-                    region_bytes: int = 1 << 20) -> FreeList:
+                    region_bytes: int = REGION_BYTES) -> FreeList:
     """Array of nodes with seeded pseudo-random linkage (a free list).
 
     Word 0 of each node holds its successor's address (0 terminates); the
@@ -367,6 +371,10 @@ def _check_traversal(params: dict):
 
 def _check_hashtable(params: dict):
     _check(params, buckets=(1, None), keys=(0, 0xFFFFFF))  # distinct nonzero 24-bit keys
+    # gen_hashtable's region: the bucket array in whole lines, one line per key
+    bucket_lines = -(-params["buckets"] * WORD_BYTES // LINE_BYTES)
+    if (bucket_lines + max(params["keys"], 1)) * LINE_BYTES > REGION_BYTES:
+        raise ConfigurationError("buckets and keys exceed the address budget")
 
 
 def _check_insertion(params: dict):

@@ -91,6 +91,15 @@ def test_run_bad_input_is_one_error_line(argv, message, capsys):
     assert captured.err == f"chasesim: error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["run", "--workload"], ["sweep", "--workloads"]])
+def test_hashtable_over_the_address_budget_is_one_error_line(command, capsys):
+    # 70000 keys need more than the 1 MiB region: refused before any build
+    assert main([*command, "hashtable", "--keys", "70000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chasesim: error: buckets and keys exceed the address budget\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--workload", "bogus"],
     ["--workload", "hanoi", "--latency", "0"],

@@ -4,13 +4,15 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, BlockingCache, Compute, ConfigurationError,
                       CoreModel, ExperimentConfig, MemResponse, MsgKind,
                       PipelinedMemory, PointerChasePrefetcher, Read, SinkReport,
                       System, Write, build_free_list, build_system,
-                      checking_sink, dump_image, gen_insertion, make_config,
-                      replay_program, run_experiment)
+                      checking_sink, dump_image, gen_insertion, gen_random_stream,
+                      make_config, replay_program, run_experiment)
 from chasesim.harness import (TOPOLOGIES, RunStats, collect_counters, report,
                               result_rows, sweep)
 from chasesim.messages import word_bytes
@@ -86,6 +88,24 @@ def test_alternate_run_matches_flat_replay():
     expect = flat.lines()
     for addr in set(expect) | set(handle.memory.store):
         assert handle.memory.peek_line(addr) == expect.get(addr, bytes(16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(topology=st.sampled_from(TOPOLOGIES), latency=st.integers(1, 64),
+       seed=st.integers(0, 2**31 - 1), n=st.integers(0, 120), lines=st.integers(4, 64),
+       read=st.floats(0, 1), write=st.floats(0, 1))
+def test_random_streams_match_the_oracle(topology, latency, seed, n, lines, read, write):
+    # write is the share of the non-read tokens; the rest are read-cp
+    mix = (read, (1 - read) * write, (1 - read) * (1 - write))
+    w = gen_random_stream(n, seed, lines=lines, mix=mix)
+    system, core = run_program(topology, w.program, w.segments, latency)
+    loads, flat = replay_program(w.program, w.segments)
+    assert core.loads == loads
+    cache, memory = system.components[1], system.components[-1]
+    cache.flush_dirty(memory.poke_line)
+    expect = flat.lines()
+    for addr in set(expect) | set(memory.store):
+        assert memory.peek_line(addr) == expect.get(addr, bytes(16))
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)

@@ -201,6 +201,22 @@ def test_hashtable_rejects_bad_sizes_before_building(buckets, keys, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("buckets, keys", [
+    (1, 2**16),   # one bucket line plus 65536 key lines: 16 bytes over 1 MiB
+    (2**18, 0),   # a 1 MiB bucket array plus the probe line
+])
+def test_hashtable_rejects_a_region_over_the_budget(buckets, keys):
+    # checked before the keys are drawn, so the build never holds the region
+    with pytest.raises(ConfigurationError) as e:
+        gen_hashtable(buckets, keys, seed=1)
+    assert str(e.value) == "buckets and keys exceed the address budget"
+
+
+def test_hashtable_largest_region_fits_the_budget():
+    w = gen_hashtable(1, 2**16 - 1, seed=1)
+    assert len(w.segments[0][1]) == 1 << 20
+
+
 def test_hashtable_zero_keys_probes_empty_heads():
     w = gen_hashtable(4, 0, seed=1)
     loads, _ = replay_program(w.program, w.segments)
