@@ -188,9 +188,5 @@ class BlockingCache(Component):
             return IDLE_FOREVER
         return 1 if st in _ONE_CYCLE else 0
 
-    def skip(self, n):
-        if self.state in _ONE_CYCLE:
-            self.tick()  # n == 1; a waiting state's tick does nothing
-
     def trace_state(self):
         return self.state.value

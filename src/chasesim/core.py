@@ -4,7 +4,8 @@ A program is either a static token sequence or a generator function; in the
 generator form each Read/ReadCP token's loaded value is sent back into the
 generator, so later addresses can depend on earlier load results (the
 pointer-chase dependence chain). The core is blocking: one outstanding
-memory request, and Compute tokens consume cycles without memory traffic.
+memory request, and Compute tokens consume cycles without memory traffic: a
+Compute of c cycles started by the tick of cycle t lasts cycles t+1..t+c.
 """
 
 from __future__ import annotations
@@ -55,15 +56,16 @@ class CoreModel(Component):
         self._gen = as_generator(program)
         self._token: Token | None = None
         self._state = "issue"
-        self._compute_left = 0
+        self._compute_end = 0  # last cycle of the current Compute
         self.loads: list[tuple[int, int]] = []  # (addr, value) in issue order
         self.done = False
-        self._advance(None)
+        self._advance(None, -1)  # the program starts at cycle 0
         # ports
         self.mem_req = None
         self.mem_resp = None
 
-    def _advance(self, value):
+    def _advance(self, value, now):
+        """Take the next token after the tick of cycle now."""
         while True:
             try:
                 tok = self._gen.send(value)
@@ -75,7 +77,7 @@ class CoreModel(Component):
                 if tok.cycles <= 0:
                     value = None
                     continue
-                self._compute_left = tok.cycles
+                self._compute_end = now + tok.cycles
                 self._state = "compute"
                 return
             self._token = tok
@@ -105,23 +107,18 @@ class CoreModel(Component):
                 if isinstance(self._token, (Read, ReadCP)):
                     value = word_value(r.data)
                     self.loads.append((self._token.addr, value))
-                    self._advance(value)
+                    self._advance(value, self.system.cycle)
                 else:
-                    self._advance(None)
+                    self._advance(None, self.system.cycle)
         elif self._state == "compute":
-            self.skip(1)
+            now = self.system.cycle
+            if now >= self._compute_end:
+                self._advance(None, now)
 
     def idle_cycles(self):
         if self._state == "compute":
-            return self._compute_left
+            return self._compute_end - self.system.cycle + 1
         return 0 if self._state == "issue" else IDLE_FOREVER
-
-    def skip(self, n):
-        # issue is never idle; wait and done do nothing while nothing arrives
-        if self._state == "compute":
-            self._compute_left -= n
-            if self._compute_left <= 0:
-                self._advance(None)
 
     def trace_state(self):
         return {"issue": "RQ", "wait": "WT", "compute": "CP", "done": "."}[self._state]

@@ -11,17 +11,18 @@ cycle starts with all of them low. In the commit phase each component's
 ``tick`` runs once and sees a transfer where val and rdy are both high;
 then the kernel counts the transfers and resets every channel.
 
+``System.cycle`` is the only clock: a component that waits for a cycle (a
+core's compute, memory's due responses) compares against it instead of
+counting down, so components join a system before its first cycle.
 ``System.run_until`` steps only the cycles in which some channel asserts
 val. Each component reports ``idle_cycles()``: for how many cycles from now
-it asserts no val while no val arrives and its trace state holds (it may
-change at the end of the last of them). When all of them report n > 0, no
-val is asserted in those n cycles, so nothing can transfer, and the kernel
-applies them at once with ``skip(n)`` (writing the n trace lines unchanged)
-instead of stepping. The predicate is therefore evaluated at every cycle
-where a component's trace state, a transfer log or a counter can change,
-which makes predicates over those exact; countdowns (a core's compute, the
-memory clock) are only current where the kernel stops. ``step`` always
-advances exactly one cycle.
+it asserts no val while nothing arrives, and its tick with nothing arriving
+changes nothing except in the last of them. When all of them report n > 0,
+nothing can transfer in those n cycles, so the kernel writes the n trace
+lines unchanged, moves the cycle to the last of them and runs every tick
+once there. The predicate is therefore evaluated at every cycle where a
+component's state, a transfer log or a counter can change, which makes
+predicates over those exact. ``step`` always advances exactly one cycle.
 """
 
 from __future__ import annotations
@@ -94,19 +95,14 @@ class Component:
         """
 
     def tick(self):
-        """Apply one cycle's sequential state update."""
+        """Apply one cycle's sequential state update; the cycle is
+        ``system.cycle``."""
 
     def idle_cycles(self):
-        """Cycles from now in which this component asserts no val while no
-        val arrives, and its trace state holds (it may change at the end of
-        the last of them); 0 means it may assert val now."""
+        """Cycles from now in which this component asserts no val while
+        nothing arrives, and its tick with nothing arriving changes nothing
+        except in the last of them; 0 means it may assert val now."""
         return 0
-
-    def skip(self, n: int):
-        """Do exactly what n ticks with nothing arriving would do
-        (n <= idle_cycles())."""
-        for _ in range(n):
-            self.tick()
 
     def trace_state(self) -> str:
         return "--"
@@ -123,6 +119,8 @@ class System:
         self._schedule: list[Callable[[], None]] | None = None
 
     def add(self, *comps: Component):
+        if self.cycle:
+            raise ConfigurationError("components join a system before its first cycle")
         for c in comps:
             c.system = self
             self.components.append(c)
@@ -245,12 +243,14 @@ class System:
         return True
 
     def _skip(self, n: int):
-        """Advance n cycles in which no component asserts val."""
+        """Advance n cycles in which no component asserts val: only the
+        last of them can change a component, so tick once there."""
         if self._trace is not None:
             self._write_trace(n)
+        self.cycle += n - 1
         for c in self.components:
-            c.skip(n)
-        self.cycle += n
+            c.tick()
+        self.cycle += 1
 
     def state_summary(self) -> dict[str, str]:
         return {c.name: c.trace_state() for c in self.components}

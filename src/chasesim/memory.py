@@ -2,8 +2,9 @@
 
 The pipeline accepts one request per cycle while unstalled and returns
 responses in order, each exactly ``latency`` cycles after acceptance. Each
-entry holds the pipeline-clock value at which its response is due; the clock
-stops while the head response is not accepted downstream, so no entry
+entry holds the pipeline-clock value at which its response is due. The
+pipeline clock is ``system.cycle`` less the cycles the pipeline stood still:
+it stops while the head response is not accepted downstream, so no entry
 advances then.
 """
 
@@ -31,7 +32,7 @@ class PipelinedMemory(Component):
         self.store: dict[int, bytes] = {}
         # in-flight entries: (due pipeline-clock value, request)
         self.pipeline: deque[tuple[int, MemRequest]] = deque()
-        self.clock = 0
+        self.stalls = 0  # cycles the pipeline clock stood still
         # ports
         self.req = None
         self.resp = None
@@ -67,7 +68,7 @@ class PipelinedMemory(Component):
     # -- cycle behavior --
 
     def eval(self):
-        if self.pipeline and self.pipeline[0][0] == self.clock:
+        if self.pipeline and self.pipeline[0][0] == self.system.cycle - self.stalls:
             self.resp.send(self._response(self.pipeline[0][1]))
 
     def eval_req_rdy(self):
@@ -78,7 +79,8 @@ class PipelinedMemory(Component):
         if self.resp.took():
             self.pipeline.popleft()
         elif self.resp.val:
-            return  # due head stalled: the clock stops, req was not ready
+            self.stalls += 1  # due head stalled: the clock stops, req was not ready
+            return
         r = self.req.recv()
         if r is not None:
             if r.kind is WRITE:
@@ -88,14 +90,12 @@ class PipelinedMemory(Component):
                     raise ValueError(f"memory writes must be full-line, got "
                                      f"{len(r.data)} bytes for {r.addr:#x}")
                 self.store[line_base(r.addr)] = r.data
-            self.pipeline.append((self.clock + self.latency, r))
-        self.clock += 1
+            self.pipeline.append((self.system.cycle - self.stalls + self.latency, r))
 
     def idle_cycles(self):
-        return self.pipeline[0][0] - self.clock if self.pipeline else IDLE_FOREVER
-
-    def skip(self, n):
-        self.clock += n
+        if self.pipeline:
+            return self.pipeline[0][0] - (self.system.cycle - self.stalls)
+        return IDLE_FOREVER
 
     def _response(self, req: MemRequest) -> MemResponse:
         if req.kind is WRITE:

@@ -61,10 +61,8 @@ class PrefetchFsm(enum.Enum):
 (IDLE, TAG_CHECK, INIT, PUSH_NEXT, BUFFER_TO_MEM, WAIT_MEM, STALL_MEM,
  WAIT_DATA_INVALID) = PrefetchFsm
 
-# states whose tick does nothing while nothing arrives, and the states that
-# may assert no val and act at the end of the cycle (tuples, as in cache.py)
+# states whose tick does nothing while nothing arrives (a tuple, as in cache.py)
 _WAITING = (IDLE, WAIT_MEM, STALL_MEM)
-_ONE_CYCLE = (PUSH_NEXT, TAG_CHECK)
 
 
 @dataclass
@@ -298,10 +296,6 @@ class PointerChasePrefetcher(Component):
                 # DI at the end of the cycle, DI waits for the fill
                 return 1 if st is TAG_CHECK else IDLE_FOREVER
         return 0
-
-    def skip(self, n):
-        if self.state in _ONE_CYCLE:
-            self.tick()  # n == 1; a waiting state's tick does nothing
 
     def trace_state(self):
         return self.state.value

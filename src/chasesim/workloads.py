@@ -61,9 +61,6 @@ class FreeList:
     base: int
     node_size: int
     node_count: int
-    seed: int
-    nodes_per_line: int
-    linkage: list[int]            # traversal order: permutation of node indices
     head: int                     # address of the first chained node (0 if none)
     head_cell_addr: int           # memory word holding the head pointer
     pool: list[int]               # unlinked node addresses (for insertions)
@@ -121,8 +118,7 @@ def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
         for w in range(WORD_BYTES, node_size, WORD_BYTES):
             region[off + w:off + w + WORD_BYTES] = word_bytes(rng.next())
     return FreeList(
-        base=base, node_size=node_size, node_count=node_count, seed=seed,
-        nodes_per_line=nodes_per_line, linkage=perm, head=head,
+        base=base, node_size=node_size, node_count=node_count, head=head,
         head_cell_addr=base, pool=[addr(i) for i in perm[linked:]],
         segments=[(base, bytes(region))])
 
@@ -245,8 +241,7 @@ def gen_hanoi_like(disks: int, base: int = 0x1000, log_base: int = 0x2000) -> Wo
     indices disjoint from the node lines, so the prefetcher gets no further
     pointer work but every log miss pays the extra hop.
     """
-    if not 1 <= disks <= 10:
-        raise ConfigurationError("disks must be in 1..10")
+    _check_hanoi({"disks": disks})
 
     def node_addr(i):
         return base + i * LINE_BYTES
@@ -289,8 +284,7 @@ def gen_hanoi_like(disks: int, base: int = 0x1000, log_base: int = 0x2000) -> Wo
 def gen_array_kernel(elements: int = 256, gap: int = 2, base: int = 0x4000,
                      seed: int = 1) -> Workload:
     """Dense-array read and write passes with compute gaps; zero ReadCP."""
-    if elements < 0:
-        raise ConfigurationError("elements must be >= 0")
+    _check_array({"elements": elements, "gap": gap})
     rng = Lcg(seed)
     region = bytearray(elements * WORD_BYTES)
     for i in range(elements):
@@ -377,6 +371,14 @@ def _check_hashtable(params: dict):
         raise ConfigurationError("buckets and keys exceed the address budget")
 
 
+def _check_hanoi(params: dict):
+    _check(params, disks=(1, 10))
+
+
+def _check_array(params: dict):
+    _check(params, elements=(0, None), gap=(0, None))
+
+
 def _check_insertion(params: dict):
     _check_free_list(params["nodes"], params["nodes_per_line"])
     _check(params, inserts=(0, None))
@@ -395,11 +397,9 @@ WORKLOADS: dict[str, tuple[Callable[..., Workload], dict, Callable[[dict], None]
                   _check_insertion),
     "hashtable": (lambda seed, buckets, keys: gen_hashtable(buckets, keys, seed),
                   {"buckets": 16, "keys": 64}, _check_hashtable),
-    "hanoi": (lambda seed, disks: gen_hanoi_like(disks), {"disks": 6},
-              lambda p: _check(p, disks=(1, 10))),
+    "hanoi": (lambda seed, disks: gen_hanoi_like(disks), {"disks": 6}, _check_hanoi),
     "array": (lambda seed, elements, gap: gen_array_kernel(elements, gap, seed=seed),
-              {"elements": 256, "gap": 2},
-              lambda p: _check(p, elements=(0, None), gap=(0, None))),
+              {"elements": 256, "gap": 2}, _check_array),
     "random": (lambda seed, n: gen_random_stream(n, seed), {"n": 10000},
                lambda p: _check(p, n=(0, None))),
 }

@@ -1,0 +1,147 @@
+"""Mutation check: does the tier-1 suite catch each known fault?
+
+Each mutant is an exact text patch to one file under ``src/chasesim``. For
+each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into
+a temporary directory, applies the patch there, runs the tier-1 suite on the
+copy (stopping at the first failure) and prints ``killed`` if some test
+failed or ``survived`` if none did. A run that outlasts ``TIMEOUT_S`` counts
+as killed: the mutant made some run hang. The working tree is never changed.
+
+Run from anywhere; it takes a few minutes::
+
+    python tests/mutants.py
+
+It exits nonzero if the unmutated copy fails, if a patch does not match its
+file exactly once, or if a mutant not marked equivalent survives. This file
+is not a test module: pytest collects only ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/chasesim
+    old: str
+    new: str
+    equivalent: str = ""  # why no test can tell it apart, if it is equivalent
+
+
+MUTANTS = [
+    Mutant("prefetch-off", "prefetcher.py",
+           "        if nxt == 0:\n",
+           "        if True:\n"),
+    Mutant("write-invalidate-skipped", "prefetcher.py",
+           "                if hit:\n                    # invalidate",
+           "                if False:\n                    # invalidate"),
+    Mutant("duplicate-suppression-skipped", "prefetcher.py",
+           "if req.kind is WRITE or not hit:",
+           "if req.kind is WRITE or not hit or not dvalid:"),
+    Mutant("memory-due-late", "memory.py",
+           "self.system.cycle - self.stalls + self.latency, r)",
+           "self.system.cycle - self.stalls + self.latency + 1, r)"),
+    Mutant("memory-due-early", "memory.py",
+           "self.system.cycle - self.stalls + self.latency, r)",
+           "self.system.cycle - self.stalls + self.latency - 1, r)"),
+    Mutant("di-never-entered", "prefetcher.py",
+           "            self.state = WAIT_DATA_INVALID\n",
+           "            self.state = TAG_CHECK\n"),
+    Mutant("pf-eval-undeclared-reads", "prefetcher.py",
+           '"eval": (("mem_resp.val", "cache_resp.rdy"),',
+           '"eval": ((),'),
+    Mutant("same-cycle-fill-from-stale-entry", "prefetcher.py",
+           "return hit, idx, off, fill.data, True",
+           "return hit, idx, off, e.data, True"),
+    Mutant("memory-stall-uncounted", "memory.py",
+           "self.stalls += 1  # due head stalled",
+           "pass  # due head stalled"),
+    Mutant("compute-ends-early", "core.py",
+           "self._compute_end = now + tok.cycles\n",
+           "self._compute_end = now + tok.cycles - 1\n"),
+    Mutant("skip-drops-final-tick", "kernel.py",
+           "        self.cycle += n - 1\n        for c in self.components:\n"
+           "            c.tick()\n",
+           "        self.cycle += n - 1\n"),
+    Mutant("di-falls-back-to-tag-check", "prefetcher.py",
+           "        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:\n"
+           "            self._tick_tag_check()\n",
+           "        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:\n"
+           "            self.state = TAG_CHECK\n"
+           "            self._tick_tag_check()\n",
+           equivalent="the tick re-enters DI at once unless a landed fill's "
+                      "response is refused, and the blocking cache never "
+                      "refuses one"),
+]
+
+
+def copy_tree(dest: Path):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for sub in ("src", "tests"):
+        shutil.copytree(ROOT / sub, dest / sub, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def suite_fails(tree: Path) -> str:
+    """Run tier-1 on tree; "" if it passed, else why it did not."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"timed out after {TIMEOUT_S} s"
+    if out.returncode == 0:
+        return ""
+    failed = [line for line in out.stdout.splitlines() if line.startswith("FAILED")]
+    return failed[0] if failed else f"pytest exit {out.returncode}"
+
+
+def apply(tree: Path, m: Mutant):
+    path = tree / "src" / "chasesim" / m.path
+    text = path.read_text()
+    if text.count(m.old) != 1:
+        raise SystemExit(f"{m.name}: patch matches {m.path} "
+                         f"{text.count(m.old)} times, not once")
+    path.write_text(text.replace(m.old, m.new))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="chasesim-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        why = suite_fails(clean)
+        if why:
+            print(f"the unmutated suite fails: {why}")
+            return 1
+        survivors = 0
+        for m in MUTANTS:
+            tree = Path(tmp) / m.name
+            copy_tree(tree)
+            apply(tree, m)
+            why = suite_fails(tree)
+            shutil.rmtree(tree)
+            if why:
+                verdict = f"killed      {why}"
+            elif m.equivalent:
+                verdict = f"survived    equivalent: {m.equivalent}"
+            else:
+                verdict = "SURVIVED"
+                survivors += 1
+            print(f"{m.name:34} {verdict}", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,14 +1,16 @@
 """The activity contract that lets ``System.run_until`` skip cycles.
 
 A component's ``idle_cycles()`` promises that for that many cycles it asserts
-no val while no val arrives, and that its trace state holds; ``skip(n)`` must
-do exactly what n such cycles would do. The static eval schedule trusts each
-block's declared signals. These tests check both promises instead of
-trusting them: the declarations against what the blocks really touch, skip
-against input-free cycles, and that the kernel steps no cycle in which
-nothing could transfer.
+no val while nothing arrives, and that its tick with nothing arriving changes
+nothing except in the last of them; the kernel then moves ``System.cycle`` to
+the last of them and ticks once. The static eval schedule trusts each block's
+declared signals. These tests check both promises instead of trusting them:
+the declarations against what the blocks really touch, idle_cycles against
+input-free cycles, and that the kernel steps no cycle in which nothing could
+transfer.
 """
 
+import copy
 import sys
 
 import pytest
@@ -147,12 +149,12 @@ def test_no_stepped_cycle_leaves_every_val_low(name):
     assert quiet == []
 
 
-# -- skip(n) is n input-free cycles --
+# -- idle_cycles() cycles change nothing until the last --
 
 
 def _state(comp):
     """Everything a component keeps, except its ports, its system and the
-    core's program generator (equal replicas advance it alike)."""
+    core's program generator (it only advances with the core's state)."""
     return {k: v for k, v in vars(comp).items()
             if k not in ("system", "_gen") and not isinstance(v, Channel)}
 
@@ -166,27 +168,28 @@ def _reset(system):
 @given(name=st.sampled_from(["random", "traversal"]),
        topology=st.sampled_from(TOPOLOGIES), latency=st.sampled_from([1, 4, 40]),
        cycles=st.integers(0, 1500), n=st.integers(1, 64))
-def test_skip_does_what_input_free_cycles_do(name, topology, latency, cycles, n):
-    # two replicas reach the same state; in one each idle component skips
-    # k = min(n, idle_cycles()) cycles, in the other it runs k cycles of its
-    # eval blocks and tick with every channel low on entry
-    cfg = make_config(topology, latency, name, **SMALL[name])
-    skipped, cycled = build_system(cfg), build_system(cfg)
+def test_idle_ticks_change_nothing_until_the_last(name, topology, latency, cycles, n):
+    # each idle component runs k = min(n, idle_cycles()) cycles of its eval
+    # blocks and tick with every channel low on entry and system.cycle
+    # advancing: no block asserts a val, the trace state holds, and no tick
+    # but the last changes the component, so the kernel may tick only there
+    handle = build_system(make_config(topology, latency, name, **SMALL[name]))
+    system = handle.system
     if cycles:
-        for h in (skipped, cycled):
-            h.system.run_until(lambda: False, max_cycles=cycles)
-    for a, b in zip(skipped.system.components, cycled.system.components):
-        assert _state(a) == _state(b)
-        k = min(n, a.idle_cycles())
-        if k < 1:
-            continue
-        shown = b.trace_state()
-        a.skip(k)
+        system.run_until(lambda: False, max_cycles=cycles)
+    start = system.cycle
+    idle = [(c, min(n, c.idle_cycles())) for c in system.components]
+    for comp, k in idle:
+        system.cycle = start
+        shown = comp.trace_state()
         for i in range(k):
-            assert b.trace_state() == shown  # may change only after the last
-            for method in b.blocks:
-                getattr(b, method)()
-            assert not any(ch.val for ch in cycled.system.channels), (b.name, i)
-            _reset(cycled.system)
-            b.tick()
-        assert _state(a) == _state(b), b.name
+            before = copy.deepcopy(_state(comp))
+            assert comp.trace_state() == shown, (comp.name, i)
+            for method in comp.blocks:
+                getattr(comp, method)()
+            assert not any(ch.val for ch in system.channels), (comp.name, i)
+            _reset(system)
+            comp.tick()
+            system.cycle += 1
+            if i < k - 1:
+                assert _state(comp) == before, (comp.name, i)

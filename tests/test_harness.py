@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, BlockingCache, Compute, ConfigurationError,
                       CoreModel, ExperimentConfig, MemResponse, MsgKind,
-                      PipelinedMemory, PointerChasePrefetcher, Read, SinkReport,
-                      System, Write, build_free_list, build_system,
+                      PipelinedMemory, PointerChasePrefetcher, Read, ReadCP,
+                      SinkReport, System, Write, build_free_list, build_system,
                       checking_sink, dump_image, gen_insertion, gen_random_stream,
                       make_config, replay_program, run_experiment)
 from chasesim.harness import (TOPOLOGIES, RunStats, collect_counters, report,
                               result_rows, sweep)
-from chasesim.messages import word_bytes
+from chasesim.messages import LINE_BYTES, WORD_BYTES, word_bytes
 from conftest import count_steps
 from test_workloads import tokens_of
 
@@ -106,6 +107,69 @@ def test_random_streams_match_the_oracle(topology, latency, seed, n, lines, read
     expect = flat.lines()
     for addr in set(expect) | set(memory.store):
         assert memory.peek_line(addr) == expect.get(addr, bytes(16))
+
+
+POINTER_REGION = 0x1000  # nonzero, so no in-region pointer is null
+
+
+def pointer_stream(n, seed, lines, chase, write):
+    """A region whose every word points to a word of the region, and a
+    program of n tokens over it: with probability chase a ReadCP of the last
+    ReadCP's result, else (write the share) a Write of an in-region pointer
+    to a random word, or a Read or ReadCP of a random word."""
+    words = lines * LINE_BYTES // WORD_BYTES
+
+    def pointer(rng):
+        return POINTER_REGION + WORD_BYTES * rng.randrange(words)
+
+    image = random.Random(seed)
+    region = b"".join(word_bytes(pointer(image)) for _ in range(words))
+
+    def program():
+        rng = random.Random(~seed)
+        ptr = pointer(rng)
+        for _ in range(n):
+            if rng.random() < chase:
+                ptr = yield ReadCP(ptr)
+            elif rng.random() < write:
+                yield Write(pointer(rng), pointer(rng))
+            elif rng.random() < 0.5:
+                yield Read(pointer(rng))
+            else:
+                ptr = yield ReadCP(pointer(rng))
+
+    return program, [(POINTER_REGION, region)]
+
+
+def run_against_oracle(topology, program, segments, latency):
+    """Run program; assert its loads and flushed image match
+    replay_program's; return the system."""
+    system, core = run_program(topology, program, segments, latency)
+    loads, flat = replay_program(program, segments)
+    assert core.loads == loads
+    cache, memory = system.components[1], system.components[-1]
+    cache.flush_dirty(memory.poke_line)
+    expect = flat.lines()
+    for addr in set(expect) | set(memory.store):
+        assert memory.peek_line(addr) == expect.get(addr, bytes(16))
+    return system
+
+
+@settings(max_examples=60, deadline=None)
+@given(topology=st.sampled_from(TOPOLOGIES), latency=st.integers(1, 64),
+       seed=st.integers(0, 2**31 - 1), n=st.integers(0, 300), lines=st.integers(17, 32),
+       chase=st.floats(0, 1), write=st.floats(0, 1))
+def test_pointer_streams_match_the_oracle(topology, latency, seed, n, lines, chase, write):
+    # ReadCP targets hold pointers into the region, so prefetched lines are
+    # demanded again and the buffer's data path is checked against the oracle;
+    # the region has more lines than the cache, so dirty lines are evicted
+    # through the prefetcher, and few enough that lines are revisited
+    run_against_oracle(topology, *pointer_stream(n, seed, lines, chase, write), latency)
+
+
+def test_a_pointer_stream_reaches_the_prefetch_buffer():
+    system = run_against_oracle("alternate", *pointer_stream(120, 7, 32, 0.6, 0.3), 8)
+    assert system.components[2].stats.readcp_hits > 0
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)

@@ -112,6 +112,16 @@ def test_run_until_jumps_idle_cycles_to_the_budget(budget, steps_taken):
     assert steps[0] == steps_taken
 
 
+def test_add_after_the_first_cycle_raises():
+    # a core counts its first Compute from cycle 0, so a late joiner would
+    # start with its compute already over
+    system = System()
+    system.chain(CoreModel([Compute(3)]), BlockingCache(), PipelinedMemory(4))
+    system.step()
+    with pytest.raises(ConfigurationError, match="before its first cycle"):
+        system.add(TestSource([]))
+
+
 def test_run_until_predicate_sees_the_exact_cycle():
     system = System()
     core = CoreModel([Compute(5_000_000)])
