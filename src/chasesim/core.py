@@ -3,42 +3,42 @@
 A program is either a static token sequence or a generator function; in the
 generator form each Read/ReadCP token's loaded value is sent back into the
 generator, so later addresses can depend on earlier load results (the
-pointer-chase dependence chain). The core is blocking: one outstanding
-memory request, and Compute tokens consume cycles without memory traffic: a
-Compute of c cycles started by the tick of cycle t lasts cycles t+1..t+c.
+pointer-chase dependence chain). Tokens are unhashable and never changed after
+construction: list programs share them with ``replay_program``. The core is
+blocking: one outstanding memory request, and a Compute of c cycles started by
+the tick of cycle t lasts cycles t+1..t+c, without memory traffic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .kernel import IDLE_FOREVER, Component
 from .messages import READ, READCP, WRITE, MemRequest, word_bytes, word_value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Read:
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Write:
     addr: int
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadCP:
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Compute:
     cycles: int
 
 
-Token = Union[Read, Write, ReadCP, Compute]
+Token = Read | Write | ReadCP | Compute
 
 
 def as_generator(program):

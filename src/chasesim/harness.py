@@ -28,9 +28,6 @@ class ExperimentConfig:
     seed: int = 1
     max_cycles: int = 10_000_000
 
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
 
 def make_config(topology, latency, workload, seed=1, max_cycles=10_000_000,
                 **params) -> ExperimentConfig:
@@ -87,7 +84,7 @@ class SimHandle:
 
 
 def build_system(config: ExperimentConfig, trace=None) -> SimHandle:
-    workload = make_workload(config.workload, seed=config.seed, **config.param_dict())
+    workload = make_workload(config.workload, seed=config.seed, **dict(config.params))
     core = CoreModel(workload.program)
     cache = BlockingCache()
     memory = PipelinedMemory(config.latency)

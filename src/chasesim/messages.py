@@ -1,9 +1,10 @@
 """Message formats and address arithmetic shared by cache, prefetcher and memory.
 
-All channels in the simulated system carry ``MemRequest`` / ``MemResponse``
-records. Lines are 16 bytes; words within a line are stored in little-endian
-word order (word 0 occupies byte offsets 0-3), which matches the node-layout
-convention that a node's next pointer sits in its first word.
+All channels carry ``MemRequest`` / ``MemResponse`` records, which are
+unhashable and never changed after construction: ``BlockingCache.req`` and
+``PointerChasePrefetcher.req`` keep the requests they receive. Lines are 16
+bytes; words within a line are stored in little-endian word order (word 0
+occupies byte offsets 0-3); a node's next pointer sits in its first word.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class MsgKind(enum.Enum):
 INIT, READ, WRITE, READCP = MsgKind
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemRequest:
     kind: MsgKind
     addr: int
@@ -52,7 +53,7 @@ class MemRequest:
         return s
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemResponse:
     kind: MsgKind
     opaque: int

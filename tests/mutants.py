@@ -74,6 +74,9 @@ MUTANTS = [
            "        self.cycle += n - 1\n        for c in self.components:\n"
            "            c.tick()\n",
            "        self.cycle += n - 1\n"),
+    Mutant("refill-mutates-core-request", "cache.py",
+           "            self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))\n",
+           "            self.req.kind = kind\n            self.mem_req.send(self.req)\n"),
     Mutant("di-falls-back-to-tag-check", "prefetcher.py",
            "        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:\n"
            "            self._tick_tag_check()\n",

@@ -94,9 +94,10 @@ def test_request_rejects_bad_addresses(addr):
         MemRequest(MsgKind.READ, addr)
 
 
-def test_request_rejects_bad_opaque():
+@pytest.mark.parametrize("opaque", [256, -1])
+def test_request_rejects_bad_opaque(opaque):
     with pytest.raises(ValueError):
-        MemRequest(MsgKind.READ, 0x1000, opaque=256)
+        MemRequest(MsgKind.READ, 0x1000, opaque=opaque)
 
 
 def test_message_render():

@@ -7,7 +7,8 @@ import pytest
 
 from chasesim import cache, messages, prefetcher
 from chasesim.cache import CacheFsm
-from chasesim.messages import MsgKind
+from chasesim.core import Compute, Read, ReadCP, Write
+from chasesim.messages import MemRequest, MemResponse, MsgKind
 from chasesim.prefetcher import PrefetchFsm
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chasesim"
@@ -47,3 +48,11 @@ def test_bound_constants_are_the_members_of_their_name(module, kind):
 
 def test_prefetcher_init_kind_is_the_init_message():
     assert prefetcher.INIT_KIND is MsgKind.INIT
+
+
+@pytest.mark.parametrize("cls", [MemRequest, MemResponse, Read, Write, ReadCP, Compute],
+                         ids=lambda cls: cls.__name__)
+def test_per_transfer_records_are_slotted_and_not_frozen(cls):
+    # a frozen dataclass sets each field through object.__setattr__: ~1 us per transfer
+    assert not cls.__dataclass_params__.frozen
+    assert "__slots__" in vars(cls)
