@@ -6,20 +6,18 @@ from .messages import (AddrGeometry, CACHE_GEOMETRY, LINE_BYTES,
                        join_address, line_base, split_address, word_in_line)
 from .kernel import (Channel, CombinationalLoopError, Component,
                      ConfigurationError, System)
-from .memory import PipelinedMemory, dump_image, parse_image
+from .memory import PipelinedMemory, dump_image
 from .cache import BlockingCache, CacheFsm
-from .prefetcher import (PointerChasePrefetcher, PrefetchFsm, agu_next_address,
-                         DEMAND_OPAQUE, PREFETCH_OPAQUE)
+from .prefetcher import (PointerChasePrefetcher, PrefetchFsm, DEMAND_OPAQUE,
+                         PREFETCH_OPAQUE)
 from .core import Compute, CoreModel, Read, ReadCP, Write
 from .workloads import (WORKLOADS, FlatMemory, FreeList, Lcg, Workload,
-                        build_free_list, format_program, gen_array_kernel,
-                        gen_hanoi_like, gen_hashtable, gen_insertion,
-                        gen_random_stream, gen_traversal, lcg_next,
-                        parse_program, replay_program)
+                        build_free_list, gen_array_kernel, gen_hanoi_like,
+                        gen_hashtable, gen_insertion, gen_random_stream,
+                        gen_traversal, lcg_next, replay_program)
 from .harness import (ExperimentConfig, RunStats, build_system, make_config,
                       make_workload, report, run_experiment, sweep)
-from .testbench import (SinkReport, TestSink, TestSource, build_testbench,
-                        checking_sink)
+from .testbench import TestSink, TestSource, build_testbench
 
 __all__ = [
     "AddrGeometry", "CACHE_GEOMETRY", "LINE_BYTES", "PREFETCH_GEOMETRY",
@@ -27,17 +25,16 @@ __all__ = [
     "split_address", "word_in_line",
     "Channel", "CombinationalLoopError", "Component", "ConfigurationError",
     "System",
-    "PipelinedMemory", "dump_image", "parse_image",
+    "PipelinedMemory", "dump_image",
     "BlockingCache", "CacheFsm",
-    "PointerChasePrefetcher", "PrefetchFsm", "agu_next_address",
-    "DEMAND_OPAQUE", "PREFETCH_OPAQUE",
+    "PointerChasePrefetcher", "PrefetchFsm", "DEMAND_OPAQUE", "PREFETCH_OPAQUE",
     "Compute", "CoreModel", "Read", "ReadCP", "Write",
     "WORKLOADS", "FlatMemory", "FreeList", "Lcg", "Workload",
-    "build_free_list", "format_program", "gen_array_kernel", "gen_hanoi_like",
-    "gen_hashtable", "gen_insertion", "gen_random_stream", "gen_traversal",
-    "lcg_next", "parse_program", "replay_program",
+    "build_free_list", "gen_array_kernel", "gen_hanoi_like", "gen_hashtable",
+    "gen_insertion", "gen_random_stream", "gen_traversal", "lcg_next",
+    "replay_program",
     "ExperimentConfig", "RunStats", "build_system", "make_config",
     "make_workload", "report", "run_experiment", "sweep",
-    "SinkReport", "TestSink", "TestSource", "build_testbench", "checking_sink",
+    "TestSink", "TestSource", "build_testbench",
 ]
 __version__ = "0.1.0"

@@ -55,7 +55,8 @@ class CoreModel(Component):
         super().__init__()
         self._gen = as_generator(program)
         self._token: Token | None = None
-        self._state = "issue"
+        # the state is its own trace letter: RQ issue, WT wait, CP compute, . done
+        self._state = "RQ"
         self._compute_end = 0  # last cycle of the current Compute
         self.loads: list[tuple[int, int]] = []  # (addr, value) in issue order
         self.done = False
@@ -71,17 +72,17 @@ class CoreModel(Component):
                 tok = self._gen.send(value)
             except StopIteration:
                 self.done = True
-                self._state = "done"
+                self._state = "."
                 return
             if isinstance(tok, Compute):
                 if tok.cycles <= 0:
                     value = None
                     continue
                 self._compute_end = now + tok.cycles
-                self._state = "compute"
+                self._state = "CP"
                 return
             self._token = tok
-            self._state = "issue"
+            self._state = "RQ"
             return
 
     def _request(self) -> MemRequest:
@@ -93,15 +94,15 @@ class CoreModel(Component):
         return MemRequest(WRITE, tok.addr, data=word_bytes(tok.value))
 
     def eval(self):
-        if self._state == "issue":
+        if self._state == "RQ":
             self.mem_req.send(self._request())
-        self.mem_resp.rdy = self._state == "wait"
+        self.mem_resp.rdy = self._state == "WT"
 
     def tick(self):
-        if self._state == "issue":
+        if self._state == "RQ":
             if self.mem_req.took():
-                self._state = "wait"
-        elif self._state == "wait":
+                self._state = "WT"
+        elif self._state == "WT":
             r = self.mem_resp.recv()
             if r is not None:
                 if isinstance(self._token, (Read, ReadCP)):
@@ -110,15 +111,15 @@ class CoreModel(Component):
                     self._advance(value, self.system.cycle)
                 else:
                     self._advance(None, self.system.cycle)
-        elif self._state == "compute":
+        elif self._state == "CP":
             now = self.system.cycle
             if now >= self._compute_end:
                 self._advance(None, now)
 
     def idle_cycles(self):
-        if self._state == "compute":
+        if self._state == "CP":
             return self._compute_end - self.system.cycle + 1
-        return 0 if self._state == "issue" else IDLE_FOREVER
+        return 0 if self._state == "RQ" else IDLE_FOREVER
 
     def trace_state(self):
-        return {"issue": "RQ", "wait": "WT", "compute": "CP", "done": "."}[self._state]
+        return self._state

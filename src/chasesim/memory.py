@@ -107,25 +107,8 @@ class PipelinedMemory(Component):
 
 
 def dump_image(store: dict[int, bytes]) -> str:
-    """Render a backing store in the memory-image file format."""
+    """Render a backing store as text: one ``<addr>: <hex line>`` per line,
+    in address order."""
     lines = [f"{addr:08x}: {data.hex()}" for addr, data in sorted(store.items())]
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def parse_image(text: str) -> dict[int, bytes]:
-    """Parse lines of ``<hex-addr>: <32 hex digits>``; '#' comments allowed."""
-    store = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            addr_s, data_s = line.split(":")
-            addr = int(addr_s, 16)
-            data = bytes.fromhex(data_s.strip())
-        except ValueError as e:
-            raise ConfigurationError(f"bad image line {lineno}: {raw!r}") from e
-        if addr % LINE_BYTES != 0 or len(data) != LINE_BYTES:
-            raise ConfigurationError(f"bad image line {lineno}: {raw!r}")
-        store[addr] = data
-    return store

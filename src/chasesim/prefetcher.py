@@ -24,12 +24,6 @@ DEMAND_OPAQUE = 0    # forwarded cache requests
 PREFETCH_OPAQUE = 1  # buffer-to-memory prefetch requests
 
 
-def agu_next_address(line: bytes, offset: int) -> int:
-    """Next-node pointer: the word of the serviced line selected by the
-    request's offset (a node's first word is its next pointer)."""
-    return word_in_line(line, offset)
-
-
 @dataclass
 class PrefetchEntry:
     tag: int = 0
@@ -232,7 +226,9 @@ class PointerChasePrefetcher(Component):
             self.state = WAIT_DATA_INVALID
 
     def _push(self, line: bytes, offset: int):
-        self.next_ptr = agu_next_address(line, offset)
+        # the AGU: the next-node pointer is the word of the serviced line at
+        # the request's offset (a node's first word is its next pointer)
+        self.next_ptr = word_in_line(line, offset)
         self.state = PUSH_NEXT
 
     def _tick_push_next(self):

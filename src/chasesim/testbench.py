@@ -1,11 +1,9 @@
 """Directed-test harness: a scripted request source, a response sink with
-acceptance delays, a hit-flag checker, and the testbench that wires a device
-under test between them and a pipelined memory that logs its requests.
+acceptance delays, and the testbench that wires a device under test between
+them and a pipelined memory that logs its requests.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .kernel import Component, System
 from .memory import PipelinedMemory
@@ -94,34 +92,6 @@ class LoggingMemory(PipelinedMemory):
         super().tick()
         if r is not None:
             self.request_log.append(r)
-
-
-@dataclass
-class SinkReport:
-    ok: bool
-    index: int = -1
-    detail: str = ""
-
-
-def checking_sink(expected_hits, observed, check_hits: bool = True) -> SinkReport:
-    """Compare observed responses' hit flags against an expected trace.
-
-    expected_hits entries are (descriptor, hit-flag-or-None); None skips the
-    flag check for that response. check_hits=False disables flag checking
-    entirely (randomized streams).
-    """
-    if len(expected_hits) != len(observed):
-        return SinkReport(False, min(len(expected_hits), len(observed)),
-                          f"length mismatch: expected {len(expected_hits)} "
-                          f"responses, observed {len(observed)}")
-    if not check_hits:
-        return SinkReport(True)
-    for i, ((desc, want), resp) in enumerate(zip(expected_hits, observed)):
-        if want is not None and resp.hit != bool(want):
-            return SinkReport(False, i,
-                              f"{desc}: expected hit={int(bool(want))}, "
-                              f"observed hit={int(resp.hit)}")
-    return SinkReport(True)
 
 
 def build_testbench(latency: int, script, *stages: Component, sink_delays=(),

@@ -1,5 +1,5 @@
 """Benchmark synthesis: free lists, traversal/insertion/hashtable/hanoi/array
-token programs, a flat-memory replay oracle, and the token text format.
+token programs, and a flat-memory replay oracle.
 
 All generators are pure functions of their seed: the same parameters always
 produce the same memory image and token program.
@@ -73,27 +73,26 @@ class FreeList:
 REGION_BYTES = 1 << 20  # address budget of one generated structure
 
 
-def _check_free_list(node_count: int, nodes_per_line: int,
-                     region_bytes: int = REGION_BYTES):
+def _check_free_list(node_count: int, nodes_per_line: int):
     """Raise ConfigurationError unless such a free list fits its region."""
     if node_count < 1:
         raise ConfigurationError("node_count must be >= 1")
     if nodes_per_line not in (1, 2):
         raise ConfigurationError("nodes_per_line must be 1 or 2")
-    if LINE_BYTES + node_count * (LINE_BYTES // nodes_per_line) > region_bytes:
+    if LINE_BYTES + node_count * (LINE_BYTES // nodes_per_line) > REGION_BYTES:
         raise ConfigurationError("nodes exceed the address budget")
 
 
 def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
-                    base: int = 0x1000, linked_count: int | None = None,
-                    region_bytes: int = REGION_BYTES) -> FreeList:
+                    linked_count: int | None = None) -> FreeList:
     """Array of nodes with seeded pseudo-random linkage (a free list).
 
     Word 0 of each node holds its successor's address (0 terminates); the
-    line at `base` is a head-pointer cell. With nodes_per_line=2, 8-byte
+    line at 0x1000 is a head-pointer cell. With nodes_per_line=2, 8-byte
     nodes pack two per cache line (the spatial-locality knob).
     """
-    _check_free_list(node_count, nodes_per_line, region_bytes)
+    _check_free_list(node_count, nodes_per_line)
+    base = 0x1000
     node_size = LINE_BYTES // nodes_per_line
     linked = node_count if linked_count is None else linked_count
     if not 0 <= linked <= node_count:
@@ -174,9 +173,10 @@ def gen_insertion(flist: FreeList, inserts: int, seed: int) -> Program:
     return program
 
 
-def gen_hashtable(buckets: int, keys: int, seed: int, base: int = 0x3000) -> Workload:
+def gen_hashtable(buckets: int, keys: int, seed: int) -> Workload:
     """Bucket array of chain heads plus lookups walking each chain."""
     _check_hashtable({"buckets": buckets, "keys": keys})
+    base = 0x3000
     rng = Lcg(seed)
     key_vals = []
     seen = set()
@@ -233,7 +233,7 @@ def _hanoi_moves(n: int, src: int, dst: int, via: int, out: list):
     _hanoi_moves(n - 1, via, dst, src, out)
 
 
-def gen_hanoi_like(disks: int, base: int = 0x1000, log_base: int = 0x2000) -> Workload:
+def gen_hanoi_like(disks: int) -> Workload:
     """Tiny linked stacks with many revisits: the small-structure pathology.
 
     One initial pointer chase touches every node once; the 2^disks - 1 moves
@@ -242,6 +242,7 @@ def gen_hanoi_like(disks: int, base: int = 0x1000, log_base: int = 0x2000) -> Wo
     pointer work but every log miss pays the extra hop.
     """
     _check_hanoi({"disks": disks})
+    base = 0x1000  # the nodes, then the head cell; the move log is at 0x2000
 
     def node_addr(i):
         return base + i * LINE_BYTES
@@ -260,7 +261,7 @@ def gen_hanoi_like(disks: int, base: int = 0x1000, log_base: int = 0x2000) -> Wo
 
     def log_addr(m):
         page, slot = divmod(m, len(log_slots))
-        return log_base + page * 256 + log_slots[slot] * LINE_BYTES
+        return 0x2000 + page * 256 + log_slots[slot] * LINE_BYTES
 
     def program():
         addr = yield ReadCP(hp_addr)  # the head cell itself holds a pointer
@@ -281,10 +282,10 @@ def gen_hanoi_like(disks: int, base: int = 0x1000, log_base: int = 0x2000) -> Wo
                           "node_lines": [node_addr(i) for i in range(disks)]})
 
 
-def gen_array_kernel(elements: int = 256, gap: int = 2, base: int = 0x4000,
-                     seed: int = 1) -> Workload:
+def gen_array_kernel(elements: int, gap: int, seed: int) -> Workload:
     """Dense-array read and write passes with compute gaps; zero ReadCP."""
     _check_array({"elements": elements, "gap": gap})
+    base = 0x4000
     rng = Lcg(seed)
     region = bytearray(elements * WORD_BYTES)
     for i in range(elements):
@@ -306,7 +307,7 @@ def gen_array_kernel(elements: int = 256, gap: int = 2, base: int = 0x4000,
                     meta={"elements": elements, "gap": gap})
 
 
-def gen_random_stream(n: int, seed: int, base: int = 0x0000, lines: int = 256,
+def gen_random_stream(n: int, seed: int, lines: int = 256,
                       mix: tuple[float, float, float] = (0.5, 0.2, 0.3)) -> Workload:
     """Randomized read/write/read_cp token stream over a bounded region, for
     oracle-equivalence checking. ReadCP values are arbitrary words, so the
@@ -319,7 +320,7 @@ def gen_random_stream(n: int, seed: int, base: int = 0x0000, lines: int = 256,
     w_cut = mix[0] + mix[1]
     tokens: list[Token] = []
     for _ in range(n):
-        addr = base + WORD_BYTES * rng.randrange(lines * (LINE_BYTES // WORD_BYTES))
+        addr = WORD_BYTES * rng.randrange(lines * (LINE_BYTES // WORD_BYTES))
         p = rng.next() / LCG_MOD
         if p < r_cut:
             tokens.append(Read(addr))
@@ -327,7 +328,7 @@ def gen_random_stream(n: int, seed: int, base: int = 0x0000, lines: int = 256,
             tokens.append(Write(addr, rng.next()))
         else:
             tokens.append(ReadCP(addr))
-    return Workload("random", [(base, bytes(region))], tokens,
+    return Workload("random", [(0, bytes(region))], tokens,
                     meta={"n": n, "seed": seed})
 
 
@@ -398,7 +399,7 @@ WORKLOADS: dict[str, tuple[Callable[..., Workload], dict, Callable[[dict], None]
     "hashtable": (lambda seed, buckets, keys: gen_hashtable(buckets, keys, seed),
                   {"buckets": 16, "keys": 64}, _check_hashtable),
     "hanoi": (lambda seed, disks: gen_hanoi_like(disks), {"disks": 6}, _check_hanoi),
-    "array": (lambda seed, elements, gap: gen_array_kernel(elements, gap, seed=seed),
+    "array": (lambda seed, elements, gap: gen_array_kernel(elements, gap, seed),
               {"elements": 256, "gap": 2}, _check_array),
     "random": (lambda seed, n: gen_random_stream(n, seed), {"n": 10000},
                lambda p: _check(p, n=(0, None))),
@@ -456,45 +457,3 @@ def replay_program(program, segments) -> tuple[list[tuple[int, int]], FlatMemory
         else:
             value = None
 
-
-# ---------------------------------------------------------------------------
-# token text format: `rd <addr>`, `wr <addr> <val>`, `cp <addr>`, `comp <n>`
-
-
-def format_program(tokens) -> str:
-    out = []
-    for tok in tokens:
-        if isinstance(tok, Read):
-            out.append(f"rd {tok.addr:#010x}")
-        elif isinstance(tok, Write):
-            out.append(f"wr {tok.addr:#010x} {tok.value:#x}")
-        elif isinstance(tok, ReadCP):
-            out.append(f"cp {tok.addr:#010x}")
-        elif isinstance(tok, Compute):
-            out.append(f"comp {tok.cycles}")
-        else:
-            raise ConfigurationError(f"unknown token {tok!r}")
-    return "\n".join(out) + ("\n" if out else "")
-
-
-def parse_program(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "rd":
-                tokens.append(Read(int(parts[1], 0)))
-            elif parts[0] == "wr":
-                tokens.append(Write(int(parts[1], 0), int(parts[2], 0)))
-            elif parts[0] == "cp":
-                tokens.append(ReadCP(int(parts[1], 0)))
-            elif parts[0] == "comp":
-                tokens.append(Compute(int(parts[1], 0)))
-            else:
-                raise ValueError(parts[0])
-        except (IndexError, ValueError) as e:
-            raise ConfigurationError(f"bad token line {lineno}: {raw!r}") from e
-    return tokens

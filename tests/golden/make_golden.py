@@ -6,10 +6,12 @@ every ``collect_counters`` value and the sha256 of the final memory image
 matrix. ``tests/test_golden.py`` compares a fresh run with ``matrix.json``.
 
     PYTHONPATH=src python3 tests/golden/make_golden.py          # check only
-    PYTHONPATH=src python3 tests/golden/make_golden.py --regen  # rewrite
+    PYTHONPATH=src python3 tests/golden/make_golden.py --regen  # append
 
 Regenerate only for a change that is meant to alter simulated results, and
-say why in CHANGES.md.
+say why in CHANGES.md. ``--regen`` only appends: it adds new rows and new
+counters and recomputes the CSV, but it exits 1 without writing if an
+existing row is gone or its cycles, image hash or a counter changed.
 """
 
 from __future__ import annotations
@@ -66,24 +68,49 @@ def render(matrix: dict) -> str:
     return f'{{"csv": {json.dumps(matrix["csv"])},\n"rows": [\n{rows}\n]}}\n'
 
 
-def check_or_regen(path: Path, doc: str, make_text, argv=None) -> int:
-    """Command line of a golden script: compare ``make_text()`` with the file
-    at ``path``, or rewrite the file with ``--regen``."""
+def locked(matrix: dict) -> dict:
+    """The values ``--regen`` may not change, by ``<row key> <field>``."""
+    out = {}
+    for r in matrix["rows"]:
+        key = f'{r["workload"]}/{r["topology"]}/{r["latency"]}/{r["seed"]}'
+        out[f"{key} cycles"] = r["cycles"]
+        out[f"{key} image_sha256"] = r["image_sha256"]
+        for name, value in r["counters"].items():
+            out[f"{key} {name}"] = value
+    return out
+
+
+def first_rewrite(old: dict, new: dict) -> str | None:
+    """The first key of old whose value new drops or changes, else None."""
+    return next((k for k, v in old.items() if k not in new or new[k] != v), None)
+
+
+def check_or_regen(path: Path, doc: str, compute, render, locked,
+                   argv=None) -> int:
+    """Command line of a golden script: compare ``render(compute())`` with
+    the file at ``path``, or, with ``--regen``, rewrite the file unless that
+    would drop or change one of its ``locked`` values."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--regen", action="store_true",
-                        help=f"rewrite {path.name} from the current tree")
+                        help=f"append new entries to {path.name}")
     args = parser.parse_args(argv)
-    text = make_text()
+    new = compute()
+    text = render(new)
     if args.regen:
+        if path.is_file():
+            key = first_rewrite(locked(json.loads(path.read_text())), locked(new))
+            if key is not None:
+                print(f"{path.name}: refusing to drop or change {key}")
+                return 1
         path.write_text(text)
         print(f"wrote {path}")
         return 0
     if path.is_file() and path.read_text() == text:
         print(f"{path.name}: unchanged")
         return 0
-    print(f"{path.name}: differs from the current tree (use --regen to rewrite)")
+    print(f"{path.name}: differs from the current tree (use --regen to append)")
     return 1
 
 
 if __name__ == "__main__":
-    sys.exit(check_or_regen(GOLDEN, __doc__, lambda: render(compute())))
+    sys.exit(check_or_regen(GOLDEN, __doc__, compute, render, locked))

@@ -6,10 +6,11 @@ writes), so a change to any cycle's component states or transfers shows.
 ``tests/test_golden.py`` compares a fresh run with ``traces.json``.
 
     PYTHONPATH=src python3 tests/golden/make_traces.py          # check only
-    PYTHONPATH=src python3 tests/golden/make_traces.py --regen  # rewrite
+    PYTHONPATH=src python3 tests/golden/make_traces.py --regen  # append
 
 Regenerate only for a change that is meant to alter simulated results, and
-say why in CHANGES.md.
+say why in CHANGES.md. ``--regen`` only appends: it adds new keys, but it
+exits 1 without writing if an existing digest is gone or changed.
 """
 
 from __future__ import annotations
@@ -54,4 +55,4 @@ def render(traces: dict[str, str]) -> str:
 
 
 if __name__ == "__main__":
-    sys.exit(check_or_regen(TRACES, __doc__, lambda: render(compute())))
+    sys.exit(check_or_regen(TRACES, __doc__, compute, render, dict))

@@ -1,4 +1,4 @@
-"""Experiment harness: topologies, sweeps, reports, and the checking sink."""
+"""Experiment harness: topologies, sweeps and reports."""
 
 import io
 import json
@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, BlockingCache, Compute, ConfigurationError,
-                      CoreModel, ExperimentConfig, MemResponse, MsgKind,
-                      PipelinedMemory, PointerChasePrefetcher, Read, ReadCP,
-                      SinkReport, System, Write, build_free_list, build_system,
-                      checking_sink, dump_image, gen_insertion, gen_random_stream,
-                      make_config, replay_program, run_experiment)
-from chasesim.harness import (TOPOLOGIES, RunStats, collect_counters, report,
+                      CoreModel, ExperimentConfig, PipelinedMemory,
+                      PointerChasePrefetcher, Read, ReadCP, System, Write,
+                      build_free_list, build_system, dump_image, gen_insertion,
+                      gen_random_stream, make_config, replay_program,
+                      run_experiment)
+from chasesim.harness import (TOPOLOGIES, collect_counters, report,
                               result_rows, sweep)
 from chasesim.messages import LINE_BYTES, WORD_BYTES, word_bytes
 from conftest import count_steps
@@ -348,34 +348,3 @@ def test_run_until_skips_to_the_same_result_as_stepping(name, topology, latency)
     if latency == 40:
         assert steps < cycles  # memory waits are skipped, not stepped
 
-
-# -- checking sink --
-
-
-def resp(kind, hit):
-    return MemResponse(kind, 0, b"\x00" * 16, hit=hit)
-
-
-def test_checking_sink_pass_and_skip():
-    expected = [("a", True), ("b", None), ("c", False)]
-    observed = [resp(MsgKind.READ, True), resp(MsgKind.READ, False),
-                resp(MsgKind.READ, False)]
-    assert checking_sink(expected, observed).ok
-
-
-def test_checking_sink_reports_first_mismatch():
-    expected = [("a", True), ("b", True)]
-    observed = [resp(MsgKind.READ, True), resp(MsgKind.READ, False)]
-    rep = checking_sink(expected, observed)
-    assert not rep.ok and rep.index == 1 and "b" in rep.detail
-
-
-def test_checking_sink_length_mismatch():
-    rep = checking_sink([("a", True)], [])
-    assert not rep.ok and "length mismatch" in rep.detail
-
-
-def test_checking_sink_disabled_flag_checking():
-    expected = [("a", True)]
-    observed = [resp(MsgKind.READ, False)]
-    assert checking_sink(expected, observed, check_hits=False).ok

@@ -1,11 +1,10 @@
-"""Pipelined memory: latency, inelastic stalls, ordering, images."""
+"""Pipelined memory: latency, inelastic stalls, ordering, image load and dump."""
 
 import pytest
 
 from chasesim import (ConfigurationError, MemRequest, MsgKind, PipelinedMemory,
                       build_testbench)
-from chasesim.memory import dump_image, parse_image
-from chasesim.messages import LINE_BYTES
+from chasesim.memory import dump_image
 
 from conftest import raised_optimized, run_to_responses
 
@@ -155,29 +154,6 @@ def test_poke_line_rejects_partial_line():
     with pytest.raises(ValueError, match="needs 16 bytes, got 4"):
         mem.poke_line(0x1000, bytes(4))
     assert mem.store == {}
-
-
-def test_image_dump_parse_roundtrip():
-    mem = PipelinedMemory(1)
-    mem.load_image([(0x1000, LINE_A), (0x2000, LINE_B)])
-    text = dump_image(mem.store)
-    assert parse_image(text) == mem.store
-
-
-def test_image_parse_comments_and_blanks():
-    text = "# header\n\n00001000: " + LINE_A.hex() + "  # trailing\n"
-    assert parse_image(text) == {0x1000: LINE_A}
-
-
-@pytest.mark.parametrize("bad", [
-    "00001000 " + "0" * 32,          # missing colon
-    "00001008: " + "0" * 32,         # misaligned
-    "00001000: " + "0" * 30,         # short line
-    "00001000: xyz",                 # not hex
-])
-def test_image_parse_rejects_malformed(bad):
-    with pytest.raises(ConfigurationError):
-        parse_image(bad)
 
 
 def test_dump_empty_store():

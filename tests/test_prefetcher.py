@@ -1,14 +1,16 @@
 """Pointer-chase prefetcher: directed timing, prefetch issue, invalidation,
-duplicate suppression, and drop behavior."""
+duplicate suppression, drop behavior, and a property over random streams
+with sink delays."""
 
 import io
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chasesim import (MemRequest, MemResponse, MsgKind, PointerChasePrefetcher,
-                      agu_next_address, build_testbench,
-                      PREFETCH_OPAQUE, DEMAND_OPAQUE)
-from chasesim.messages import set_word_in_line, word_bytes
+                      build_testbench, PREFETCH_OPAQUE, DEMAND_OPAQUE)
+from chasesim.messages import LINE_BYTES, WORD_BYTES, set_word_in_line
 from chasesim.kernel import IDLE_FOREVER
 from chasesim.prefetcher import PrefetchEntry, PrefetchFsm
 
@@ -53,14 +55,6 @@ def drain(sys_, pf, cycles=80):
     for _ in range(cycles):
         sys_.step()
     assert not pf.buffer.busy
-
-
-def test_agu_examples():
-    line = set_word_in_line(bytes(16), 0, 0x2020)
-    line = set_word_in_line(line, 8, 0x3040)
-    assert agu_next_address(line, 0) == 0x2020
-    assert agu_next_address(line, 8) == 0x3040
-    assert agu_next_address(bytes(16), 12) == 0
 
 
 def test_tag_check_direct():
@@ -305,3 +299,72 @@ def test_fill_with_no_prefetch_outstanding_raises():
     pf = PointerChasePrefetcher()
     with pytest.raises(RuntimeError, match="no prefetch outstanding"):
         pf._apply_fill(MemResponse(MsgKind.READ, PREFETCH_OPAQUE, PAYLOAD_P))
+
+
+STREAM_REGION = 0x1000  # nonzero, so no in-region pointer is null
+
+
+def line_stream(n, seed, lines):
+    """A region of lines whose every word points to a word of the region, a
+    script of n READ, READCP and full-line WRITE requests over it, and the
+    (kind, data) of each response as a sequential line map predicts it.
+    Once a READCP has loaded a pointer, every READ and half of the READCPs go
+    to the pointer the last READCP loaded, so prefetched lines are demanded
+    again."""
+    rng = random.Random(seed)
+    words = lines * LINE_BYTES // WORD_BYTES
+
+    def pointer():
+        return STREAM_REGION + WORD_BYTES * rng.randrange(words)
+
+    def new_line():
+        return b"".join(pointer().to_bytes(WORD_BYTES, "little")
+                        for _ in range(LINE_BYTES // WORD_BYTES))
+
+    model = {STREAM_REGION + i * LINE_BYTES: new_line() for i in range(lines)}
+    segments = list(model.items())
+    script, expected, chased = [], [], None
+    for _ in range(n):
+        p = rng.random()
+        if p < 0.25:
+            addr = pointer() & ~(LINE_BYTES - 1)
+            model[addr] = new_line()
+            script.append(wr(addr, model[addr]))
+            expected.append((MsgKind.WRITE, b""))
+            continue
+        addr = chased if chased is not None and p < 0.75 else pointer()
+        line = model[addr & ~(LINE_BYTES - 1)]
+        if p < 0.5:
+            script.append(rd(addr))
+            expected.append((MsgKind.READ, line))
+        else:
+            script.append(cp(addr))
+            expected.append((MsgKind.READCP, line))
+            offset = addr % LINE_BYTES
+            chased = int.from_bytes(line[offset:offset + WORD_BYTES], "little")
+    return script, segments, expected
+
+
+def run_line_stream(latency, delays, script, segments, expected):
+    sys_, src, sink, pf, mem = build_testbench(
+        latency, script, PointerChasePrefetcher(), sink_delays=delays,
+        segments=segments)
+    got = run_to_responses(sys_, sink, len(script))
+    assert [(r.kind, r.data) for r in got] == expected
+    return pf, mem
+
+
+@given(latency=st.integers(1, 20), seed=st.integers(0, 2**31 - 1),
+       n=st.integers(0, 40), lines=st.integers(2, 12),
+       delays=st.lists(st.integers(0, 40), max_size=40))
+def test_line_streams_with_sink_delays_match_a_line_map(latency, seed, n, lines,
+                                                        delays):
+    # sink delays are the only way to stall memory: a due response that the
+    # sink refuses holds the pipeline, and the prefetcher in STALL_MEM
+    run_line_stream(latency, delays, *line_stream(n, seed, lines))
+
+
+def test_a_delayed_line_stream_stalls_memory():
+    pf, mem = run_line_stream(10, [30] * 60, *line_stream(60, 3, 8))
+    assert mem.stalls > 0
+    assert pf.stats.read_hits + pf.stats.readcp_hits > 0
