@@ -59,7 +59,6 @@ class CacheStats:
     readcp_hits: int = 0
     readcp_misses: int = 0
     evictions: int = 0
-    downstream_requests: int = 0
 
 
 class BlockingCache(Component):
@@ -115,14 +114,12 @@ class BlockingCache(Component):
         elif st is EVICT_REQ:
             if self.mem_req.took():
                 self.stats.evictions += 1
-                self.stats.downstream_requests += 1
                 self.state = EVICT_WAIT
         elif st is EVICT_WAIT:
             if self.mem_resp.recv() is not None:
                 self.state = REFILL_REQ
         elif st is REFILL_REQ:
             if self.mem_req.took():
-                self.stats.downstream_requests += 1
                 self.state = REFILL_WAIT
         elif st is REFILL_WAIT:
             r = self.mem_resp.recv()

@@ -3,8 +3,8 @@
     chasesim run --topology alternate --latency 5 --workload traversal ...
     chasesim sweep --latencies 2,5,10,20,40 --workloads traversal,array ...
 
-Exit code 0 on success, 1 on deadlock or per-row failure, 2 on bad input
-(one ``chasesim: error: ...`` line on stderr).
+Exit code 0 on success, 1 when a run deadlocks, 2 on bad input (one
+``chasesim: error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import argparse
 import contextlib
 import sys
 
-from .harness import (TOPOLOGIES, build_system, make_config, report, run_built,
-                      sweep)
+from .harness import TOPOLOGIES, make_config, report, run_experiment, sweep
 from .kernel import ConfigurationError
 from .workloads import WORKLOADS
 
@@ -65,12 +64,10 @@ def main(argv=None) -> int:
             cfg = make_config(args.topology, args.latency, args.workload,
                               seed=args.seed, max_cycles=args.max_cycles,
                               **_workload_params(args, args.workload))
-            handle = build_system(cfg)
             # opened only now, so bad input leaves an existing file alone
             with (open(args.trace, "w") if args.trace
                   else contextlib.nullcontext()) as trace:
-                handle.system.attach_trace(trace)
-                stats = run_built(cfg, handle)
+                stats = run_experiment(cfg, trace=trace)
             sys.stdout.write(report([stats], args.format))
             if not stats.completed:
                 sys.stderr.write("deadlock: " + str(stats.deadlock_states) + "\n")

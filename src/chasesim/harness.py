@@ -21,6 +21,9 @@ TOPOLOGIES = ("baseline", "alternate")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings; construction fails on bad input, so no invalid
+    configuration exists."""
+
     topology: str
     latency: int
     workload: str
@@ -28,17 +31,20 @@ class ExperimentConfig:
     seed: int = 1
     max_cycles: int = 10_000_000
 
+    def __post_init__(self):
+        if self.topology not in TOPOLOGIES:
+            raise ConfigurationError(f"unknown topology {self.topology!r}")
+        if self.latency < 1:
+            raise ConfigurationError("memory latency must be >= 1 cycle")
+        if self.max_cycles < 1:
+            raise ConfigurationError("max_cycles must be >= 1")
+        if self.workload not in wl.WORKLOADS:
+            raise ConfigurationError(f"unknown workload {self.workload!r}")
+        _workload_params(self.workload, dict(self.params))
+
 
 def make_config(topology, latency, workload, seed=1, max_cycles=10_000_000,
                 **params) -> ExperimentConfig:
-    if topology not in TOPOLOGIES:
-        raise ConfigurationError(f"unknown topology {topology!r}")
-    if latency < 1:
-        raise ConfigurationError("memory latency must be >= 1 cycle")
-    if max_cycles < 1:
-        raise ConfigurationError("max_cycles must be >= 1")
-    if workload in wl.WORKLOADS:  # an unknown name fails when it is built
-        _workload_params(workload, params)
     return ExperimentConfig(topology, latency, workload,
                             tuple(sorted(params.items())), seed, max_cycles)
 
@@ -53,7 +59,6 @@ class RunStats:
     completed: bool
     counters: dict[str, int] = field(default_factory=dict)
     deadlock_states: dict[str, str] | None = None
-    error: str = ""
 
 
 def _workload_params(name: str, params: dict) -> dict:
@@ -106,6 +111,7 @@ def collect_counters(handle: SimHandle) -> dict[str, int]:
     pf_stats = handle.prefetcher.stats if handle.prefetcher else PrefetchStats()
     counters = dict(zip(_CACHE_KEYS, vars(handle.cache.stats).values()))
     counters.update(zip(_PF_KEYS, vars(pf_stats).values()))
+    counters["cache_downstream_requests"] = handle.cache.mem_req.transfers
     counters["mem_requests"] = handle.memory.req.transfers
     return counters
 
@@ -130,15 +136,8 @@ def run_built(config: ExperimentConfig, handle: SimHandle) -> RunStats:
 
 
 def sweep(configs) -> list[RunStats]:
-    """Run each config; per-row failures are reported without aborting."""
-    results = []
-    for cfg in configs:
-        try:
-            results.append(run_experiment(cfg))
-        except Exception as e:  # noqa: BLE001 - per-row reporting is the contract
-            results.append(RunStats(cfg.workload, cfg.topology, cfg.latency,
-                                    cfg.seed, 0, False, error=str(e)))
-    return results
+    """Run each config in order."""
+    return [run_experiment(cfg) for cfg in configs]
 
 
 def _speedups(results) -> dict[int, float | None]:
@@ -156,8 +155,7 @@ def _speedups(results) -> dict[int, float | None]:
 
 def result_rows(results) -> tuple[list[str], list[list]]:
     """Stable column order: workload, topology, latency, cycles, speedup,
-    then counters alphabetically. A row that failed before it could count
-    anything has empty counter cells."""
+    then counters alphabetically."""
     counter_names = sorted({k for r in results for k in r.counters})
     header = ["workload", "topology", "latency", "cycles", "speedup"] + counter_names
     speed = _speedups(results)
@@ -165,9 +163,9 @@ def result_rows(results) -> tuple[list[str], list[list]]:
     for i, r in enumerate(results):
         s = speed[i]
         rows.append([r.workload, r.topology, r.latency,
-                     r.cycles if r.completed else f"error:{r.error or 'deadlock'}",
+                     r.cycles if r.completed else "error:deadlock",
                      f"{s:.6f}" if s is not None else ""]
-                    + [r.counters.get(k, "") for k in counter_names])
+                    + [r.counters[k] for k in counter_names])
     return header, rows
 
 

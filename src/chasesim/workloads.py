@@ -7,7 +7,7 @@ produce the same memory image and token program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .kernel import ConfigurationError
@@ -49,25 +49,21 @@ class Workload:
     name: str
     segments: list[tuple[int, bytes]]
     program: Program
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
 # free list
 
 
+HEAD_CELL = 0x1000  # a free list's head-pointer word; its nodes follow the line
+
+
 @dataclass
 class FreeList:
-    base: int
-    node_size: int
     node_count: int
     head: int                     # address of the first chained node (0 if none)
-    head_cell_addr: int           # memory word holding the head pointer
     pool: list[int]               # unlinked node addresses (for insertions)
     segments: list[tuple[int, bytes]]
-
-    def node_addr(self, i: int) -> int:
-        return self.base + LINE_BYTES + i * self.node_size
 
 
 REGION_BYTES = 1 << 20  # address budget of one generated structure
@@ -88,11 +84,10 @@ def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
     """Array of nodes with seeded pseudo-random linkage (a free list).
 
     Word 0 of each node holds its successor's address (0 terminates); the
-    line at 0x1000 is a head-pointer cell. With nodes_per_line=2, 8-byte
+    line at HEAD_CELL is a head-pointer cell. With nodes_per_line=2, 8-byte
     nodes pack two per cache line (the spatial-locality knob).
     """
     _check_free_list(node_count, nodes_per_line)
-    base = 0x1000
     node_size = LINE_BYTES // nodes_per_line
     linked = node_count if linked_count is None else linked_count
     if not 0 <= linked <= node_count:
@@ -105,7 +100,7 @@ def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
         perm[i], perm[j] = perm[j], perm[i]
 
     def addr(i):
-        return base + LINE_BYTES + i * node_size
+        return HEAD_CELL + LINE_BYTES + i * node_size
 
     region = bytearray(LINE_BYTES + node_count * node_size)
     head = addr(perm[0]) if linked > 0 else 0
@@ -116,10 +111,8 @@ def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
         region[off:off + WORD_BYTES] = word_bytes(succ.get(i, 0))
         for w in range(WORD_BYTES, node_size, WORD_BYTES):
             region[off + w:off + w + WORD_BYTES] = word_bytes(rng.next())
-    return FreeList(
-        base=base, node_size=node_size, node_count=node_count, head=head,
-        head_cell_addr=base, pool=[addr(i) for i in perm[linked:]],
-        segments=[(base, bytes(region))])
+    return FreeList(node_count, head, [addr(i) for i in perm[linked:]],
+                    [(HEAD_CELL, bytes(region))])
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +147,10 @@ def gen_insertion(flist: FreeList, inserts: int, seed: int) -> Program:
         for t in range(inserts):
             new = flist.pool[t]
             pos = rng.randrange(length + 1)
-            head = yield Read(flist.head_cell_addr)
+            head = yield Read(HEAD_CELL)
             if pos == 0:
                 yield Write(new, head)
-                yield Write(flist.head_cell_addr, new)
+                yield Write(HEAD_CELL, new)
             else:
                 cur = head
                 for _ in range(pos - 1):
@@ -166,7 +159,7 @@ def gen_insertion(flist: FreeList, inserts: int, seed: int) -> Program:
                 yield Write(new, succ)
                 yield Write(cur, new)
             length += 1
-        cur = yield Read(flist.head_cell_addr)
+        cur = yield Read(HEAD_CELL)
         while cur:
             cur = yield ReadCP(cur)
 
@@ -218,11 +211,7 @@ def gen_hashtable(buckets: int, keys: int, seed: int) -> Workload:
                     break
                 ptr = nxt
 
-    chain_lens = [0] * buckets
-    for k in key_vals:
-        chain_lens[k % buckets] += 1
-    return Workload("hashtable", [(base, bytes(region))], program,
-                    meta={"chain_lengths": chain_lens, "keys": key_vals})
+    return Workload("hashtable", [(base, bytes(region))], program)
 
 
 def _hanoi_moves(n: int, src: int, dst: int, via: int, out: list):
@@ -277,9 +266,7 @@ def gen_hanoi_like(disks: int) -> Workload:
             yield Write(log_addr(m), m + 1)
             yield Compute(1)
 
-    return Workload("hanoi", [(base, bytes(region))], program,
-                    meta={"disks": disks, "moves": len(moves),
-                          "node_lines": [node_addr(i) for i in range(disks)]})
+    return Workload("hanoi", [(base, bytes(region))], program)
 
 
 def gen_array_kernel(elements: int, gap: int, seed: int) -> Workload:
@@ -303,8 +290,7 @@ def gen_array_kernel(elements: int, gap: int, seed: int) -> Workload:
             if gap:
                 yield Compute(gap)
 
-    return Workload("array", [(base, bytes(region))], program,
-                    meta={"elements": elements, "gap": gap})
+    return Workload("array", [(base, bytes(region))], program)
 
 
 def gen_random_stream(n: int, seed: int, lines: int = 256,
@@ -328,8 +314,7 @@ def gen_random_stream(n: int, seed: int, lines: int = 256,
             tokens.append(Write(addr, rng.next()))
         else:
             tokens.append(ReadCP(addr))
-    return Workload("random", [(0, bytes(region))], tokens,
-                    meta={"n": n, "seed": seed})
+    return Workload("random", [(0, bytes(region))], tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +323,13 @@ def gen_random_stream(n: int, seed: int, lines: int = 256,
 
 def _traversal(seed, nodes, nodes_per_line, gap):
     flist = build_free_list(nodes, seed=seed, nodes_per_line=nodes_per_line)
-    return Workload("traversal", flist.segments, gen_traversal(flist, gap),
-                    meta={"free_list": flist})
+    return Workload("traversal", flist.segments, gen_traversal(flist, gap))
 
 
 def _insertion(seed, nodes, nodes_per_line, inserts):
     flist = build_free_list(nodes, seed=seed, nodes_per_line=nodes_per_line,
                             linked_count=nodes - inserts)
-    return Workload("insertion", flist.segments, gen_insertion(flist, inserts, seed),
-                    meta={"free_list": flist, "inserts": inserts})
+    return Workload("insertion", flist.segments, gen_insertion(flist, inserts, seed))
 
 
 def _check(params: dict, **ranges):
@@ -378,6 +361,8 @@ def _check_hanoi(params: dict):
 
 def _check_array(params: dict):
     _check(params, elements=(0, None), gap=(0, None))
+    if params["elements"] * WORD_BYTES > REGION_BYTES:
+        raise ConfigurationError("elements exceed the address budget")
 
 
 def _check_insertion(params: dict):
@@ -389,7 +374,7 @@ def _check_insertion(params: dict):
 
 # name -> (builder(seed, **params), default params, validator(params)). These
 # are the only defaults: make_workload and the command line fill unset
-# parameters from here. make_config runs the validator on the filled-in
+# parameters from here. ExperimentConfig runs the validator on the filled-in
 # parameters, so a bad size fails before anything is built or run.
 WORKLOADS: dict[str, tuple[Callable[..., Workload], dict, Callable[[dict], None]]] = {
     "traversal": (_traversal, {"nodes": 64, "nodes_per_line": 1, "gap": 0},

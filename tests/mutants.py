@@ -77,6 +77,14 @@ MUTANTS = [
     Mutant("refill-mutates-core-request", "cache.py",
            "            self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))\n",
            "            self.req.kind = kind\n            self.mem_req.send(self.req)\n"),
+    Mutant("config-takes-unknown-workload", "harness.py",
+           '        if self.workload not in wl.WORKLOADS:\n'
+           '            raise ConfigurationError(f"unknown workload {self.workload!r}")\n',
+           ""),
+    Mutant("array-over-the-address-budget", "workloads.py",
+           '    if params["elements"] * WORD_BYTES > REGION_BYTES:\n'
+           '        raise ConfigurationError("elements exceed the address budget")\n',
+           ""),
     Mutant("di-falls-back-to-tag-check", "prefetcher.py",
            "        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:\n"
            "            self._tick_tag_check()\n",

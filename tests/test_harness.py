@@ -17,6 +17,7 @@ from chasesim import (WORKLOADS, BlockingCache, Compute, ConfigurationError,
 from chasesim.harness import (TOPOLOGIES, collect_counters, report,
                               result_rows, sweep)
 from chasesim.messages import LINE_BYTES, WORD_BYTES, word_bytes
+from chasesim.workloads import HEAD_CELL
 from conftest import count_steps
 from test_workloads import tokens_of
 
@@ -43,6 +44,14 @@ def run_program(topology, program, segments, latency=4):
 def test_make_config_rejects_unknown_topology():
     with pytest.raises(ConfigurationError):
         make_config("sideways", 5, "traversal")
+
+
+def test_config_rejects_unknown_workload():
+    for build in (lambda: make_config("baseline", 5, "bogus"),
+                  lambda: ExperimentConfig("baseline", 5, "bogus")):
+        with pytest.raises(ConfigurationError) as e:
+            build()
+        assert str(e.value) == "unknown workload 'bogus'"
 
 
 def test_config_params_are_order_independent():
@@ -175,7 +184,7 @@ def test_a_pointer_stream_reaches_the_prefetch_buffer():
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_insertion_into_an_empty_list_starts_at_the_head(topology):
     flist = build_free_list(4, seed=3, linked_count=0)
-    new, cell = flist.pool[0], flist.head_cell_addr
+    new, cell = flist.pool[0], HEAD_CELL
     insert = gen_insertion(flist, 3, 3)
     program, tokens = tokens_of(insert)
     loads, flat = replay_program(program, flist.segments)
@@ -206,11 +215,11 @@ def test_downstream_request_conservation():
     # once: hits + misses + writes == downstream requests
     for name in ("traversal", "hashtable", "hanoi"):
         handle = run_handle(make_config("alternate", 5, name))
-        c = handle.cache.stats
         p = handle.prefetcher.stats
         classified = (p.read_hits + p.readcp_hits + p.read_misses
                       + p.readcp_misses + p.writes)
-        assert classified == c.downstream_requests, name
+        downstream = collect_counters(handle)["cache_downstream_requests"]
+        assert classified == downstream > 0, name
 
 
 def test_sweep_produces_row_per_config_and_survives_errors():
@@ -218,17 +227,18 @@ def test_sweep_produces_row_per_config_and_survives_errors():
                for lat in (2, 5) for t in ("baseline", "alternate")]
     with pytest.raises(ConfigurationError, match="node_count must be >= 1"):
         make_config("baseline", 2, "traversal", nodes=0)
-    # built around make_config's check, the row fails when its system is built
-    configs.append(ExperimentConfig("baseline", 2, "traversal", (("nodes", 0),)))
+    # a config built by hand passes the same checks, so no bad row can reach
+    # sweep
+    with pytest.raises(ConfigurationError, match="node_count must be >= 1"):
+        ExperimentConfig("baseline", 2, "traversal", (("nodes", 0),))
     results = sweep(configs)
-    assert len(results) == 5
-    assert all(r.completed for r in results[:4])
-    assert not results[4].completed and results[4].error
-    # the failed row counted nothing, so its counter cells are empty, not 0
+    assert len(results) == 4
+    assert all(r.completed for r in results)
+    assert [(r.topology, r.latency) for r in results] == \
+        [(c.topology, c.latency) for c in configs]
     header, rows = result_rows(results)
     first = header.index("speedup") + 1
-    assert rows[4][first:] == [""] * (len(header) - first)
-    assert all(isinstance(v, int) for v in rows[0][first:])
+    assert all(isinstance(v, int) for row in rows for v in row[first:])
 
 
 def test_speedup_against_matching_baseline():
@@ -289,6 +299,15 @@ def test_max_cycles_reported_as_incomplete():
     assert not stats.completed
     assert stats.deadlock_states is not None
     assert "core" in stats.deadlock_states
+
+
+def test_incomplete_row_reports_deadlock_and_its_counters():
+    stats = run_experiment(make_config("baseline", 5, "traversal",
+                                       nodes=64, max_cycles=10))
+    header, rows = result_rows([stats])
+    assert rows[0][header.index("cycles")] == "error:deadlock"
+    assert rows[0][header.index("speedup") + 1:] == \
+        [stats.counters[k] for k in header[header.index("speedup") + 1:]]
 
 
 def test_run_determinism():

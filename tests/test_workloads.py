@@ -8,7 +8,8 @@ from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
                       gen_random_stream, gen_traversal, lcg_next,
                       replay_program)
 from chasesim.harness import make_workload
-from chasesim.messages import line_base
+from chasesim.messages import LINE_BYTES, WORD_BYTES, line_base
+from chasesim.workloads import HEAD_CELL, REGION_BYTES
 
 
 def tokens_of(program):
@@ -49,30 +50,35 @@ def test_lcg_wrapper_deterministic():
 # -- free list --
 
 
+def node_addr(i, node_size=LINE_BYTES):
+    """Address of free-list node i: the nodes follow the head cell's line."""
+    return HEAD_CELL + LINE_BYTES + i * node_size
+
+
 def test_free_list_chain_visits_every_node():
     flist = build_free_list(16, seed=3)
     flat = FlatMemory(flist.segments)
     seen = []
-    addr = flat.read_word(flist.head_cell_addr)
+    addr = flat.read_word(HEAD_CELL)
     while addr:
         seen.append(addr)
         addr = flat.read_word(addr)
     assert len(seen) == 16
-    assert set(seen) == {flist.node_addr(i) for i in range(16)}
+    assert set(seen) == {node_addr(i) for i in range(16)}
 
 
 def test_free_list_single_node_terminates():
     flist = build_free_list(1, seed=1)
     flat = FlatMemory(flist.segments)
-    head = flat.read_word(flist.head_cell_addr)
-    assert head == flist.node_addr(0)
+    head = flat.read_word(HEAD_CELL)
+    assert head == node_addr(0)
     assert flat.read_word(head) == 0
 
 
 def test_free_list_partial_linkage_and_pool():
     flist = build_free_list(10, seed=2, linked_count=6)
     flat = FlatMemory(flist.segments)
-    addr, n = flat.read_word(flist.head_cell_addr), 0
+    addr, n = flat.read_word(HEAD_CELL), 0
     while addr:
         n += 1
         addr = flat.read_word(addr)
@@ -82,14 +88,14 @@ def test_free_list_partial_linkage_and_pool():
 
 def test_free_list_two_nodes_per_line_coresidency():
     flist = build_free_list(64, seed=1, nodes_per_line=2)
-    assert flist.node_size == 8
     flat = FlatMemory(flist.segments)
     chain = []
-    addr = flat.read_word(flist.head_cell_addr)
+    addr = flat.read_word(HEAD_CELL)
     while addr:
         chain.append(addr)
         addr = flat.read_word(addr)
     assert len(chain) == 64
+    assert set(chain) == {node_addr(i, node_size=8) for i in range(64)}
     # two nodes pack into each 16-byte line, halving the footprint
     distinct_lines = {line_base(a) for a in chain}
     assert len(distinct_lines) == 32
@@ -144,7 +150,7 @@ def test_insertion_extends_chain():
     flist = build_free_list(16, seed=4, linked_count=12)
     prog, toks = tokens_of(gen_insertion(flist, 4, seed=9))
     _, flat = replay_program(prog, flist.segments)
-    addr, n = flat.read_word(flist.head_cell_addr), 0
+    addr, n = flat.read_word(HEAD_CELL), 0
     seen = set()
     while addr:
         assert addr not in seen  # no cycles introduced by splicing
@@ -165,28 +171,44 @@ def test_insertion_rejects_oversubscription():
 # -- hashtable --
 
 
+def bucket_chains(w, buckets):
+    """The keys of each bucket's chain, walked in the image: the bucket array
+    of head pointers starts the segment; a node holds (next, key)."""
+    flat = FlatMemory(w.segments)
+    chains = []
+    for b in range(buckets):
+        keys, ptr = [], flat.read_word(w.segments[0][0] + b * WORD_BYTES)
+        while ptr:
+            keys.append(flat.read_word(ptr + WORD_BYTES))
+            ptr = flat.read_word(ptr)
+        chains.append(keys)
+    return chains
+
+
 def test_hashtable_chain_lengths():
-    w = gen_hashtable(16, 64, seed=1)
-    lens = w.meta["chain_lengths"]
+    chains = bucket_chains(gen_hashtable(16, 64, seed=1), 16)
+    lens = [len(c) for c in chains]
     assert sum(lens) == 64
     assert sum(lens) / len(lens) == 64 / 16
     assert max(lens) < 4 * (64 / 16)  # seeded spread is roughly uniform
+    assert all(k % 16 == b for b, c in enumerate(chains) for k in c)
 
 
 def test_hashtable_single_bucket_chains_everything():
     w = gen_hashtable(1, 8, seed=1)
-    assert w.meta["chain_lengths"] == [8]
+    assert [len(c) for c in bucket_chains(w, 1)] == [8]
     loads, _ = replay_program(w.program, w.segments)
     assert len(loads) > 8  # every lookup walks part of one long chain
 
 
 def test_hashtable_lookup_finds_every_key():
     w = gen_hashtable(8, 32, seed=2)
-    prog, toks = tokens_of(w.program)
-    loads, _ = replay_program(prog, w.segments)
+    keys = {k for c in bucket_chains(w, 8) for k in c}
+    assert len(keys) == 32 and 0 not in keys
+    loads, _ = replay_program(w.program, w.segments)
     # each key's walk ends by loading the key value itself
     found = {v for a, v in loads}
-    assert set(w.meta["keys"]) <= found
+    assert keys <= found
 
 
 @pytest.mark.parametrize("buckets, keys, message", [
@@ -226,21 +248,32 @@ def test_hashtable_zero_keys_probes_empty_heads():
 # -- hanoi --
 
 
-def test_hanoi_move_count_and_node_lines():
-    w = gen_hanoi_like(6)
-    assert w.meta["moves"] == 2**6 - 1
-    assert len(set(w.meta["node_lines"])) == 6
+def hanoi_trace(disks):
+    """(ReadCP addresses, node lines, log writes) of a replayed hanoi run.
+    The program's only ReadCPs are its initial chase from the head cell, so
+    the chased addresses after the first are the node lines; every Write off
+    those lines is a move-log entry."""
+    w = gen_hanoi_like(disks)
     prog, toks = tokens_of(w.program)
     replay_program(prog, w.segments)
-    cp_lines = {line_base(t.addr) for t in toks if isinstance(t, ReadCP)}
-    # the initial chase touches the head cell plus every node line
-    assert cp_lines == set(w.meta["node_lines"]) | {line_base(w.meta["node_lines"][0] + 6 * 16)}
+    chase = [t.addr for t in toks if isinstance(t, ReadCP)]
+    node_lines = {line_base(a) for a in chase[1:]}
+    log_writes = [t for t in toks if isinstance(t, Write)
+                  and line_base(t.addr) not in node_lines]
+    return chase, node_lines, log_writes
+
+
+def test_hanoi_move_count_and_node_lines():
+    chase, node_lines, log_writes = hanoi_trace(6)
+    assert len(log_writes) == 2**6 - 1  # one log entry per move
+    assert len(chase) == 1 + 6 and len(node_lines) == 6
+    # the initial chase touches the head cell, after the six node lines
+    assert chase[0] == min(node_lines) + 6 * LINE_BYTES
 
 
 def test_hanoi_single_disk():
-    w = gen_hanoi_like(1)
-    assert w.meta["moves"] == 1
-    replay_program(w.program, w.segments)  # runs to completion
+    _, _, log_writes = hanoi_trace(1)  # runs to completion
+    assert len(log_writes) == 1
 
 
 def test_hanoi_rejects_bad_disks():
@@ -251,13 +284,9 @@ def test_hanoi_rejects_bad_disks():
 
 
 def test_hanoi_log_disjoint_from_node_indices():
-    w = gen_hanoi_like(6)
-    prog, toks = tokens_of(w.program)
-    replay_program(prog, w.segments)
-    node_idx = {(a >> 4) & 0xF for a in w.meta["node_lines"]}
-    log_writes = [t for t in toks if isinstance(t, Write)
-                  and line_base(t.addr) not in w.meta["node_lines"]]
-    assert len(log_writes) == w.meta["moves"]
+    _, node_lines, log_writes = hanoi_trace(6)
+    node_idx = {(a >> 4) & 0xF for a in node_lines}
+    assert len(log_writes) == 2**6 - 1
     assert all(((t.addr >> 4) & 0xF) not in node_idx for t in log_writes)
 
 
@@ -271,6 +300,22 @@ def test_array_kernel_has_no_pointer_chasing():
     assert not any(isinstance(t, ReadCP) for t in toks)
     assert sum(isinstance(t, Read) for t in toks) == 64
     assert sum(isinstance(t, Write) for t in toks) == 64
+
+
+@pytest.mark.parametrize("elements, message", [
+    (-1, "elements must be >= 0"),
+    # one word over the 1 MiB region: small enough to build if unchecked
+    (REGION_BYTES // WORD_BYTES + 1, "elements exceed the address budget"),
+])
+def test_array_rejects_bad_sizes_before_building(elements, message):
+    with pytest.raises(ConfigurationError) as e:
+        gen_array_kernel(elements, gap=0, seed=1)
+    assert str(e.value) == message
+
+
+def test_array_largest_region_fits_the_budget():
+    w = gen_array_kernel(REGION_BYTES // WORD_BYTES, gap=0, seed=1)
+    assert len(w.segments[0][1]) == REGION_BYTES
 
 
 # -- random stream --
@@ -297,7 +342,9 @@ def test_every_registered_workload_builds_with_defaults(name):
 def test_make_workload_ignores_parameters_it_does_not_take():
     a = make_workload("hanoi", disks=3, nodes=8)
     b = make_workload("hanoi", disks=3)
-    assert a.segments == b.segments and a.meta == b.meta
+    assert a.segments == b.segments
+    assert replay_program(a.program, a.segments)[0] == \
+        replay_program(b.program, b.segments)[0]
 
 
 def test_make_workload_unknown_name():
