@@ -19,7 +19,7 @@ results = sweep(configs)
 print(report(results, "table"))
 
 print("improvement of alternate (with prefetcher) over baseline:")
-by_key = {(r.topology, r.latency): r.cycles for r in results}
+by_key = {(r.config.topology, r.config.latency): r.cycles for r in results}
 for lat in LATENCIES:
     base = by_key[("baseline", lat)]
     alt = by_key[("alternate", lat)]

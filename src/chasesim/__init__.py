@@ -11,10 +11,8 @@ from .cache import BlockingCache, CacheFsm
 from .prefetcher import (PointerChasePrefetcher, PrefetchFsm, DEMAND_OPAQUE,
                          PREFETCH_OPAQUE)
 from .core import Compute, CoreModel, Read, ReadCP, Write
-from .workloads import (WORKLOADS, FlatMemory, FreeList, Lcg, Workload,
-                        build_free_list, gen_array_kernel, gen_hanoi_like,
-                        gen_hashtable, gen_insertion, gen_random_stream,
-                        gen_traversal, lcg_next, replay_program)
+from .workloads import (WORKLOADS, FlatMemory, Lcg, Workload, lcg_next,
+                        replay_program)
 from .harness import (ExperimentConfig, RunStats, build_system, make_config,
                       make_workload, report, run_experiment, sweep)
 from .testbench import TestSink, TestSource, build_testbench
@@ -29,10 +27,7 @@ __all__ = [
     "BlockingCache", "CacheFsm",
     "PointerChasePrefetcher", "PrefetchFsm", "DEMAND_OPAQUE", "PREFETCH_OPAQUE",
     "Compute", "CoreModel", "Read", "ReadCP", "Write",
-    "WORKLOADS", "FlatMemory", "FreeList", "Lcg", "Workload",
-    "build_free_list", "gen_array_kernel", "gen_hanoi_like", "gen_hashtable",
-    "gen_insertion", "gen_random_stream", "gen_traversal", "lcg_next",
-    "replay_program",
+    "WORKLOADS", "FlatMemory", "Lcg", "Workload", "lcg_next", "replay_program",
     "ExperimentConfig", "RunStats", "build_system", "make_config",
     "make_workload", "report", "run_experiment", "sweep",
     "TestSink", "TestSource", "build_testbench",

@@ -65,8 +65,12 @@ def main(argv=None) -> int:
                               seed=args.seed, max_cycles=args.max_cycles,
                               **_workload_params(args, args.workload))
             # opened only now, so bad input leaves an existing file alone
-            with (open(args.trace, "w") if args.trace
-                  else contextlib.nullcontext()) as trace:
+            try:
+                out = open(args.trace, "w") if args.trace else contextlib.nullcontext()
+            except OSError as e:
+                raise ConfigurationError(
+                    f"cannot open --trace {args.trace!r}: {e.strerror}") from None
+            with out as trace:
                 stats = run_experiment(cfg, trace=trace)
             sys.stdout.write(report([stats], args.format))
             if not stats.completed:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .cache import BlockingCache, CacheStats
 from .core import CoreModel
@@ -51,10 +51,7 @@ def make_config(topology, latency, workload, seed=1, max_cycles=10_000_000,
 
 @dataclass
 class RunStats:
-    workload: str
-    topology: str
-    latency: int
-    seed: int
+    config: ExperimentConfig
     cycles: int
     completed: bool
     counters: dict[str, int] = field(default_factory=dict)
@@ -72,7 +69,8 @@ def _workload_params(name: str, params: dict) -> dict:
 
 
 def make_workload(name: str, seed: int = 1, **params) -> wl.Workload:
-    """Instantiate a workload from ``WORKLOADS`` (see ``_workload_params``)."""
+    """Build workload ``name`` of ``WORKLOADS`` (see ``_workload_params``):
+    the one public way to build a workload."""
     if name not in wl.WORKLOADS:
         raise ConfigurationError(f"unknown workload {name!r}")
     return wl.WORKLOADS[name][0](seed, **_workload_params(name, params))
@@ -128,9 +126,7 @@ def run_built(config: ExperimentConfig, handle: SimHandle) -> RunStats:
     if completed:
         handle.cache.flush_dirty(handle.memory.poke_line)
     return RunStats(
-        workload=config.workload, topology=config.topology,
-        latency=config.latency, seed=config.seed,
-        cycles=handle.system.cycle, completed=completed,
+        config=config, cycles=handle.system.cycle, completed=completed,
         counters=collect_counters(handle),
         deadlock_states=None if completed else handle.system.state_summary())
 
@@ -141,14 +137,13 @@ def sweep(configs) -> list[RunStats]:
 
 
 def _speedups(results) -> dict[int, float | None]:
-    """Per-row speedup = matching baseline cycles / this row's cycles."""
-    base = {}
-    for r in results:
-        if r.topology == "baseline" and r.completed:
-            base[(r.workload, r.latency, r.seed)] = r.cycles
+    """Per-row speedup = cycles of the completed baseline run of the same
+    config / this row's cycles."""
+    base = {r.config: r.cycles for r in results
+            if r.config.topology == "baseline" and r.completed}
     out = {}
     for i, r in enumerate(results):
-        b = base.get((r.workload, r.latency, r.seed))
+        b = base.get(replace(r.config, topology="baseline"))
         out[i] = (b / r.cycles) if (b and r.completed and r.cycles) else None
     return out
 
@@ -162,7 +157,8 @@ def result_rows(results) -> tuple[list[str], list[list]]:
     rows = []
     for i, r in enumerate(results):
         s = speed[i]
-        rows.append([r.workload, r.topology, r.latency,
+        c = r.config
+        rows.append([c.workload, c.topology, c.latency,
                      r.cycles if r.completed else "error:deadlock",
                      f"{s:.6f}" if s is not None else ""]
                     + [r.counters[k] for k in counter_names])

@@ -1,7 +1,8 @@
-"""Benchmark synthesis: free lists, traversal/insertion/hashtable/hanoi/array
-token programs, and a flat-memory replay oracle.
+"""Benchmark synthesis: the registry of named workloads (traversal,
+insertion, hashtable, hanoi, array and random token programs with their
+memory images) and a flat-memory replay oracle.
 
-All generators are pure functions of their seed: the same parameters always
+Every workload is a pure function of its seed: the same parameters always
 produce the same memory image and token program.
 """
 
@@ -46,106 +47,77 @@ Program = Callable[[], object]  # generator function yielding Tokens
 class Workload:
     """A memory image plus a token program, ready to run."""
 
-    name: str
     segments: list[tuple[int, bytes]]
     program: Program
 
 
 # ---------------------------------------------------------------------------
-# free list
+# named workloads: each builder takes the seed and exactly the keys of its
+# WORKLOADS defaults, and trusts them; the registry validator checks them
 
 
 HEAD_CELL = 0x1000  # a free list's head-pointer word; its nodes follow the line
-
-
-@dataclass
-class FreeList:
-    node_count: int
-    head: int                     # address of the first chained node (0 if none)
-    pool: list[int]               # unlinked node addresses (for insertions)
-    segments: list[tuple[int, bytes]]
-
-
 REGION_BYTES = 1 << 20  # address budget of one generated structure
 
 
-def _check_free_list(node_count: int, nodes_per_line: int):
-    """Raise ConfigurationError unless such a free list fits its region."""
-    if node_count < 1:
-        raise ConfigurationError("node_count must be >= 1")
-    if nodes_per_line not in (1, 2):
-        raise ConfigurationError("nodes_per_line must be 1 or 2")
-    if LINE_BYTES + node_count * (LINE_BYTES // nodes_per_line) > REGION_BYTES:
-        raise ConfigurationError("nodes exceed the address budget")
-
-
-def build_free_list(node_count: int, seed: int = 1, nodes_per_line: int = 1,
-                    linked_count: int | None = None) -> FreeList:
-    """Array of nodes with seeded pseudo-random linkage (a free list).
+def _free_list(seed: int, nodes: int, nodes_per_line: int,
+               linked: int) -> tuple[list[int], list[tuple[int, bytes]]]:
+    """Array of nodes with seeded pseudo-random linkage (a free list): the
+    node addresses in list order, then the image.
 
     Word 0 of each node holds its successor's address (0 terminates); the
-    line at HEAD_CELL is a head-pointer cell. With nodes_per_line=2, 8-byte
-    nodes pack two per cache line (the spatial-locality knob).
+    line at HEAD_CELL is a head-pointer cell. Only the first ``linked`` nodes
+    in list order are chained; the rest are an unlinked pool for insertions.
+    With nodes_per_line=2, 8-byte nodes pack two per cache line (the
+    spatial-locality knob).
     """
-    _check_free_list(node_count, nodes_per_line)
     node_size = LINE_BYTES // nodes_per_line
-    linked = node_count if linked_count is None else linked_count
-    if not 0 <= linked <= node_count:
-        raise ConfigurationError(f"linked_count must be in 0..{node_count}")
-
     rng = Lcg(seed)
-    perm = list(range(node_count))
-    for i in range(node_count - 1, 0, -1):  # Fisher-Yates
+    perm = list(range(nodes))
+    for i in range(nodes - 1, 0, -1):  # Fisher-Yates
         j = rng.randrange(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
 
     def addr(i):
         return HEAD_CELL + LINE_BYTES + i * node_size
 
-    region = bytearray(LINE_BYTES + node_count * node_size)
-    head = addr(perm[0]) if linked > 0 else 0
-    region[0:WORD_BYTES] = word_bytes(head)
+    region = bytearray(LINE_BYTES + nodes * node_size)
+    region[0:WORD_BYTES] = word_bytes(addr(perm[0]) if linked > 0 else 0)
     succ = {perm[k]: addr(perm[k + 1]) for k in range(linked - 1)}
-    for i in range(node_count):
+    for i in range(nodes):
         off = LINE_BYTES + i * node_size
         region[off:off + WORD_BYTES] = word_bytes(succ.get(i, 0))
         for w in range(WORD_BYTES, node_size, WORD_BYTES):
             region[off + w:off + w + WORD_BYTES] = word_bytes(rng.next())
-    return FreeList(node_count, head, [addr(i) for i in perm[linked:]],
-                    [(HEAD_CELL, bytes(region))])
+    return [addr(i) for i in perm], [(HEAD_CELL, bytes(region))]
 
 
-# ---------------------------------------------------------------------------
-# token programs
-
-
-def gen_traversal(flist: FreeList, compute_gap: int = 0) -> Program:
-    """Chase the list from head to null; each ReadCP's loaded value names the
-    next node, with optional Compute cycles between nodes."""
+def _traversal(seed: int, nodes: int, nodes_per_line: int, gap: int) -> Workload:
+    """Chase a free list from head to null; each ReadCP's loaded value names
+    the next node, with ``gap`` Compute cycles between nodes."""
+    order, segments = _free_list(seed, nodes, nodes_per_line, nodes)
 
     def program():
-        addr = flist.head
+        addr = order[0]
         while addr:
             nxt = yield ReadCP(addr)
-            if compute_gap:
-                yield Compute(compute_gap)
+            if gap:
+                yield Compute(gap)
             addr = nxt
 
-    return program
+    return Workload(segments, program)
 
 
-def gen_insertion(flist: FreeList, inserts: int, seed: int) -> Program:
-    """Traverse to random positions and splice pool nodes into the list,
-    then walk the final list once; with 0 inserts this is a pure traversal."""
-    if inserts > len(flist.pool):
-        raise ConfigurationError("not enough pool nodes for the requested inserts")
-    linked0 = flist.node_count - len(flist.pool)
+def _insertion(seed: int, nodes: int, nodes_per_line: int, inserts: int) -> Workload:
+    """Traverse to random positions and splice the ``inserts`` pool nodes
+    into a list of the other nodes, then walk the final list once; with 0
+    inserts this is a pure traversal."""
+    linked = nodes - inserts
+    order, segments = _free_list(seed, nodes, nodes_per_line, linked)
 
     def program():
         rng = Lcg(seed)
-        length = linked0
-        for t in range(inserts):
-            new = flist.pool[t]
+        for length, new in enumerate(order[linked:], linked):
             pos = rng.randrange(length + 1)
             head = yield Read(HEAD_CELL)
             if pos == 0:
@@ -158,17 +130,15 @@ def gen_insertion(flist: FreeList, inserts: int, seed: int) -> Program:
                 succ = yield ReadCP(cur)
                 yield Write(new, succ)
                 yield Write(cur, new)
-            length += 1
         cur = yield Read(HEAD_CELL)
         while cur:
             cur = yield ReadCP(cur)
 
-    return program
+    return Workload(segments, program)
 
 
-def gen_hashtable(buckets: int, keys: int, seed: int) -> Workload:
+def _hashtable(seed: int, buckets: int, keys: int) -> Workload:
     """Bucket array of chain heads plus lookups walking each chain."""
-    _check_hashtable({"buckets": buckets, "keys": keys})
     base = 0x3000
     rng = Lcg(seed)
     key_vals = []
@@ -211,7 +181,7 @@ def gen_hashtable(buckets: int, keys: int, seed: int) -> Workload:
                     break
                 ptr = nxt
 
-    return Workload("hashtable", [(base, bytes(region))], program)
+    return Workload([(base, bytes(region))], program)
 
 
 def _hanoi_moves(n: int, src: int, dst: int, via: int, out: list):
@@ -222,15 +192,15 @@ def _hanoi_moves(n: int, src: int, dst: int, via: int, out: list):
     _hanoi_moves(n - 1, via, dst, src, out)
 
 
-def gen_hanoi_like(disks: int) -> Workload:
+def _hanoi(seed: int, disks: int) -> Workload:
     """Tiny linked stacks with many revisits: the small-structure pathology.
 
     One initial pointer chase touches every node once; the 2^disks - 1 moves
     then relink nodes (cache hits) while streaming a move log through cache
     indices disjoint from the node lines, so the prefetcher gets no further
-    pointer work but every log miss pays the extra hop.
+    pointer work but every log miss pays the extra hop. The seed is unused:
+    the structure is the same for every seed.
     """
-    _check_hanoi({"disks": disks})
     base = 0x1000  # the nodes, then the head cell; the move log is at 0x2000
 
     def node_addr(i):
@@ -266,12 +236,11 @@ def gen_hanoi_like(disks: int) -> Workload:
             yield Write(log_addr(m), m + 1)
             yield Compute(1)
 
-    return Workload("hanoi", [(base, bytes(region))], program)
+    return Workload([(base, bytes(region))], program)
 
 
-def gen_array_kernel(elements: int, gap: int, seed: int) -> Workload:
+def _array(seed: int, elements: int, gap: int) -> Workload:
     """Dense-array read and write passes with compute gaps; zero ReadCP."""
-    _check_array({"elements": elements, "gap": gap})
     base = 0x4000
     rng = Lcg(seed)
     region = bytearray(elements * WORD_BYTES)
@@ -290,11 +259,11 @@ def gen_array_kernel(elements: int, gap: int, seed: int) -> Workload:
             if gap:
                 yield Compute(gap)
 
-    return Workload("array", [(base, bytes(region))], program)
+    return Workload([(base, bytes(region))], program)
 
 
-def gen_random_stream(n: int, seed: int, lines: int = 256,
-                      mix: tuple[float, float, float] = (0.5, 0.2, 0.3)) -> Workload:
+def _random(seed: int, n: int, lines: int = 256,
+            mix: tuple[float, float, float] = (0.5, 0.2, 0.3)) -> Workload:
     """Randomized read/write/read_cp token stream over a bounded region, for
     oracle-equivalence checking. ReadCP values are arbitrary words, so the
     prefetcher chases garbage pointers; coherence must still hold."""
@@ -314,22 +283,11 @@ def gen_random_stream(n: int, seed: int, lines: int = 256,
             tokens.append(Write(addr, rng.next()))
         else:
             tokens.append(ReadCP(addr))
-    return Workload("random", [(0, bytes(region))], tokens)
+    return Workload([(0, bytes(region))], tokens)
 
 
 # ---------------------------------------------------------------------------
-# named workloads
-
-
-def _traversal(seed, nodes, nodes_per_line, gap):
-    flist = build_free_list(nodes, seed=seed, nodes_per_line=nodes_per_line)
-    return Workload("traversal", flist.segments, gen_traversal(flist, gap))
-
-
-def _insertion(seed, nodes, nodes_per_line, inserts):
-    flist = build_free_list(nodes, seed=seed, nodes_per_line=nodes_per_line,
-                            linked_count=nodes - inserts)
-    return Workload("insertion", flist.segments, gen_insertion(flist, inserts, seed))
+# registry
 
 
 def _check(params: dict, **ranges):
@@ -342,6 +300,16 @@ def _check(params: dict, **ranges):
             raise ConfigurationError(f"{name} must be {bound}")
 
 
+def _check_free_list(node_count: int, nodes_per_line: int):
+    """Raise ConfigurationError unless such a free list fits its region."""
+    if node_count < 1:
+        raise ConfigurationError("node_count must be >= 1")
+    if nodes_per_line not in (1, 2):
+        raise ConfigurationError("nodes_per_line must be 1 or 2")
+    if LINE_BYTES + node_count * (LINE_BYTES // nodes_per_line) > REGION_BYTES:
+        raise ConfigurationError("nodes exceed the address budget")
+
+
 def _check_traversal(params: dict):
     _check_free_list(params["nodes"], params["nodes_per_line"])
     _check(params, gap=(0, None))
@@ -349,7 +317,7 @@ def _check_traversal(params: dict):
 
 def _check_hashtable(params: dict):
     _check(params, buckets=(1, None), keys=(0, 0xFFFFFF))  # distinct nonzero 24-bit keys
-    # gen_hashtable's region: the bucket array in whole lines, one line per key
+    # _hashtable's region: the bucket array in whole lines, one line per key
     bucket_lines = -(-params["buckets"] * WORD_BYTES // LINE_BYTES)
     if (bucket_lines + max(params["keys"], 1)) * LINE_BYTES > REGION_BYTES:
         raise ConfigurationError("buckets and keys exceed the address budget")
@@ -374,20 +342,17 @@ def _check_insertion(params: dict):
 
 # name -> (builder(seed, **params), default params, validator(params)). These
 # are the only defaults: make_workload and the command line fill unset
-# parameters from here. ExperimentConfig runs the validator on the filled-in
-# parameters, so a bad size fails before anything is built or run.
+# parameters from here. ExperimentConfig and make_workload run the validator
+# on the filled-in parameters, so a bad size fails before anything is built.
 WORKLOADS: dict[str, tuple[Callable[..., Workload], dict, Callable[[dict], None]]] = {
     "traversal": (_traversal, {"nodes": 64, "nodes_per_line": 1, "gap": 0},
                   _check_traversal),
     "insertion": (_insertion, {"nodes": 64, "nodes_per_line": 1, "inserts": 8},
                   _check_insertion),
-    "hashtable": (lambda seed, buckets, keys: gen_hashtable(buckets, keys, seed),
-                  {"buckets": 16, "keys": 64}, _check_hashtable),
-    "hanoi": (lambda seed, disks: gen_hanoi_like(disks), {"disks": 6}, _check_hanoi),
-    "array": (lambda seed, elements, gap: gen_array_kernel(elements, gap, seed),
-              {"elements": 256, "gap": 2}, _check_array),
-    "random": (lambda seed, n: gen_random_stream(n, seed), {"n": 10000},
-               lambda p: _check(p, n=(0, None))),
+    "hashtable": (_hashtable, {"buckets": 16, "keys": 64}, _check_hashtable),
+    "hanoi": (_hanoi, {"disks": 6}, _check_hanoi),
+    "array": (_array, {"elements": 256, "gap": 2}, _check_array),
+    "random": (_random, {"n": 10000}, lambda p: _check(p, n=(0, None))),
 }
 
 

@@ -85,6 +85,21 @@ MUTANTS = [
            '    if params["elements"] * WORD_BYTES > REGION_BYTES:\n'
            '        raise ConfigurationError("elements exceed the address budget")\n',
            ""),
+    Mutant("speedup-ignores-params", "harness.py",
+           "    base = {r.config: r.cycles for r in results\n"
+           "            if r.config.topology == \"baseline\" and r.completed}\n"
+           "    out = {}\n"
+           "    for i, r in enumerate(results):\n"
+           "        b = base.get(replace(r.config, topology=\"baseline\"))\n",
+           "    base = {replace(r.config, params=()): r.cycles for r in results\n"
+           "            if r.config.topology == \"baseline\" and r.completed}\n"
+           "    out = {}\n"
+           "    for i, r in enumerate(results):\n"
+           "        b = base.get(replace(r.config, topology=\"baseline\", params=()))\n"),
+    Mutant("make-workload-skips-validator", "harness.py",
+           "    return wl.WORKLOADS[name][0](seed, **_workload_params(name, params))\n",
+           "    return wl.WORKLOADS[name][0](seed, **{\n"
+           "        k: params.get(k, v) for k, v in wl.WORKLOADS[name][1].items()})\n"),
     Mutant("di-falls-back-to-tag-check", "prefetcher.py",
            "        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:\n"
            "            self._tick_tag_check()\n",

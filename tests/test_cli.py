@@ -86,6 +86,8 @@ def test_run_defaults_match_library_defaults(name, capsys):
     # one word over the 1 MiB region
     (["--workload", "array", "--elements", "262145"],
      "elements exceed the address budget"),
+    (["--workload", "traversal", "--nodes", "2", "--trace", "/nonexistent/x.txt"],
+     "cannot open --trace '/nonexistent/x.txt': No such file or directory"),
 ])
 def test_run_bad_input_is_one_error_line(argv, message, capsys):
     assert main(["run", *argv]) == 2

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from chasesim import (WORKLOADS, BlockingCache, Compute, ConfigurationError,
                       CoreModel, ExperimentConfig, PipelinedMemory,
                       PointerChasePrefetcher, Read, ReadCP, System, Write,
-                      build_free_list, build_system, dump_image, gen_insertion,
-                      gen_random_stream, make_config, replay_program,
-                      run_experiment)
+                      build_system, dump_image, make_config, make_workload,
+                      replay_program, run_experiment, workloads)
 from chasesim.harness import (TOPOLOGIES, collect_counters, report,
                               result_rows, sweep)
 from chasesim.messages import LINE_BYTES, WORD_BYTES, word_bytes
@@ -107,7 +106,7 @@ def test_alternate_run_matches_flat_replay():
 def test_random_streams_match_the_oracle(topology, latency, seed, n, lines, read, write):
     # write is the share of the non-read tokens; the rest are read-cp
     mix = (read, (1 - read) * write, (1 - read) * (1 - write))
-    w = gen_random_stream(n, seed, lines=lines, mix=mix)
+    w = workloads._random(seed, n, lines=lines, mix=mix)
     system, core = run_program(topology, w.program, w.segments, latency)
     loads, flat = replay_program(w.program, w.segments)
     assert core.loads == loads
@@ -183,19 +182,20 @@ def test_a_pointer_stream_reaches_the_prefetch_buffer():
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_insertion_into_an_empty_list_starts_at_the_head(topology):
-    flist = build_free_list(4, seed=3, linked_count=0)
-    new, cell = flist.pool[0], HEAD_CELL
-    insert = gen_insertion(flist, 3, 3)
-    program, tokens = tokens_of(insert)
-    loads, flat = replay_program(program, flist.segments)
+    w, cell = make_workload("insertion", seed=3, nodes=4, inserts=4), HEAD_CELL
+    program, tokens = tokens_of(w.program)
+    loads, flat = replay_program(program, w.segments)
     # an empty list has one place to insert: the head
+    nodes = [cell + LINE_BYTES * (i + 1) for i in range(4)]
+    new = tokens[1].addr
+    assert new in nodes
     assert tokens[:3] == [Read(cell), Write(new, 0), Write(cell, new)]
     chain, addr = [], flat.read_word(cell)
     while addr:
         chain.append(addr)
         addr = flat.read_word(addr)
-    assert sorted(chain) == sorted(flist.pool[:3])
-    _, core = run_program(topology, insert, flist.segments)
+    assert sorted(chain) == nodes
+    _, core = run_program(topology, w.program, w.segments)
     assert core.loads == loads
 
 
@@ -234,8 +234,7 @@ def test_sweep_produces_row_per_config_and_survives_errors():
     results = sweep(configs)
     assert len(results) == 4
     assert all(r.completed for r in results)
-    assert [(r.topology, r.latency) for r in results] == \
-        [(c.topology, c.latency) for c in configs]
+    assert [r.config for r in results] == configs
     header, rows = result_rows(results)
     first = header.index("speedup") + 1
     assert all(isinstance(v, int) for row in rows for v in row[first:])
@@ -249,6 +248,19 @@ def test_speedup_against_matching_baseline():
     i = header.index("speedup")
     assert rows[0][i] == "1.000000"  # baseline vs itself
     assert float(rows[1][i]) > 1.0   # prefetching helps pointer chasing
+
+
+def test_speedup_against_the_baseline_of_the_same_params():
+    # rows that share workload, latency and seed but not params each divide
+    # their own baseline's cycles
+    configs = [make_config(t, 10, "traversal", nodes=32, gap=gap)
+               for gap in (0, 12) for t in ("baseline", "alternate")]
+    results = sweep(configs)
+    header, rows = result_rows(results)
+    i = header.index("speedup")
+    assert [r.cycles for r in results] == [480, 388, 864, 586]
+    assert [row[i] for row in rows] == ["1.000000", "1.237113",
+                                        "1.000000", "1.474403"]
 
 
 def test_speedup_blank_without_matching_baseline():

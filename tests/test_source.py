@@ -1,6 +1,7 @@
 """Source-level checks on the simulator package."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from chasesim.cache import CacheFsm
 from chasesim.core import Compute, Read, ReadCP, Write
 from chasesim.messages import MemRequest, MemResponse, MsgKind
 from chasesim.prefetcher import PrefetchFsm
+from chasesim.workloads import WORKLOADS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chasesim"
 
@@ -56,3 +58,16 @@ def test_per_transfer_records_are_slotted_and_not_frozen(cls):
     # a frozen dataclass sets each field through object.__setattr__: ~1 us per transfer
     assert not cls.__dataclass_params__.frozen
     assert "__slots__" in vars(cls)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_builder_takes_the_seed_and_its_default_keys(name):
+    # make_workload calls builder(seed, **defaults-filled params): a builder
+    # of another shape needs an adapter, and a default key with no parameter
+    # of its name (or a parameter with no default key) would drift apart
+    build, defaults, _ = WORKLOADS[name]
+    required = [p.name for p in inspect.signature(build).parameters.values()
+                if p.default is inspect.Parameter.empty]
+    assert build.__name__ == f"_{name}"
+    assert required[0] == "seed"
+    assert sorted(required[1:]) == sorted(defaults)

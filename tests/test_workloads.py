@@ -1,12 +1,9 @@
-"""Workload generators and the flat-replay oracle."""
+"""Workloads, built through make_workload, and the flat-replay oracle."""
 
 import pytest
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
-                      Read, ReadCP, Write, build_free_list, gen_array_kernel,
-                      gen_hanoi_like, gen_hashtable, gen_insertion,
-                      gen_random_stream, gen_traversal, lcg_next,
-                      replay_program)
+                      Read, ReadCP, Write, lcg_next, replay_program)
 from chasesim.harness import make_workload
 from chasesim.messages import LINE_BYTES, WORD_BYTES, line_base
 from chasesim.workloads import HEAD_CELL, REGION_BYTES
@@ -56,8 +53,8 @@ def node_addr(i, node_size=LINE_BYTES):
 
 
 def test_free_list_chain_visits_every_node():
-    flist = build_free_list(16, seed=3)
-    flat = FlatMemory(flist.segments)
+    w = make_workload("traversal", seed=3, nodes=16)
+    flat = FlatMemory(w.segments)
     seen = []
     addr = flat.read_word(HEAD_CELL)
     while addr:
@@ -68,27 +65,30 @@ def test_free_list_chain_visits_every_node():
 
 
 def test_free_list_single_node_terminates():
-    flist = build_free_list(1, seed=1)
-    flat = FlatMemory(flist.segments)
+    w = make_workload("traversal", seed=1, nodes=1)
+    flat = FlatMemory(w.segments)
     head = flat.read_word(HEAD_CELL)
     assert head == node_addr(0)
     assert flat.read_word(head) == 0
 
 
 def test_free_list_partial_linkage_and_pool():
-    flist = build_free_list(10, seed=2, linked_count=6)
-    flat = FlatMemory(flist.segments)
-    addr, n = flat.read_word(HEAD_CELL), 0
+    # insertion chains nodes - inserts nodes and leaves the rest unlinked
+    w = make_workload("insertion", seed=2, nodes=10, inserts=4)
+    flat = FlatMemory(w.segments)
+    chain, addr = [], flat.read_word(HEAD_CELL)
     while addr:
-        n += 1
+        chain.append(addr)
         addr = flat.read_word(addr)
-    assert n == 6
-    assert len(flist.pool) == 4
+    assert len(chain) == 6
+    pool = {node_addr(i) for i in range(10)} - set(chain)
+    assert len(pool) == 4
+    assert all(flat.read_word(a) == 0 for a in pool)
 
 
 def test_free_list_two_nodes_per_line_coresidency():
-    flist = build_free_list(64, seed=1, nodes_per_line=2)
-    flat = FlatMemory(flist.segments)
+    w = make_workload("traversal", seed=1, nodes=64, nodes_per_line=2)
+    flat = FlatMemory(w.segments)
     chain = []
     addr = flat.read_word(HEAD_CELL)
     while addr:
@@ -103,30 +103,30 @@ def test_free_list_two_nodes_per_line_coresidency():
 
 def test_free_list_rejects_bad_parameters():
     with pytest.raises(ConfigurationError):
-        build_free_list(0)
+        make_workload("traversal", nodes=0)
     with pytest.raises(ConfigurationError):
-        build_free_list(4, nodes_per_line=3)
+        make_workload("traversal", nodes=4, nodes_per_line=3)
     with pytest.raises(ConfigurationError):
-        build_free_list(70_000)
+        make_workload("traversal", nodes=70_000)
 
 
 # -- traversal --
 
 
 def test_traversal_token_shape():
-    flist = build_free_list(8, seed=1)
-    prog, toks = tokens_of(gen_traversal(flist, compute_gap=3))
-    replay_program(prog, flist.segments)
+    w = make_workload("traversal", seed=1, nodes=8, gap=3)
+    prog, toks = tokens_of(w.program)
+    replay_program(prog, w.segments)
     reads = [t for t in toks if isinstance(t, ReadCP)]
     comps = [t for t in toks if isinstance(t, Compute)]
     assert len(reads) == 8
     assert len(comps) == 8 and all(c.cycles == 3 for c in comps)
-    assert reads[0].addr == flist.head
+    assert reads[0].addr == FlatMemory(w.segments).read_word(HEAD_CELL)
 
 
 def test_traversal_loads_follow_linkage():
-    flist = build_free_list(12, seed=5)
-    loads, _ = replay_program(gen_traversal(flist), flist.segments)
+    w = make_workload("traversal", seed=5, nodes=12)
+    loads, _ = replay_program(w.program, w.segments)
     # each loaded value is the next load's address; the last value is null
     for (a0, v0), (a1, _) in zip(loads, loads[1:]):
         assert v0 == a1
@@ -137,9 +137,9 @@ def test_traversal_loads_follow_linkage():
 
 
 def test_insertion_zero_inserts_is_pure_traversal():
-    flist = build_free_list(8, seed=1, linked_count=8)
-    prog, toks = tokens_of(gen_insertion(flist, 0, seed=1))
-    replay_program(prog, flist.segments)
+    w = make_workload("insertion", seed=1, nodes=8, inserts=0)
+    prog, toks = tokens_of(w.program)
+    replay_program(prog, w.segments)
     assert isinstance(toks[0], Read)
     assert all(isinstance(t, ReadCP) for t in toks[1:])
     assert len(toks) == 1 + 8
@@ -147,9 +147,9 @@ def test_insertion_zero_inserts_is_pure_traversal():
 
 
 def test_insertion_extends_chain():
-    flist = build_free_list(16, seed=4, linked_count=12)
-    prog, toks = tokens_of(gen_insertion(flist, 4, seed=9))
-    _, flat = replay_program(prog, flist.segments)
+    w = make_workload("insertion", seed=4, nodes=16, inserts=4)
+    prog, toks = tokens_of(w.program)
+    _, flat = replay_program(prog, w.segments)
     addr, n = flat.read_word(HEAD_CELL), 0
     seen = set()
     while addr:
@@ -163,9 +163,8 @@ def test_insertion_extends_chain():
 
 
 def test_insertion_rejects_oversubscription():
-    flist = build_free_list(4, linked_count=4)
     with pytest.raises(ConfigurationError):
-        gen_insertion(flist, 1, seed=1)
+        make_workload("insertion", nodes=4, inserts=5)
 
 
 # -- hashtable --
@@ -186,7 +185,7 @@ def bucket_chains(w, buckets):
 
 
 def test_hashtable_chain_lengths():
-    chains = bucket_chains(gen_hashtable(16, 64, seed=1), 16)
+    chains = bucket_chains(make_workload("hashtable", seed=1, buckets=16, keys=64), 16)
     lens = [len(c) for c in chains]
     assert sum(lens) == 64
     assert sum(lens) / len(lens) == 64 / 16
@@ -195,14 +194,14 @@ def test_hashtable_chain_lengths():
 
 
 def test_hashtable_single_bucket_chains_everything():
-    w = gen_hashtable(1, 8, seed=1)
+    w = make_workload("hashtable", seed=1, buckets=1, keys=8)
     assert [len(c) for c in bucket_chains(w, 1)] == [8]
     loads, _ = replay_program(w.program, w.segments)
     assert len(loads) > 8  # every lookup walks part of one long chain
 
 
 def test_hashtable_lookup_finds_every_key():
-    w = gen_hashtable(8, 32, seed=2)
+    w = make_workload("hashtable", seed=2, buckets=8, keys=32)
     keys = {k for c in bucket_chains(w, 8) for k in c}
     assert len(keys) == 32 and 0 not in keys
     loads, _ = replay_program(w.program, w.segments)
@@ -218,7 +217,7 @@ def test_hashtable_lookup_finds_every_key():
 ])
 def test_hashtable_rejects_bad_sizes_before_building(buckets, keys, message):
     with pytest.raises(ConfigurationError) as e:
-        gen_hashtable(buckets, keys, seed=1)
+        make_workload("hashtable", seed=1, buckets=buckets, keys=keys)
     assert str(e.value) == message
 
 
@@ -229,17 +228,17 @@ def test_hashtable_rejects_bad_sizes_before_building(buckets, keys, message):
 def test_hashtable_rejects_a_region_over_the_budget(buckets, keys):
     # checked before the keys are drawn, so the build never holds the region
     with pytest.raises(ConfigurationError) as e:
-        gen_hashtable(buckets, keys, seed=1)
+        make_workload("hashtable", seed=1, buckets=buckets, keys=keys)
     assert str(e.value) == "buckets and keys exceed the address budget"
 
 
 def test_hashtable_largest_region_fits_the_budget():
-    w = gen_hashtable(1, 2**16 - 1, seed=1)
+    w = make_workload("hashtable", seed=1, buckets=1, keys=2**16 - 1)
     assert len(w.segments[0][1]) == 1 << 20
 
 
 def test_hashtable_zero_keys_probes_empty_heads():
-    w = gen_hashtable(4, 0, seed=1)
+    w = make_workload("hashtable", seed=1, buckets=4, keys=0)
     loads, _ = replay_program(w.program, w.segments)
     assert len(loads) == 4
     assert all(v == 0 for _, v in loads)  # all heads empty
@@ -253,7 +252,7 @@ def hanoi_trace(disks):
     The program's only ReadCPs are its initial chase from the head cell, so
     the chased addresses after the first are the node lines; every Write off
     those lines is a move-log entry."""
-    w = gen_hanoi_like(disks)
+    w = make_workload("hanoi", disks=disks)
     prog, toks = tokens_of(w.program)
     replay_program(prog, w.segments)
     chase = [t.addr for t in toks if isinstance(t, ReadCP)]
@@ -278,9 +277,9 @@ def test_hanoi_single_disk():
 
 def test_hanoi_rejects_bad_disks():
     with pytest.raises(ConfigurationError):
-        gen_hanoi_like(0)
+        make_workload("hanoi", disks=0)
     with pytest.raises(ConfigurationError):
-        gen_hanoi_like(11)
+        make_workload("hanoi", disks=11)
 
 
 def test_hanoi_log_disjoint_from_node_indices():
@@ -294,7 +293,7 @@ def test_hanoi_log_disjoint_from_node_indices():
 
 
 def test_array_kernel_has_no_pointer_chasing():
-    w = gen_array_kernel(64, gap=2, seed=1)
+    w = make_workload("array", seed=1, elements=64, gap=2)
     prog, toks = tokens_of(w.program)
     replay_program(prog, w.segments)
     assert not any(isinstance(t, ReadCP) for t in toks)
@@ -309,12 +308,12 @@ def test_array_kernel_has_no_pointer_chasing():
 ])
 def test_array_rejects_bad_sizes_before_building(elements, message):
     with pytest.raises(ConfigurationError) as e:
-        gen_array_kernel(elements, gap=0, seed=1)
+        make_workload("array", seed=1, elements=elements, gap=0)
     assert str(e.value) == message
 
 
 def test_array_largest_region_fits_the_budget():
-    w = gen_array_kernel(REGION_BYTES // WORD_BYTES, gap=0, seed=1)
+    w = make_workload("array", seed=1, elements=REGION_BYTES // WORD_BYTES, gap=0)
     assert len(w.segments[0][1]) == REGION_BYTES
 
 
@@ -322,8 +321,8 @@ def test_array_largest_region_fits_the_budget():
 
 
 def test_random_stream_mix_and_determinism():
-    w1 = gen_random_stream(1000, seed=3)
-    w2 = gen_random_stream(1000, seed=3)
+    w1 = make_workload("random", seed=3, n=1000)
+    w2 = make_workload("random", seed=3, n=1000)
     assert w1.program == w2.program
     assert w1.segments == w2.segments
     kinds = [type(t).__name__ for t in w1.program]
@@ -333,7 +332,6 @@ def test_random_stream_mix_and_determinism():
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_every_registered_workload_builds_with_defaults(name):
     w = make_workload(name)
-    assert w.name == name
     assert w.segments
     loads, _ = replay_program(w.program, w.segments)
     assert loads
