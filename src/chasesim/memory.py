@@ -40,11 +40,22 @@ class PipelinedMemory(Component):
     # -- backing-store access (zero-time, used by loaders and oracles) --
 
     def load_image(self, segments):
-        """Install (addr, bytes) segments; overlapping segments: later wins."""
+        """Install (addr, bytes) segments; overlapping segments: later wins.
+        Each whole line of a segment is stored as one slice; a partial head
+        or tail line merges into the line already stored."""
+        store = self.store
         for addr, data in segments:
             if addr % WORD_BYTES != 0:
                 raise ConfigurationError(f"segment address misaligned: {addr:#x}")
-            self._write_bytes(addr, data)
+            data = bytes(data)
+            head = min(-addr % LINE_BYTES, len(data))  # bytes before the first whole line
+            tail = head + (len(data) - head) // LINE_BYTES * LINE_BYTES
+            if head:
+                self._merge_line(addr, data[:head])
+            store.update({addr + p: data[p:p + LINE_BYTES]
+                          for p in range(head, tail, LINE_BYTES)})
+            if tail < len(data):
+                self._merge_line(addr + tail, data[tail:])
 
     def poke_line(self, addr: int, data: bytes):
         if len(data) != LINE_BYTES:
@@ -54,16 +65,11 @@ class PipelinedMemory(Component):
     def peek_line(self, addr: int) -> bytes:
         return self.store.get(line_base(addr), ZERO_LINE)
 
-    def _write_bytes(self, addr: int, data: bytes):
-        pos = 0
-        while pos < len(data):
-            base = line_base(addr + pos)
-            off = (addr + pos) - base
-            n = min(LINE_BYTES - off, len(data) - pos)
-            buf = bytearray(self.store.get(base, ZERO_LINE))
-            buf[off:off + n] = data[pos:pos + n]
-            self.store[base] = bytes(buf)
-            pos += n
+    def _merge_line(self, addr: int, data: bytes):
+        """Overwrite the bytes of one line from addr on with data."""
+        base = line_base(addr)
+        old = self.store.get(base, ZERO_LINE)
+        self.store[base] = old[:addr - base] + data + old[addr - base + len(data):]
 
     # -- cycle behavior --
 

@@ -8,6 +8,7 @@ produce the same memory image and token program.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,17 +28,18 @@ def lcg_next(state: int) -> int:
 
 
 class Lcg:
-    """Tiny seeded PRNG wrapper around lcg_next."""
+    """Tiny seeded PRNG: the lcg_next sequence, one step per draw."""
 
     def __init__(self, seed: int):
         self.state = seed % LCG_MOD
 
     def next(self) -> int:
-        self.state = lcg_next(self.state)
+        self.state = (LCG_MULT * self.state + LCG_INC) % LCG_MOD  # lcg_next, inline
         return self.state
 
     def randrange(self, n: int) -> int:
-        return self.next() % n
+        self.state = (LCG_MULT * self.state + LCG_INC) % LCG_MOD
+        return self.state % n
 
 
 Program = Callable[[], object]  # generator function yielding Tokens
@@ -58,6 +60,12 @@ class Workload:
 
 HEAD_CELL = 0x1000  # a free list's head-pointer word; its nodes follow the line
 REGION_BYTES = 1 << 20  # address budget of one generated structure
+LINE_WORDS = LINE_BYTES // WORD_BYTES
+
+
+def _pack(words: list[int]) -> bytes:
+    """An image region: 32-bit words, little-endian, packed at once."""
+    return struct.pack(f"<{len(words)}I", *words)
 
 
 def _free_list(seed: int, nodes: int, nodes_per_line: int,
@@ -71,25 +79,22 @@ def _free_list(seed: int, nodes: int, nodes_per_line: int,
     With nodes_per_line=2, 8-byte nodes pack two per cache line (the
     spatial-locality knob).
     """
-    node_size = LINE_BYTES // nodes_per_line
+    node_words = LINE_WORDS // nodes_per_line
     rng = Lcg(seed)
     perm = list(range(nodes))
     for i in range(nodes - 1, 0, -1):  # Fisher-Yates
         j = rng.randrange(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
+    order = [HEAD_CELL + LINE_BYTES + i * node_words * WORD_BYTES for i in perm]
 
-    def addr(i):
-        return HEAD_CELL + LINE_BYTES + i * node_size
-
-    region = bytearray(LINE_BYTES + nodes * node_size)
-    region[0:WORD_BYTES] = word_bytes(addr(perm[0]) if linked > 0 else 0)
-    succ = {perm[k]: addr(perm[k + 1]) for k in range(linked - 1)}
-    for i in range(nodes):
-        off = LINE_BYTES + i * node_size
-        region[off:off + WORD_BYTES] = word_bytes(succ.get(i, 0))
-        for w in range(WORD_BYTES, node_size, WORD_BYTES):
-            region[off + w:off + w + WORD_BYTES] = word_bytes(rng.next())
-    return [addr(i) for i in perm], [(HEAD_CELL, bytes(region))]
+    # the head cell's line, then each node's successor and payload words
+    words = [order[0] if linked > 0 else 0] + [0] * (LINE_WORDS - 1 + nodes * node_words)
+    for k in range(linked - 1):
+        words[LINE_WORDS + perm[k] * node_words] = order[k + 1]
+    payload = [rng.next() for _ in range(nodes * (node_words - 1))]
+    for w in range(1, node_words):
+        words[LINE_WORDS + w::node_words] = payload[w - 1::node_words - 1]
+    return order, [(HEAD_CELL, _pack(words))]
 
 
 def _traversal(seed: int, nodes: int, nodes_per_line: int, gap: int) -> Workload:
@@ -150,20 +155,15 @@ def _hashtable(seed: int, buckets: int, keys: int) -> Workload:
             key_vals.append(k)
 
     nodes_base = base + ((buckets * WORD_BYTES + LINE_BYTES - 1) & ~(LINE_BYTES - 1))
-    heads = [0] * buckets
-    node_words = []  # (next, key) per node
+    # the bucket array of chain heads in whole lines, then one line per
+    # node holding (next, key); with no keys, one empty line
+    nodes_at = (nodes_base - base) // WORD_BYTES
+    words = [0] * (nodes_at + max(keys, 1) * LINE_WORDS)
     for i, k in enumerate(key_vals):
         b = k % buckets
-        node_words.append((heads[b], k))
-        heads[b] = nodes_base + i * LINE_BYTES
-
-    region = bytearray(nodes_base - base + max(keys, 1) * LINE_BYTES)
-    for b, h in enumerate(heads):
-        region[b * 4:b * 4 + 4] = word_bytes(h)
-    for i, (nxt, k) in enumerate(node_words):
-        off = nodes_base - base + i * LINE_BYTES
-        region[off:off + 4] = word_bytes(nxt)
-        region[off + 4:off + 8] = word_bytes(k)
+        words[nodes_at + i * LINE_WORDS] = words[b]
+        words[nodes_at + i * LINE_WORDS + 1] = k
+        words[b] = nodes_base + i * LINE_BYTES
 
     # with no inserted keys, lookups still probe (empty) bucket heads
     probe_vals = key_vals or [lcg_next(seed + i) & 0xFFFFFF or 1
@@ -181,7 +181,7 @@ def _hashtable(seed: int, buckets: int, keys: int) -> Workload:
                     break
                 ptr = nxt
 
-    return Workload([(base, bytes(region))], program)
+    return Workload([(base, _pack(words))], program)
 
 
 def _hanoi_moves(n: int, src: int, dst: int, via: int, out: list):
@@ -207,12 +207,10 @@ def _hanoi(seed: int, disks: int) -> Workload:
         return base + i * LINE_BYTES
 
     hp_addr = base + disks * LINE_BYTES
-    region = bytearray((disks + 1) * LINE_BYTES)
-    for i in range(disks):
-        nxt = node_addr(i + 1) if i + 1 < disks else 0
-        region[i * LINE_BYTES:i * LINE_BYTES + 4] = word_bytes(nxt)
-        region[i * LINE_BYTES + 4:i * LINE_BYTES + 8] = word_bytes(i + 1)  # disk size
-    region[disks * LINE_BYTES:disks * LINE_BYTES + 4] = word_bytes(node_addr(0))
+    words = [0] * ((disks + 1) * LINE_WORDS)  # node lines (next, disk size)
+    words[0:disks * LINE_WORDS:LINE_WORDS] = [node_addr(i) for i in range(1, disks)] + [0]
+    words[1:disks * LINE_WORDS:LINE_WORDS] = range(1, disks + 1)
+    words[disks * LINE_WORDS] = node_addr(0)  # the head cell
 
     moves: list[tuple[int, int]] = []
     _hanoi_moves(disks, 0, 2, 1, moves)
@@ -236,16 +234,14 @@ def _hanoi(seed: int, disks: int) -> Workload:
             yield Write(log_addr(m), m + 1)
             yield Compute(1)
 
-    return Workload([(base, bytes(region))], program)
+    return Workload([(base, _pack(words))], program)
 
 
 def _array(seed: int, elements: int, gap: int) -> Workload:
     """Dense-array read and write passes with compute gaps; zero ReadCP."""
     base = 0x4000
     rng = Lcg(seed)
-    region = bytearray(elements * WORD_BYTES)
-    for i in range(elements):
-        region[i * 4:i * 4 + 4] = word_bytes(rng.next())
+    region = _pack([rng.next() for _ in range(elements)])
 
     def program():
         acc = 0
@@ -259,7 +255,7 @@ def _array(seed: int, elements: int, gap: int) -> Workload:
             if gap:
                 yield Compute(gap)
 
-    return Workload([(base, bytes(region))], program)
+    return Workload([(base, region)], program)
 
 
 def _random(seed: int, n: int, lines: int = 256,
@@ -268,9 +264,7 @@ def _random(seed: int, n: int, lines: int = 256,
     oracle-equivalence checking. ReadCP values are arbitrary words, so the
     prefetcher chases garbage pointers; coherence must still hold."""
     rng = Lcg(seed)
-    region = bytearray(lines * LINE_BYTES)
-    for w in range(lines * (LINE_BYTES // WORD_BYTES)):
-        region[w * 4:w * 4 + 4] = word_bytes(rng.next())
+    region = _pack([rng.next() for _ in range(lines * LINE_WORDS)])
     r_cut = mix[0]
     w_cut = mix[0] + mix[1]
     tokens: list[Token] = []
@@ -283,7 +277,7 @@ def _random(seed: int, n: int, lines: int = 256,
             tokens.append(Write(addr, rng.next()))
         else:
             tokens.append(ReadCP(addr))
-    return Workload([(0, bytes(region))], tokens)
+    return Workload([(0, region)], tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +294,13 @@ def _check(params: dict, **ranges):
             raise ConfigurationError(f"{name} must be {bound}")
 
 
-def _check_free_list(node_count: int, nodes_per_line: int):
+def _check_free_list(nodes: int, nodes_per_line: int):
     """Raise ConfigurationError unless such a free list fits its region."""
-    if node_count < 1:
-        raise ConfigurationError("node_count must be >= 1")
+    if nodes < 1:
+        raise ConfigurationError("nodes must be >= 1")
     if nodes_per_line not in (1, 2):
         raise ConfigurationError("nodes_per_line must be 1 or 2")
-    if LINE_BYTES + node_count * (LINE_BYTES // nodes_per_line) > REGION_BYTES:
+    if LINE_BYTES + nodes * (LINE_BYTES // nodes_per_line) > REGION_BYTES:
         raise ConfigurationError("nodes exceed the address budget")
 
 

@@ -100,6 +100,13 @@ MUTANTS = [
            "    return wl.WORKLOADS[name][0](seed, **_workload_params(name, params))\n",
            "    return wl.WORKLOADS[name][0](seed, **{\n"
            "        k: params.get(k, v) for k, v in wl.WORKLOADS[name][1].items()})\n"),
+    Mutant("image-packed-big-endian", "workloads.py",
+           'return struct.pack(f"<{len(words)}I", *words)',
+           'return struct.pack(f">{len(words)}I", *words)'),
+    Mutant("load-image-drops-partial-tail", "memory.py",
+           "            if tail < len(data):\n"
+           "                self._merge_line(addr + tail, data[tail:])\n",
+           ""),
     Mutant("di-falls-back-to-tag-check", "prefetcher.py",
            "        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:\n"
            "            self._tick_tag_check()\n",

@@ -81,7 +81,7 @@ def test_run_defaults_match_library_defaults(name, capsys):
     (["--workload", "hashtable", "--buckets", "0"], "buckets must be >= 1"),
     (["--workload", "traversal", "--gap", "-1"], "gap must be >= 0"),
     (["--workload", "array", "--gap", "-1"], "gap must be >= 0"),
-    (["--workload", "traversal", "--nodes", "0"], "node_count must be >= 1"),
+    (["--workload", "traversal", "--nodes", "0"], "nodes must be >= 1"),
     (["--workload", "hanoi", "--disks", "11"], "disks must be in 1..10"),
     # one word over the 1 MiB region
     (["--workload", "array", "--elements", "262145"],

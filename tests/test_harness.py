@@ -225,11 +225,11 @@ def test_downstream_request_conservation():
 def test_sweep_produces_row_per_config_and_survives_errors():
     configs = [make_config(t, lat, "traversal", nodes=8)
                for lat in (2, 5) for t in ("baseline", "alternate")]
-    with pytest.raises(ConfigurationError, match="node_count must be >= 1"):
+    with pytest.raises(ConfigurationError, match="nodes must be >= 1"):
         make_config("baseline", 2, "traversal", nodes=0)
     # a config built by hand passes the same checks, so no bad row can reach
     # sweep
-    with pytest.raises(ConfigurationError, match="node_count must be >= 1"):
+    with pytest.raises(ConfigurationError, match="nodes must be >= 1"):
         ExperimentConfig("baseline", 2, "traversal", (("nodes", 0),))
     results = sweep(configs)
     assert len(results) == 4

@@ -1,6 +1,8 @@
 """Pipelined memory: latency, inelastic stalls, ordering, image load and dump."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chasesim import (ConfigurationError, MemRequest, MsgKind, PipelinedMemory,
                       build_testbench)
@@ -50,6 +52,27 @@ def test_load_image_partial_lines():
     mem.load_image([(0x1008, b"\xAA" * 12)])  # spans two lines
     assert mem.peek_line(0x1000) == bytes(8) + b"\xAA" * 8
     assert mem.peek_line(0x1010) == b"\xAA" * 4 + bytes(12)
+
+
+segments = st.lists(st.tuples(
+    st.integers(0, 24).map(lambda w: 0x1000 + 4 * w),  # word-aligned, overlapping
+    st.binary(max_size=72).flatmap(lambda b: st.sampled_from([b, bytearray(b)]))),
+    max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments)
+def test_load_image_matches_a_byte_at_a_time_reference(segments):
+    mem = PipelinedMemory(1)
+    mem.load_image(segments)
+    ref = {}  # byte address -> byte; later segments overwrite earlier ones
+    for addr, data in segments:
+        for i, b in enumerate(data):
+            ref[addr + i] = b
+    expected = {base: bytes(ref.get(base + i, 0) for i in range(16))
+                for base in {a & ~15 for a in ref}}
+    assert mem.store == expected
+    assert all(type(line) is bytes and len(line) == 16 for line in mem.store.values())
 
 
 @pytest.mark.parametrize("latency", [1, 2, 5, 40])

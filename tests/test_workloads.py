@@ -1,9 +1,12 @@
 """Workloads, built through make_workload, and the flat-replay oracle."""
 
+import hashlib
+
 import pytest
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
                       Read, ReadCP, Write, lcg_next, replay_program)
+from chasesim.core import as_generator
 from chasesim.harness import make_workload
 from chasesim.messages import LINE_BYTES, WORD_BYTES, line_base
 from chasesim.workloads import HEAD_CELL, REGION_BYTES
@@ -14,7 +17,7 @@ def tokens_of(program):
     out = []
 
     def wrapper():
-        gen = program() if callable(program) else iter(program)
+        gen = as_generator(program)
         value = None
         first = True
         while True:
@@ -380,3 +383,83 @@ def test_replay_program_records_loads_in_order():
     loads, flat = replay_program(prog, [])
     assert loads == [(0x100, 7), (0x104, 0)]
 
+
+# -- byte identity: every builder's image and token stream, pinned --
+
+
+def build_digests(name, seed, **params):
+    """sha256 of a workload's segments and of its token stream, the tokens
+    recorded while replay_program runs the program."""
+    w = make_workload(name, seed=seed, **params)
+    image = hashlib.sha256()
+    for addr, data in w.segments:
+        image.update(f"{addr:x}:{len(data)}:".encode())
+        image.update(data)
+    prog, toks = tokens_of(w.program)
+    replay_program(prog, w.segments)
+    stream = hashlib.sha256("\n".join(map(repr, toks)).encode())
+    return image.hexdigest()[:16], stream.hexdigest()[:16]
+
+
+BUILDS = [
+    # the benchmark's chase and dense sizes
+    ("traversal", {"nodes": 1000, "gap": 12}),
+    ("array", {"elements": 2048}),
+    # every registry default; random's is the benchmark's n=10000
+    *((name, {}) for name in sorted(WORKLOADS)),
+    # two nodes per line with a partial pool; an odd count ends mid-line
+    ("insertion", {"nodes": 33, "nodes_per_line": 2, "inserts": 5}),
+    ("traversal", {"nodes": 7, "nodes_per_line": 2, "gap": 1}),
+    ("hashtable", {"buckets": 1, "keys": 20}),
+    ("hashtable", {"buckets": 3, "keys": 0}),
+    ("hanoi", {"disks": 10}),
+    ("array", {"elements": 7, "gap": 0}),  # ends mid-line
+]
+
+# Recorded from the per-word builders these replaced; hanoi ignores its
+# seed, so its rows at seeds 1 and 2027 are equal.
+DIGESTS = {
+    "traversal [('gap', 12), ('nodes', 1000)] seed 1": ('fc4a800979f22713', '89876c936315adb9'),
+    "array [('elements', 2048)] seed 1": ('1a0deebb65b5e49e', '54556924f358a997'),
+    'array [] seed 1': ('41a6a3ecd6459633', '961fdc8c0b09bdb2'),
+    'hanoi [] seed 1': ('64f9ba53dcb02bb8', 'cc9c1bb52b9ff822'),
+    'hashtable [] seed 1': ('cf79397f62f016c8', 'c4b37e4f33e5bb06'),
+    'insertion [] seed 1': ('5bef6defb40d4ef6', '52c53ba54e331c3b'),
+    'random [] seed 1': ('dbb2ea5c5f658e16', '3aa650bceb6b4593'),
+    'traversal [] seed 1': ('1d4696af459d7a85', 'ea27aec85c78fd94'),
+    "insertion [('inserts', 5), ('nodes', 33), ('nodes_per_line', 2)] seed 1": ('b24e96d3ce98d6b2', 'd0fa0f0c0e72aba0'),
+    "traversal [('gap', 1), ('nodes', 7), ('nodes_per_line', 2)] seed 1": ('e6e010ba22388cc7', 'b5dd1799e2c7aaac'),
+    "hashtable [('buckets', 1), ('keys', 20)] seed 1": ('b143c7dc3088e10f', 'd66f6405d83f6a40'),
+    "hashtable [('buckets', 3), ('keys', 0)] seed 1": ('32b53d5547586848', '4327accd4181eba1'),
+    "hanoi [('disks', 10)] seed 1": ('d83d68bdb221c1d6', '744894cab5f5e3a4'),
+    "array [('elements', 7), ('gap', 0)] seed 1": ('80ad0c98a64263e5', '6d359d26a127c4d1'),
+    "traversal [('gap', 12), ('nodes', 1000)] seed 2027": ('bcfa66de817d8676', 'fe4332ddfacc5283'),
+    "array [('elements', 2048)] seed 2027": ('f975ce2f7f1a0064', '4a81caa512e27bd9'),
+    'array [] seed 2027': ('f59221cf195b1ca0', '57c0f15b60ac48e6'),
+    'hanoi [] seed 2027': ('64f9ba53dcb02bb8', 'cc9c1bb52b9ff822'),
+    'hashtable [] seed 2027': ('b9e91c71e7ad6a36', 'ad9e47ccb1c377ca'),
+    'insertion [] seed 2027': ('5dbcad19ece3d9e4', '95fe1172f229ed56'),
+    'random [] seed 2027': ('7a058083b65b12c3', 'e7aed6c83890aed4'),
+    'traversal [] seed 2027': ('3e6b1c694ed50df2', '159ec0b7f5513a3f'),
+    "insertion [('inserts', 5), ('nodes', 33), ('nodes_per_line', 2)] seed 2027": ('f1a8ecaf0876e3e9', '50111dffc0176fec'),
+    "traversal [('gap', 1), ('nodes', 7), ('nodes_per_line', 2)] seed 2027": ('aaa07372a01c6af2', '39440abc4c801645'),
+    "hashtable [('buckets', 1), ('keys', 20)] seed 2027": ('9cc83ba45f0a6751', 'd66f6405d83f6a40'),
+    "hashtable [('buckets', 3), ('keys', 0)] seed 2027": ('32b53d5547586848', '17f8b1d011cac3a9'),
+    "hanoi [('disks', 10)] seed 2027": ('d83d68bdb221c1d6', '744894cab5f5e3a4'),
+    "array [('elements', 7), ('gap', 0)] seed 2027": ('463f4d08c74ae134', '927a283cfe9f17f7'),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2027])
+@pytest.mark.parametrize("name, params", BUILDS,
+                         ids=[f"{n}-{'-'.join(f'{k}{v}' for k, v in p.items()) or 'defaults'}"
+                              for n, p in BUILDS])
+def test_builder_output_is_byte_identical(name, params, seed):
+    key = f"{name} {sorted(params.items())} seed {seed}"
+    assert build_digests(name, seed, **params) == DIGESTS[key]
+
+
+def test_hanoi_ignores_its_seed():
+    # so seed-2 hanoi rows of the golden matrix repeat the seed-1 rows
+    assert build_digests("hanoi", 1) == build_digests("hanoi", 2027)
+    assert build_digests("hanoi", 1, disks=10) == build_digests("hanoi", 2027, disks=10)
