@@ -7,12 +7,10 @@ from .messages import (AddrGeometry, CACHE_GEOMETRY, LINE_BYTES,
 from .kernel import (Channel, CombinationalLoopError, Component,
                      ConfigurationError, System)
 from .memory import PipelinedMemory, dump_image
-from .cache import BlockingCache, CacheFsm
-from .prefetcher import (PointerChasePrefetcher, PrefetchFsm, DEMAND_OPAQUE,
-                         PREFETCH_OPAQUE)
+from .cache import BlockingCache
+from .prefetcher import PointerChasePrefetcher, DEMAND_OPAQUE, PREFETCH_OPAQUE
 from .core import Compute, CoreModel, Read, ReadCP, Write
-from .workloads import (WORKLOADS, FlatMemory, Lcg, Workload, lcg_next,
-                        replay_program)
+from .workloads import WORKLOADS, FlatMemory, Lcg, Workload, replay_program
 from .harness import (ExperimentConfig, RunStats, build_system, make_config,
                       make_workload, report, run_experiment, sweep)
 from .testbench import TestSink, TestSource, build_testbench
@@ -24,10 +22,10 @@ __all__ = [
     "Channel", "CombinationalLoopError", "Component", "ConfigurationError",
     "System",
     "PipelinedMemory", "dump_image",
-    "BlockingCache", "CacheFsm",
-    "PointerChasePrefetcher", "PrefetchFsm", "DEMAND_OPAQUE", "PREFETCH_OPAQUE",
+    "BlockingCache",
+    "PointerChasePrefetcher", "DEMAND_OPAQUE", "PREFETCH_OPAQUE",
     "Compute", "CoreModel", "Read", "ReadCP", "Write",
-    "WORKLOADS", "FlatMemory", "Lcg", "Workload", "lcg_next", "replay_program",
+    "WORKLOADS", "FlatMemory", "Lcg", "Workload", "replay_program",
     "ExperimentConfig", "RunStats", "build_system", "make_config",
     "make_workload", "report", "run_experiment", "sweep",
     "TestSink", "TestSource", "build_testbench",

@@ -8,7 +8,6 @@ sees the offset bits).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
@@ -27,25 +26,12 @@ class CacheLine:
     data: bytes = ZERO_LINE
 
 
-class CacheFsm(enum.Enum):
-    IDLE = "I"
-    TAG_CHECK = "TC"
-    READ_DATA = "RD"
-    WRITE_DATA = "WD"
-    EVICT_REQ = "ER"
-    EVICT_WAIT = "EW"
-    REFILL_REQ = "RR"
-    REFILL_WAIT = "RW"
-    REFILL_UPDATE = "RU"
-
-
-# members as module globals: per-cycle code avoids EnumType.__getattr__
+# FSM states: each is its trace letter
 (IDLE, TAG_CHECK, READ_DATA, WRITE_DATA, EVICT_REQ, EVICT_WAIT, REFILL_REQ,
- REFILL_WAIT, REFILL_UPDATE) = CacheFsm
+ REFILL_WAIT, REFILL_UPDATE) = "I", "TC", "RD", "WD", "ER", "EW", "RR", "RW", "RU"
 
 # states whose tick does nothing while nothing arrives, and the states that
-# assert no val and act at the end of the cycle (a tuple, not a set: tuple
-# membership compares identity first, set membership hashes the Enum)
+# assert no val and act at the end of the cycle
 _WAITING = (IDLE, EVICT_WAIT, REFILL_WAIT)
 _ONE_CYCLE = (TAG_CHECK, REFILL_UPDATE)
 
@@ -82,58 +68,58 @@ class BlockingCache(Component):
 
     def eval(self):
         st = self.state
-        self.core_req.rdy = st is IDLE
+        self.core_req.rdy = st == IDLE
         self.mem_resp.rdy = st in (EVICT_WAIT, REFILL_WAIT)
-        if st is READ_DATA:
+        if st == READ_DATA:
             _, idx, off = split_address(self.req.addr, CACHE_GEOMETRY)
             word = self.lines[idx].data[off:off + 4]
             self.core_resp.send(
                 MemResponse(self.req.kind, self.req.opaque, word, hit=self.was_hit))
-        elif st is WRITE_DATA:
+        elif st == WRITE_DATA:
             self.core_resp.send(MemResponse(WRITE, self.req.opaque, hit=self.was_hit))
-        elif st is EVICT_REQ:
+        elif st == EVICT_REQ:
             # the victim stays in its line until the refill replaces it
             _, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
             victim = self.lines[idx]
             self.mem_req.send(MemRequest(
                 WRITE, join_address(victim.tag, idx, 0, CACHE_GEOMETRY),
                 opaque=0, data=victim.data))
-        elif st is REFILL_REQ:
-            kind = READCP if self.req.kind is READCP else READ
+        elif st == REFILL_REQ:
+            kind = READCP if self.req.kind == READCP else READ
             self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))
 
     def tick(self):
         st = self.state
-        if st is IDLE:
+        if st == IDLE:
             r = self.core_req.recv()
             if r is not None:
                 self.req = r
                 self.state = TAG_CHECK
-        elif st is TAG_CHECK:
+        elif st == TAG_CHECK:
             self._tag_check()
-        elif st is EVICT_REQ:
+        elif st == EVICT_REQ:
             if self.mem_req.took():
                 self.stats.evictions += 1
                 self.state = EVICT_WAIT
-        elif st is EVICT_WAIT:
+        elif st == EVICT_WAIT:
             if self.mem_resp.recv() is not None:
                 self.state = REFILL_REQ
-        elif st is REFILL_REQ:
+        elif st == REFILL_REQ:
             if self.mem_req.took():
                 self.state = REFILL_WAIT
-        elif st is REFILL_WAIT:
+        elif st == REFILL_WAIT:
             r = self.mem_resp.recv()
             if r is not None:
                 tag, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
                 self.lines[idx] = CacheLine(tag=tag, valid=True, dirty=False,
                                             data=r.data)
                 self.state = REFILL_UPDATE
-        elif st is REFILL_UPDATE:
-            self.state = WRITE_DATA if self.req.kind is WRITE else READ_DATA
-        elif st is READ_DATA:
+        elif st == REFILL_UPDATE:
+            self.state = WRITE_DATA if self.req.kind == WRITE else READ_DATA
+        elif st == READ_DATA:
             if self.core_resp.took():
                 self.state = IDLE
-        elif st is WRITE_DATA:
+        elif st == WRITE_DATA:
             if self.core_resp.took():
                 _, idx, off = split_address(self.req.addr, CACHE_GEOMETRY)
                 line = self.lines[idx]
@@ -148,17 +134,17 @@ class BlockingCache(Component):
         self.was_hit = hit
         s = self.stats
         kind = self.req.kind
-        if kind is READ:
+        if kind == READ:
             s.read_hits += hit
             s.read_misses += not hit
-        elif kind is WRITE:
+        elif kind == WRITE:
             s.write_hits += hit
             s.write_misses += not hit
-        elif kind is READCP:
+        elif kind == READCP:
             s.readcp_hits += hit
             s.readcp_misses += not hit
         if hit:
-            self.state = WRITE_DATA if kind is WRITE else READ_DATA
+            self.state = WRITE_DATA if kind == WRITE else READ_DATA
         elif line.valid and line.dirty:
             self.state = EVICT_REQ
         else:
@@ -169,8 +155,8 @@ class BlockingCache(Component):
 
         Zero-time drain for end-of-run image comparison; cache must be Idle.
         """
-        if self.state is not IDLE:
-            raise RuntimeError(f"flush requires an idle cache, not {self.state.name}")
+        if self.state != IDLE:
+            raise RuntimeError(f"flush requires an idle cache, not {self.state}")
         count = 0
         for idx, line in enumerate(self.lines):
             if line.valid and line.dirty:
@@ -184,6 +170,3 @@ class BlockingCache(Component):
         if st in _WAITING:
             return IDLE_FOREVER
         return 1 if st in _ONE_CYCLE else 0
-
-    def trace_state(self):
-        return self.state.value

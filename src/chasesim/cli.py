@@ -14,7 +14,7 @@ import contextlib
 import sys
 
 from .harness import TOPOLOGIES, make_config, report, run_experiment, sweep
-from .kernel import ConfigurationError
+from .kernel import MAX_CYCLES, ConfigurationError
 from .workloads import WORKLOADS
 
 
@@ -29,7 +29,7 @@ def _add_workload_opts(p):
     p.add_argument("--keys", type=int, help="hashtable keys")
     p.add_argument("--inserts", type=int, help="insertion count")
     p.add_argument("--elements", type=int, help="array elements")
-    p.add_argument("--max-cycles", type=int, default=10_000_000)
+    p.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
 

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .kernel import IDLE_FOREVER, Component
 from .messages import READ, READCP, WRITE, MemRequest, word_bytes, word_value
 
+# states: each is its trace letter
+REQUEST, WAIT, COMPUTE, DONE = "RQ", "WT", "CP", "."
+
 
 @dataclass(slots=True)
 class Read:
@@ -55,8 +58,7 @@ class CoreModel(Component):
         super().__init__()
         self._gen = as_generator(program)
         self._token: Token | None = None
-        # the state is its own trace letter: RQ issue, WT wait, CP compute, . done
-        self._state = "RQ"
+        self.state = REQUEST
         self._compute_end = 0  # last cycle of the current Compute
         self.loads: list[tuple[int, int]] = []  # (addr, value) in issue order
         self.done = False
@@ -72,17 +74,17 @@ class CoreModel(Component):
                 tok = self._gen.send(value)
             except StopIteration:
                 self.done = True
-                self._state = "."
+                self.state = DONE
                 return
             if isinstance(tok, Compute):
                 if tok.cycles <= 0:
                     value = None
                     continue
                 self._compute_end = now + tok.cycles
-                self._state = "CP"
+                self.state = COMPUTE
                 return
             self._token = tok
-            self._state = "RQ"
+            self.state = REQUEST
             return
 
     def _request(self) -> MemRequest:
@@ -94,15 +96,15 @@ class CoreModel(Component):
         return MemRequest(WRITE, tok.addr, data=word_bytes(tok.value))
 
     def eval(self):
-        if self._state == "RQ":
+        if self.state == REQUEST:
             self.mem_req.send(self._request())
-        self.mem_resp.rdy = self._state == "WT"
+        self.mem_resp.rdy = self.state == WAIT
 
     def tick(self):
-        if self._state == "RQ":
+        if self.state == REQUEST:
             if self.mem_req.took():
-                self._state = "WT"
-        elif self._state == "WT":
+                self.state = WAIT
+        elif self.state == WAIT:
             r = self.mem_resp.recv()
             if r is not None:
                 if isinstance(self._token, (Read, ReadCP)):
@@ -111,15 +113,12 @@ class CoreModel(Component):
                     self._advance(value, self.system.cycle)
                 else:
                     self._advance(None, self.system.cycle)
-        elif self._state == "CP":
+        elif self.state == COMPUTE:
             now = self.system.cycle
             if now >= self._compute_end:
                 self._advance(None, now)
 
     def idle_cycles(self):
-        if self._state == "CP":
+        if self.state == COMPUTE:
             return self._compute_end - self.system.cycle + 1
-        return 0 if self._state == "RQ" else IDLE_FOREVER
-
-    def trace_state(self):
-        return self._state
+        return 0 if self.state == REQUEST else IDLE_FOREVER

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .cache import BlockingCache, CacheStats
 from .core import CoreModel
-from .kernel import ConfigurationError, System
+from .kernel import MAX_CYCLES, ConfigurationError, System
 from .memory import PipelinedMemory
 from .prefetcher import PointerChasePrefetcher, PrefetchStats
 from . import workloads as wl
@@ -29,7 +29,7 @@ class ExperimentConfig:
     workload: str
     params: tuple = ()  # sorted (key, value) pairs; see make_config
     seed: int = 1
-    max_cycles: int = 10_000_000
+    max_cycles: int = MAX_CYCLES
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
@@ -43,7 +43,7 @@ class ExperimentConfig:
         _workload_params(self.workload, dict(self.params))
 
 
-def make_config(topology, latency, workload, seed=1, max_cycles=10_000_000,
+def make_config(topology, latency, workload, seed=1, max_cycles=MAX_CYCLES,
                 **params) -> ExperimentConfig:
     return ExperimentConfig(topology, latency, workload,
                             tuple(sorted(params.items())), seed, max_cycles)

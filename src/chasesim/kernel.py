@@ -32,6 +32,8 @@ from typing import Callable
 
 # idle_cycles() of a component that stays idle until something arrives
 IDLE_FOREVER = float("inf")
+# default budget of run_until and of an experiment, in cycles
+MAX_CYCLES = 10_000_000
 
 
 class ConfigurationError(Exception):
@@ -75,6 +77,7 @@ class Component:
     """Base role: combinational eval blocks plus a sequential tick."""
 
     name = "comp"
+    state = "--"  # the FSM state: its trace letter
     # port attribute names for System.chain:
     # up = (request-in, response-out), down = (request-out, response-in)
     up: tuple[str, ...] = ()
@@ -105,7 +108,7 @@ class Component:
         return 0
 
     def trace_state(self) -> str:
-        return "--"
+        return self.state
 
 
 class System:
@@ -217,7 +220,7 @@ class System:
             ch.rdy = False
         self.cycle += 1
 
-    def run_until(self, predicate: Callable[[], bool], max_cycles: int = 10_000_000) -> bool:
+    def run_until(self, predicate: Callable[[], bool], max_cycles: int = MAX_CYCLES) -> bool:
         """Advance until predicate holds, skipping cycles in which no
         component asserts val. False signals probable deadlock."""
         if max_cycles < 1:

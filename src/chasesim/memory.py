@@ -89,7 +89,7 @@ class PipelinedMemory(Component):
             return
         r = self.req.recv()
         if r is not None:
-            if r.kind is WRITE:
+            if r.kind == WRITE:
                 # writes are full-line; applied at acceptance so later reads
                 # in the pipeline observe them (read-your-writes)
                 if len(r.data) != LINE_BYTES:
@@ -104,7 +104,7 @@ class PipelinedMemory(Component):
         return IDLE_FOREVER
 
     def _response(self, req: MemRequest) -> MemResponse:
-        if req.kind is WRITE:
+        if req.kind == WRITE:
             return MemResponse(WRITE, req.opaque)
         return MemResponse(req.kind, req.opaque, self.peek_line(req.addr), hit=False)
 

@@ -9,7 +9,6 @@ occupies byte offsets 0-3); a node's next pointer sits in its first word.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 LINE_BYTES = 16
@@ -18,22 +17,19 @@ WORD_BYTES = 4
 ZERO_LINE = bytes(LINE_BYTES)
 
 
-class MsgKind(enum.Enum):
-    """Request/response kinds. String values are the trace mnemonics."""
-
-    INIT = "in"
-    READ = "rd"
-    WRITE = "wr"
-    READCP = "cp"
+# request/response kinds: each is its trace mnemonic
+INIT, READ, WRITE, READCP = "in", "rd", "wr", "cp"
 
 
-# members as module globals: per-cycle code avoids EnumType.__getattr__
-INIT, READ, WRITE, READCP = MsgKind
+class MsgKind:
+    """The four kinds by name: ``MsgKind.READ`` is ``READ``."""
+
+    INIT, READ, WRITE, READCP = INIT, READ, WRITE, READCP
 
 
 @dataclass(slots=True)
 class MemRequest:
-    kind: MsgKind
+    kind: str
     addr: int
     opaque: int = 0
     data: bytes = b""
@@ -47,7 +43,7 @@ class MemRequest:
             raise ValueError(f"opaque field out of 8-bit range: {self.opaque}")
 
     def __str__(self):
-        s = f"{self.kind.value} {self.addr:08x} op={self.opaque:02x}"
+        s = f"{self.kind} {self.addr:08x} op={self.opaque:02x}"
         if self.data:
             s += f" data={self.data.hex()}"
         return s
@@ -55,13 +51,13 @@ class MemRequest:
 
 @dataclass(slots=True)
 class MemResponse:
-    kind: MsgKind
+    kind: str
     opaque: int
     data: bytes = b""
     hit: bool = False
 
     def __str__(self):
-        s = f"{self.kind.value} op={self.opaque:02x}"
+        s = f"{self.kind} op={self.opaque:02x}"
         if self.data:
             s += f" data={self.data.hex()}"
         s += f" hit={int(self.hit)}"

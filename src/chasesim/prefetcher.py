@@ -10,12 +10,11 @@ to a line whose fill is still in flight wait instead of re-requesting.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
 from .messages import (INIT as INIT_KIND, PREFETCH_GEOMETRY, READ, READCP, WRITE,
-                       ZERO_LINE, MemRequest, MemResponse, MsgKind, line_base,
+                       ZERO_LINE, MemRequest, MemResponse, line_base,
                        split_address, word_in_line)
 
 NUM_ENTRIES = PREFETCH_GEOMETRY.num_indices
@@ -40,22 +39,11 @@ class BufferAddressRegister:
     busy: bool = False  # at most one prefetch outstanding
 
 
-class PrefetchFsm(enum.Enum):
-    IDLE = "I"
-    TAG_CHECK = "TC"
-    INIT = "IN"
-    PUSH_NEXT = "PN"
-    BUFFER_TO_MEM = "BM"
-    WAIT_MEM = "WM"
-    STALL_MEM = "SM"
-    WAIT_DATA_INVALID = "DI"
-
-
-# members as module globals: per-cycle code avoids EnumType.__getattr__
+# FSM states: each is its trace letter
 (IDLE, TAG_CHECK, INIT, PUSH_NEXT, BUFFER_TO_MEM, WAIT_MEM, STALL_MEM,
- WAIT_DATA_INVALID) = PrefetchFsm
+ WAIT_DATA_INVALID) = "I", "TC", "IN", "PN", "BM", "WM", "SM", "DI"
 
-# states whose tick does nothing while nothing arrives (a tuple, as in cache.py)
+# states whose tick does nothing while nothing arrives
 _WAITING = (IDLE, WAIT_MEM, STALL_MEM)
 
 
@@ -119,20 +107,20 @@ class PointerChasePrefetcher(Component):
                             and incoming.opaque == PREFETCH_OPAQUE) else None
         mresp_rdy = fill is not None  # fills are always drained
         st = self.state
-        if st is TAG_CHECK or st is WAIT_DATA_INVALID:
+        if st == TAG_CHECK or st == WAIT_DATA_INVALID:
             req = self.req
-            if req.kind is not INIT_KIND:
+            if req.kind != INIT_KIND:
                 hit, _, _, line, dvalid = self.tag_check(req.addr, fill)
-                if req.kind is WRITE or not hit:
+                if req.kind == WRITE or not hit:
                     self.mem_req.send(MemRequest(req.kind, req.addr,
                                                  DEMAND_OPAQUE, data=req.data))
                 elif dvalid:
                     self.cache_resp.send(
                         MemResponse(req.kind, req.opaque, line, hit=True))
                 # else a hit on a pending fill: wait, never re-request
-        elif st is INIT:
+        elif st == INIT:
             self.cache_resp.send(MemResponse(INIT_KIND, self.req.opaque))
-        elif st is BUFFER_TO_MEM:
+        elif st == BUFFER_TO_MEM:
             self.mem_req.send(MemRequest(READ, line_base(self.buffer.next_addr),
                                          PREFETCH_OPAQUE))
         elif st in (WAIT_MEM, STALL_MEM):
@@ -146,11 +134,11 @@ class PointerChasePrefetcher(Component):
 
     def eval_cache_req_rdy(self):
         st = self.state
-        if st is IDLE:
+        if st == IDLE:
             rdy = True
-        elif st is BUFFER_TO_MEM:
+        elif st == BUFFER_TO_MEM:
             rdy = self.mem_req.rdy
-        elif st is INIT or (st is TAG_CHECK and self.req.kind is READ):
+        elif st == INIT or (st == TAG_CHECK and self.req.kind == READ):
             # INIT, or a single-cycle read hit: accept the next request as
             # the response drains
             rdy = self.cache_resp.val and self.cache_resp.rdy
@@ -164,11 +152,11 @@ class PointerChasePrefetcher(Component):
             self._apply_fill(got)
             got = None
         st = self.state
-        if st is IDLE:
+        if st == IDLE:
             self._next_or_idle()
-        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:
+        elif st == TAG_CHECK or st == WAIT_DATA_INVALID:
             self._tick_tag_check()
-        elif st is INIT:
+        elif st == INIT:
             if self.cache_resp.took():
                 req = self.req
                 tag, idx, _ = split_address(req.addr, PREFETCH_GEOMETRY)
@@ -176,9 +164,9 @@ class PointerChasePrefetcher(Component):
                 self.entries[idx] = PrefetchEntry(tag=tag, tag_valid=True,
                                                   data_valid=True, data=data)
                 self._next_or_idle()
-        elif st is PUSH_NEXT:
+        elif st == PUSH_NEXT:
             self._tick_push_next()
-        elif st is BUFFER_TO_MEM:
+        elif st == BUFFER_TO_MEM:
             if self.mem_req.took():
                 self.buffer.busy = True
                 self._next_or_idle()
@@ -187,14 +175,14 @@ class PointerChasePrefetcher(Component):
                 if got.opaque != DEMAND_OPAQUE:
                     raise RuntimeError(f"memory response with unknown opaque "
                                        f"{got.opaque:#x}")
-                if self.req.kind is READCP and not self.buffer.busy:
+                if self.req.kind == READCP and not self.buffer.busy:
                     self._push(got.data, split_address(self.req.addr,
                                                        PREFETCH_GEOMETRY)[2])
                 else:
                     self.state = IDLE
             else:
                 pending = self.mem_resp.msg
-                if (st is WAIT_MEM and pending is not None
+                if (st == WAIT_MEM and pending is not None
                         and pending.opaque == DEMAND_OPAQUE):
                     self.state = STALL_MEM
 
@@ -202,27 +190,27 @@ class PointerChasePrefetcher(Component):
         # TAG_CHECK and WAIT_DATA_INVALID: the fill of this cycle has landed
         req = self.req
         hit, idx, off, line, dvalid = self.tag_check(req.addr)
-        if req.kind is INIT_KIND:
+        if req.kind == INIT_KIND:
             self.state = INIT
         elif self.cache_resp.took():
             self._count_hit(req.kind, self.entries[idx])
-            if req.kind is READCP:
+            if req.kind == READCP:
                 self._push(line, off)
             else:
                 self._next_or_idle()  # cache_req is not ready in DI: idle
         elif self.mem_req.took():
-            if req.kind is WRITE:
+            if req.kind == WRITE:
                 self.stats.writes += 1
                 if hit:
                     # invalidate before forwarding so no stale data survives
                     e = self.entries[idx]
                     e.tag_valid = e.data_valid = False
-            elif req.kind is READ:
+            elif req.kind == READ:
                 self.stats.read_misses += 1
             else:
                 self.stats.readcp_misses += 1
             self.state = WAIT_MEM
-        elif hit and not dvalid and req.kind is not WRITE:
+        elif hit and not dvalid and req.kind != WRITE:
             self.state = WAIT_DATA_INVALID
 
     def _push(self, line: bytes, offset: int):
@@ -262,8 +250,8 @@ class PointerChasePrefetcher(Component):
             self.stats.prefetches_dropped += 1
         self.buffer.busy = False
 
-    def _count_hit(self, kind: MsgKind, entry: PrefetchEntry):
-        if kind is READ:
+    def _count_hit(self, kind: str, entry: PrefetchEntry):
+        if kind == READ:
             self.stats.read_hits += 1
         else:
             self.stats.readcp_hits += 1
@@ -283,15 +271,12 @@ class PointerChasePrefetcher(Component):
         st = self.state
         if st in _WAITING:
             return IDLE_FOREVER
-        if st is PUSH_NEXT:
+        if st == PUSH_NEXT:
             return 1
-        if st is TAG_CHECK or st is WAIT_DATA_INVALID:
+        if st == TAG_CHECK or st == WAIT_DATA_INVALID:
             hit, _, _, _, dvalid = self.tag_check(self.req.addr)
-            if hit and not dvalid and self.req.kind is not WRITE:
+            if hit and not dvalid and self.req.kind != WRITE:
                 # a hit on a pending fill asserts nothing: TAG_CHECK moves to
                 # DI at the end of the cycle, DI waits for the fill
-                return 1 if st is TAG_CHECK else IDLE_FOREVER
+                return 1 if st == TAG_CHECK else IDLE_FOREVER
         return 0
-
-    def trace_state(self):
-        return self.state.value

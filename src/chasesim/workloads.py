@@ -23,18 +23,14 @@ LCG_INC = 12345
 LCG_MOD = 2**31
 
 
-def lcg_next(state: int) -> int:
-    return (LCG_MULT * state + LCG_INC) % LCG_MOD
-
-
 class Lcg:
-    """Tiny seeded PRNG: the lcg_next sequence, one step per draw."""
+    """Tiny seeded PRNG: one LCG step per draw."""
 
     def __init__(self, seed: int):
         self.state = seed % LCG_MOD
 
     def next(self) -> int:
-        self.state = (LCG_MULT * self.state + LCG_INC) % LCG_MOD  # lcg_next, inline
+        self.state = (LCG_MULT * self.state + LCG_INC) % LCG_MOD
         return self.state
 
     def randrange(self, n: int) -> int:
@@ -166,7 +162,7 @@ def _hashtable(seed: int, buckets: int, keys: int) -> Workload:
         words[b] = nodes_base + i * LINE_BYTES
 
     # with no inserted keys, lookups still probe (empty) bucket heads
-    probe_vals = key_vals or [lcg_next(seed + i) & 0xFFFFFF or 1
+    probe_vals = key_vals or [Lcg(seed + i).next() & 0xFFFFFF or 1
                               for i in range(buckets)]
 
     def program():

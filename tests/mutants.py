@@ -47,8 +47,8 @@ MUTANTS = [
            "                if hit:\n                    # invalidate",
            "                if False:\n                    # invalidate"),
     Mutant("duplicate-suppression-skipped", "prefetcher.py",
-           "if req.kind is WRITE or not hit:",
-           "if req.kind is WRITE or not hit or not dvalid:"),
+           "if req.kind == WRITE or not hit:",
+           "if req.kind == WRITE or not hit or not dvalid:"),
     Mutant("memory-due-late", "memory.py",
            "self.system.cycle - self.stalls + self.latency, r)",
            "self.system.cycle - self.stalls + self.latency + 1, r)"),
@@ -107,10 +107,13 @@ MUTANTS = [
            "            if tail < len(data):\n"
            "                self._merge_line(addr + tail, data[tail:])\n",
            ""),
+    Mutant("init-and-stall-mem-letters-swapped", "prefetcher.py",
+           '= "I", "TC", "IN", "PN", "BM", "WM", "SM", "DI"',
+           '= "I", "TC", "SM", "PN", "BM", "WM", "IN", "DI"'),
     Mutant("di-falls-back-to-tag-check", "prefetcher.py",
-           "        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:\n"
+           "        elif st == TAG_CHECK or st == WAIT_DATA_INVALID:\n"
            "            self._tick_tag_check()\n",
-           "        elif st is TAG_CHECK or st is WAIT_DATA_INVALID:\n"
+           "        elif st == TAG_CHECK or st == WAIT_DATA_INVALID:\n"
            "            self.state = TAG_CHECK\n"
            "            self._tick_tag_check()\n",
            equivalent="the tick re-enters DI at once unless a landed fill's "

@@ -6,7 +6,7 @@ import pytest
 
 from chasesim import (BlockingCache, MemRequest, MsgKind, build_system,
                       build_testbench, make_config, replay_program)
-from chasesim.cache import CacheFsm
+from chasesim.cache import IDLE
 from chasesim.messages import line_base, word_bytes, word_value
 
 from conftest import raised_optimized, run_to_responses
@@ -61,7 +61,7 @@ def test_write_miss_allocates_with_read_refill():
     # refill for a write miss goes downstream as a plain read
     assert [r.kind for r in mem.request_log] == [MsgKind.READ]
     w, r = sink.responses()
-    assert w.kind is MsgKind.WRITE and w.hit is False
+    assert w.kind == MsgKind.WRITE and w.hit is False
     assert r.hit is True and word_value(r.data) == 0xABCD
     assert cache.stats.write_misses == 1 and cache.stats.read_hits == 1
 
@@ -72,7 +72,7 @@ def test_readcp_kind_and_offset_preserved_downstream():
     run_to_responses(sys_, sink, 1)
     assert len(mem.request_log) == 1
     downstream = mem.request_log[0]
-    assert downstream.kind is MsgKind.READCP
+    assert downstream.kind == MsgKind.READCP
     assert downstream.addr == 0x1008  # offset bits survive for the prefetcher
     assert cache.stats.readcp_misses == 1
 
@@ -128,7 +128,7 @@ def test_flush_dirty_counts():
     sys_, src, sink, cache, mem = build_testbench(
         2, [wr(0x1000, 1)] + [wr(0x10 * i, i) for i in range(16)], BlockingCache())
     run_to_responses(sys_, sink, 17)
-    assert cache.state is CacheFsm.IDLE
+    assert cache.state == IDLE
     flushed = {}
     assert cache.flush_dirty(lambda a, d: flushed.__setitem__(a, d)) == 16
     assert line_base(0x1000) not in flushed  # 0x1000 was evicted by 0x000
@@ -148,10 +148,10 @@ BUSY_FLUSH = """
 
 
 def test_flush_on_busy_cache_raises():
-    with pytest.raises(RuntimeError, match="idle cache, not REFILL_WAIT"):
+    with pytest.raises(RuntimeError, match="idle cache, not RW"):
         exec(textwrap.dedent(BUSY_FLUSH), {})
     assert raised_optimized(BUSY_FLUSH) == (
-        "RuntimeError: flush requires an idle cache, not REFILL_WAIT")
+        "RuntimeError: flush requires an idle cache, not RW")
 
 
 def test_functional_transparency_against_flat_replay():

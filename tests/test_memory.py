@@ -124,7 +124,7 @@ def test_read_your_writes():
     sys_, src, sink, mem = build_testbench(
         4, [wr_line(0x1000, line), rd(0x1000)])
     run_to_responses(sys_, sink, 2)
-    assert sink.responses()[0].kind is MsgKind.WRITE
+    assert sink.responses()[0].kind == MsgKind.WRITE
     assert sink.responses()[1].data == line
 
 

@@ -12,7 +12,7 @@ from chasesim import (MemRequest, MemResponse, MsgKind, PointerChasePrefetcher,
                       build_testbench, PREFETCH_OPAQUE, DEMAND_OPAQUE)
 from chasesim.messages import LINE_BYTES, WORD_BYTES, set_word_in_line
 from chasesim.kernel import IDLE_FOREVER
-from chasesim.prefetcher import PrefetchEntry, PrefetchFsm
+from chasesim.prefetcher import WAIT_DATA_INVALID, PrefetchEntry
 
 from conftest import run_to_responses
 
@@ -78,7 +78,7 @@ def test_wait_data_invalid_is_idle_until_the_fill_lands():
     pf.entries[0] = PrefetchEntry(tag=ADDR_A >> 6, tag_valid=True,
                                   data_valid=False, prefetched=True)
     pf.buffer.next_addr, pf.buffer.busy = ADDR_A, True
-    pf.state, pf.req = PrefetchFsm.WAIT_DATA_INVALID, rd(ADDR_A + 4)
+    pf.state, pf.req = WAIT_DATA_INVALID, rd(ADDR_A + 4)
     assert pf.idle_cycles() == IDLE_FOREVER
     pf._apply_fill(MemResponse(MsgKind.READ, PREFETCH_OPAQUE, PAYLOAD_P))
     assert pf.entries[0].data_valid and pf.idle_cycles() == 0
@@ -88,7 +88,7 @@ def test_init_loads_entry_without_memory_traffic():
     sys_, src, sink, pf, mem = build_testbench(
         5, [init(ADDR_A, PAYLOAD_P)], PointerChasePrefetcher())
     run_to_responses(sys_, sink, 1)
-    assert sink.responses()[0].kind is MsgKind.INIT
+    assert sink.responses()[0].kind == MsgKind.INIT
     assert mem.request_log == []
     assert pf.entries[0].data_valid and pf.entries[0].data == PAYLOAD_P
 
@@ -129,7 +129,7 @@ def test_readcp_hit_issues_prefetch():
     drain(sys_, pf)
     pfs = prefetch_requests(mem)
     assert len(pfs) == 1
-    assert pfs[0].kind is MsgKind.READ
+    assert pfs[0].kind == MsgKind.READ
     assert pfs[0].addr == PTR_P & ~0xF  # line-aligned
     assert pf.stats.prefetches_issued == 1
     assert pf.stats.prefetch_fills == 1
@@ -191,7 +191,7 @@ def test_write_invalidates_matching_entry():
         PointerChasePrefetcher())
     run_to_responses(sys_, sink, 3)
     w, r = sink.responses()[1:]
-    assert w.kind is MsgKind.WRITE
+    assert w.kind == MsgKind.WRITE
     # the stale entry is gone: the read misses and fetches the fresh line
     assert r.hit is False
     assert r.data == new_line

@@ -6,11 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from chasesim import cache, messages, prefetcher
-from chasesim.cache import CacheFsm
+from chasesim import cache, core, messages, prefetcher
 from chasesim.core import Compute, Read, ReadCP, Write
 from chasesim.messages import MemRequest, MemResponse, MsgKind
-from chasesim.prefetcher import PrefetchFsm
 from chasesim.workloads import WORKLOADS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chasesim"
@@ -24,32 +22,26 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
-ENUMS = {"MsgKind", "CacheFsm", "PrefetchFsm"}
+# every FSM state and message kind is the string its trace shows
+LETTERS = {
+    cache: {"IDLE": "I", "TAG_CHECK": "TC", "READ_DATA": "RD", "WRITE_DATA": "WD",
+            "EVICT_REQ": "ER", "EVICT_WAIT": "EW", "REFILL_REQ": "RR",
+            "REFILL_WAIT": "RW", "REFILL_UPDATE": "RU"},
+    prefetcher: {"IDLE": "I", "TAG_CHECK": "TC", "INIT": "IN", "PUSH_NEXT": "PN",
+                 "BUFFER_TO_MEM": "BM", "WAIT_MEM": "WM", "STALL_MEM": "SM",
+                 "WAIT_DATA_INVALID": "DI", "INIT_KIND": "in"},
+    core: {"REQUEST": "RQ", "WAIT": "WT", "COMPUTE": "CP", "DONE": "."},
+    messages: {"INIT": "in", "READ": "rd", "WRITE": "wr", "READCP": "cp"},
+}
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_no_enum_member_lookup_through_its_class(path):
-    # on Python 3.11 EnumType.__getattr__ makes a lookup such as CacheFsm.IDLE
-    # about 12x slower than a module global: use the bound constants instead
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-             and node.value.id in ENUMS]
-    assert lines == [], f"{path.name}: Enum member lookups at lines {lines}"
-
-
-@pytest.mark.parametrize("module, kind", [(cache, CacheFsm), (prefetcher, PrefetchFsm),
-                                          (messages, MsgKind)],
-                         ids=["cache", "prefetcher", "messages"])
-def test_bound_constants_are_the_members_of_their_name(module, kind):
-    # the constants are bound by unpacking in definition order: a reordered
-    # Enum or unpacking would give a name another member
-    for member in kind:
-        assert getattr(module, member.name) is member, member.name
-
-
-def test_prefetcher_init_kind_is_the_init_message():
-    assert prefetcher.INIT_KIND is MsgKind.INIT
+@pytest.mark.parametrize("module", list(LETTERS), ids=lambda m: m.__name__.split(".")[-1])
+def test_every_state_and_kind_is_its_trace_letter(module):
+    # the names are bound by tuple unpacking, so a reordered line would give
+    # a name another letter; the trace lock never shows STALL_MEM or INIT
+    assert {name: getattr(module, name) for name in LETTERS[module]} == LETTERS[module]
+    if module is messages:
+        assert {k: getattr(MsgKind, k) for k in LETTERS[module]} == LETTERS[module]
 
 
 @pytest.mark.parametrize("cls", [MemRequest, MemResponse, Read, Write, ReadCP, Compute],

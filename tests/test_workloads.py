@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
-                      Read, ReadCP, Write, lcg_next, replay_program)
+                      Read, ReadCP, Write, replay_program)
 from chasesim.core import as_generator
 from chasesim.harness import make_workload
 from chasesim.messages import LINE_BYTES, WORD_BYTES, line_base
@@ -36,9 +36,13 @@ def tokens_of(program):
 
 
 def test_lcg_known_values():
-    assert lcg_next(1) == 1103527590
-    assert lcg_next(0) == 12345
-    assert lcg_next(lcg_next(1)) == (1103515245 * 1103527590 + 12345) % 2**31
+    rng = Lcg(1)
+    assert rng.next() == 1103527590
+    assert rng.next() == (1103515245 * 1103527590 + 12345) % 2**31
+    assert Lcg(0).next() == 12345
+    # the seed is reduced mod 2**31 first: the same step as on the raw seed
+    for seed in (-7, 2**31 + 3, 2**40 - 1):
+        assert Lcg(seed).next() == (1103515245 * seed + 12345) % 2**31
 
 
 def test_lcg_wrapper_deterministic():
