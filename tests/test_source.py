@@ -29,19 +29,23 @@ LETTERS = {
             "REFILL_WAIT": "RW", "REFILL_UPDATE": "RU"},
     prefetcher: {"IDLE": "I", "TAG_CHECK": "TC", "INIT": "IN", "PUSH_NEXT": "PN",
                  "BUFFER_TO_MEM": "BM", "WAIT_MEM": "WM", "STALL_MEM": "SM",
-                 "WAIT_DATA_INVALID": "DI", "INIT_KIND": "in"},
+                 "WAIT_DATA_INVALID": "DI"},
     core: {"REQUEST": "RQ", "WAIT": "WT", "COMPUTE": "CP", "DONE": "."},
     messages: {"INIT": "in", "READ": "rd", "WRITE": "wr", "READCP": "cp"},
 }
 
 
 @pytest.mark.parametrize("module", list(LETTERS), ids=lambda m: m.__name__.split(".")[-1])
-def test_every_state_and_kind_is_its_trace_letter(module):
+def test_bound_constants_are_the_members_of_their_name(module):
     # the names are bound by tuple unpacking, so a reordered line would give
     # a name another letter; the trace lock never shows STALL_MEM or INIT
     assert {name: getattr(module, name) for name in LETTERS[module]} == LETTERS[module]
     if module is messages:
         assert {k: getattr(MsgKind, k) for k in LETTERS[module]} == LETTERS[module]
+
+
+def test_prefetcher_init_kind_is_the_init_message():
+    assert prefetcher.INIT_KIND == messages.INIT == MsgKind.INIT == "in"
 
 
 @pytest.mark.parametrize("cls", [MemRequest, MemResponse, Read, Write, ReadCP, Compute],
