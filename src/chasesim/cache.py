@@ -58,6 +58,7 @@ class BlockingCache(Component):
         self.lines = [CacheLine() for _ in range(NUM_LINES)]
         self.state = IDLE
         self.req: MemRequest | None = None
+        self.tag = self.idx = self.off = 0  # self.req's address, split on accept
         self.was_hit = False
         self.stats = CacheStats()
         # ports
@@ -71,15 +72,15 @@ class BlockingCache(Component):
         self.core_req.rdy = st == IDLE
         self.mem_resp.rdy = st in (EVICT_WAIT, REFILL_WAIT)
         if st == READ_DATA:
-            _, idx, off = split_address(self.req.addr, CACHE_GEOMETRY)
-            word = self.lines[idx].data[off:off + 4]
+            off = self.off
+            word = self.lines[self.idx].data[off:off + 4]
             self.core_resp.send(
                 MemResponse(self.req.kind, self.req.opaque, word, hit=self.was_hit))
         elif st == WRITE_DATA:
             self.core_resp.send(MemResponse(WRITE, self.req.opaque, hit=self.was_hit))
         elif st == EVICT_REQ:
             # the victim stays in its line until the refill replaces it
-            _, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
+            idx = self.idx
             victim = self.lines[idx]
             self.mem_req.send(MemRequest(
                 WRITE, join_address(victim.tag, idx, 0, CACHE_GEOMETRY),
@@ -91,46 +92,45 @@ class BlockingCache(Component):
     def tick(self):
         st = self.state
         if st == IDLE:
-            r = self.core_req.recv()
+            r = self.core_req.msg if self.core_req.rdy else None
             if r is not None:
                 self.req = r
+                self.tag, self.idx, self.off = split_address(r.addr, CACHE_GEOMETRY)
                 self.state = TAG_CHECK
         elif st == TAG_CHECK:
             self._tag_check()
         elif st == EVICT_REQ:
-            if self.mem_req.took():
+            if self.mem_req.val and self.mem_req.rdy:
                 self.stats.evictions += 1
                 self.state = EVICT_WAIT
         elif st == EVICT_WAIT:
-            if self.mem_resp.recv() is not None:
+            if self.mem_resp.rdy and self.mem_resp.msg is not None:
                 self.state = REFILL_REQ
         elif st == REFILL_REQ:
-            if self.mem_req.took():
+            if self.mem_req.val and self.mem_req.rdy:
                 self.state = REFILL_WAIT
         elif st == REFILL_WAIT:
-            r = self.mem_resp.recv()
+            r = self.mem_resp.msg if self.mem_resp.rdy else None
             if r is not None:
-                tag, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
-                self.lines[idx] = CacheLine(tag=tag, valid=True, dirty=False,
-                                            data=r.data)
+                self.lines[self.idx] = CacheLine(tag=self.tag, valid=True, dirty=False,
+                                                 data=r.data)
                 self.state = REFILL_UPDATE
         elif st == REFILL_UPDATE:
             self.state = WRITE_DATA if self.req.kind == WRITE else READ_DATA
         elif st == READ_DATA:
-            if self.core_resp.took():
+            if self.core_resp.val and self.core_resp.rdy:
                 self.state = IDLE
         elif st == WRITE_DATA:
-            if self.core_resp.took():
-                _, idx, off = split_address(self.req.addr, CACHE_GEOMETRY)
-                line = self.lines[idx]
-                line.data = set_word_in_line(line.data, off, word_in_line(self.req.data, 0))
+            if self.core_resp.val and self.core_resp.rdy:
+                line = self.lines[self.idx]
+                line.data = set_word_in_line(line.data, self.off,
+                                             word_in_line(self.req.data, 0))
                 line.dirty = True
                 self.state = IDLE
 
     def _tag_check(self):
-        tag, idx, _ = split_address(self.req.addr, CACHE_GEOMETRY)
-        line = self.lines[idx]
-        hit = line.valid and line.tag == tag
+        line = self.lines[self.idx]
+        hit = line.valid and line.tag == self.tag
         self.was_hit = hit
         s = self.stats
         kind = self.req.kind

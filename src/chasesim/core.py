@@ -102,10 +102,10 @@ class CoreModel(Component):
 
     def tick(self):
         if self.state == REQUEST:
-            if self.mem_req.took():
+            if self.mem_req.val and self.mem_req.rdy:
                 self.state = WAIT
         elif self.state == WAIT:
-            r = self.mem_resp.recv()
+            r = self.mem_resp.msg if self.mem_resp.rdy else None
             if r is not None:
                 if isinstance(self._token, (Read, ReadCP)):
                     value = word_value(r.data)

@@ -82,12 +82,12 @@ class PipelinedMemory(Component):
         self.req.rdy = not self.resp.val or self.resp.rdy
 
     def tick(self):
-        if self.resp.took():
+        if self.resp.val:
+            if not self.resp.rdy:
+                self.stalls += 1  # due head stalled: the clock stops, req was not ready
+                return
             self.pipeline.popleft()
-        elif self.resp.val:
-            self.stalls += 1  # due head stalled: the clock stops, req was not ready
-            return
-        r = self.req.recv()
+        r = self.req.msg if self.req.rdy else None
         if r is not None:
             if r.kind == WRITE:
                 # writes are full-line; applied at acceptance so later reads

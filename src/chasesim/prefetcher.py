@@ -147,7 +147,7 @@ class PointerChasePrefetcher(Component):
         self.cache_req.rdy = rdy
 
     def tick(self):
-        got = self.mem_resp.recv()
+        got = self.mem_resp.msg if self.mem_resp.rdy else None
         if got is not None and got.opaque == PREFETCH_OPAQUE:
             self._apply_fill(got)
             got = None
@@ -157,7 +157,7 @@ class PointerChasePrefetcher(Component):
         elif st == TAG_CHECK or st == WAIT_DATA_INVALID:
             self._tick_tag_check()
         elif st == INIT:
-            if self.cache_resp.took():
+            if self.cache_resp.val and self.cache_resp.rdy:
                 req = self.req
                 tag, idx, _ = split_address(req.addr, PREFETCH_GEOMETRY)
                 data = (req.data + ZERO_LINE)[:16]
@@ -167,7 +167,7 @@ class PointerChasePrefetcher(Component):
         elif st == PUSH_NEXT:
             self._tick_push_next()
         elif st == BUFFER_TO_MEM:
-            if self.mem_req.took():
+            if self.mem_req.val and self.mem_req.rdy:
                 self.buffer.busy = True
                 self._next_or_idle()
         elif st in (WAIT_MEM, STALL_MEM):
@@ -192,13 +192,13 @@ class PointerChasePrefetcher(Component):
         hit, idx, off, line, dvalid = self.tag_check(req.addr)
         if req.kind == INIT_KIND:
             self.state = INIT
-        elif self.cache_resp.took():
+        elif self.cache_resp.val and self.cache_resp.rdy:
             self._count_hit(req.kind, self.entries[idx])
             if req.kind == READCP:
                 self._push(line, off)
             else:
                 self._next_or_idle()  # cache_req is not ready in DI: idle
-        elif self.mem_req.took():
+        elif self.mem_req.val and self.mem_req.rdy:
             if req.kind == WRITE:
                 self.stats.writes += 1
                 if hit:
@@ -260,7 +260,7 @@ class PointerChasePrefetcher(Component):
             self.stats.useful_prefetch_hits += 1
 
     def _next_or_idle(self):
-        r = self.cache_req.recv()
+        r = self.cache_req.msg if self.cache_req.rdy else None
         if r is not None:
             self.req = r
             self.state = TAG_CHECK

@@ -39,7 +39,7 @@ class TestSource(Component):
             return
         if self.wait > 0:
             self.wait -= 1
-        elif self.req.took():
+        elif self.req.val and self.req.rdy:
             self.log.append((self.system.cycle, self.script[self.index][0]))
             self.index += 1
             if not self.done:
@@ -67,7 +67,7 @@ class TestSink(Component):
         self.resp.rdy = self.wait == 0
 
     def tick(self):
-        r = self.resp.recv()
+        r = self.resp.msg if self.resp.rdy else None
         if r is not None:
             self.received.append((self.system.cycle, r))
             i = len(self.received)
@@ -88,7 +88,8 @@ class LoggingMemory(PipelinedMemory):
         self.request_log: list[MemRequest] = []
 
     def tick(self):
-        r = self.req.recv()  # req is not ready while stalled: received is accepted
+        # req is not ready while stalled: what arrived is accepted
+        r = self.req.msg if self.req.rdy else None
         super().tick()
         if r is not None:
             self.request_log.append(r)

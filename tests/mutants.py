@@ -11,9 +11,14 @@ Run from anywhere; it takes a few minutes::
 
     python tests/mutants.py
 
-It exits nonzero if the unmutated copy fails, if a patch does not match its
-file exactly once, or if a mutant not marked equivalent survives. This file
-is not a test module: pytest collects only ``test_*.py``.
+Name mutants to run only those (the unmutated copy still runs first)::
+
+    python tests/mutants.py cache-stale-decode pf-took-without-val
+
+It exits nonzero if a name is unknown, if the unmutated copy fails, if a
+patch does not match its file exactly once, or if a mutant not marked
+equivalent survives. This file is not a test module: pytest collects only
+``test_*.py``.
 """
 
 from __future__ import annotations
@@ -71,8 +76,8 @@ MUTANTS = [
            "self._compute_end = now + tok.cycles\n",
            "self._compute_end = now + tok.cycles - 1\n"),
     Mutant("skip-drops-final-tick", "kernel.py",
-           "        self.cycle += n - 1\n        for c in self.components:\n"
-           "            c.tick()\n",
+           "        self.cycle += n - 1\n        for tick in self._ticks:\n"
+           "            tick()\n",
            "        self.cycle += n - 1\n"),
     Mutant("refill-mutates-core-request", "cache.py",
            "            self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))\n",
@@ -110,6 +115,12 @@ MUTANTS = [
     Mutant("init-and-stall-mem-letters-swapped", "prefetcher.py",
            '= "I", "TC", "IN", "PN", "BM", "WM", "SM", "DI"',
            '= "I", "TC", "SM", "PN", "BM", "WM", "IN", "DI"'),
+    Mutant("cache-stale-decode", "cache.py",
+           "                self.tag, self.idx, self.off = split_address(r.addr, CACHE_GEOMETRY)\n",
+           ""),
+    Mutant("pf-took-without-val", "prefetcher.py",
+           "        elif self.mem_req.val and self.mem_req.rdy:\n            if req.kind == WRITE:",
+           "        elif self.mem_req.rdy:\n            if req.kind == WRITE:"),
     Mutant("di-falls-back-to-tag-check", "prefetcher.py",
            "        elif st == TAG_CHECK or st == WAIT_DATA_INVALID:\n"
            "            self._tick_tag_check()\n",
@@ -153,7 +164,12 @@ def apply(tree: Path, m: Mutant):
     path.write_text(text.replace(m.old, m.new))
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}")
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     with tempfile.TemporaryDirectory(prefix="chasesim-mutants-") as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
@@ -162,7 +178,7 @@ def main() -> int:
             print(f"the unmutated suite fails: {why}")
             return 1
         survivors = 0
-        for m in MUTANTS:
+        for m in chosen:
             tree = Path(tmp) / m.name
             copy_tree(tree)
             apply(tree, m)
@@ -180,4 +196,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

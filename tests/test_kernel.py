@@ -1,5 +1,6 @@
 """Channel handshake and cycle-loop semantics."""
 
+import sys
 import time
 
 import pytest
@@ -213,12 +214,69 @@ def test_schedule_orders_blocks_across_components():
 def test_schedule_follows_rewiring():
     sys_, src, sink, ch = wire_source_to_sink([req(0x10)])
     assert block_names(sys_) == ["src.eval", "sink.eval"]
-    src2, mem, sink2 = sys_.add(TestSource([]), PipelinedMemory(1), TestSink())
+    src2, mem, sink2 = sys_.add(TestSource([req(0x20)]), PipelinedMemory(1), TestSink())
     src2.name, sink2.name = "src2", "sink2"
     sys_.connect((src2, "req"), (mem, "req"))
     sys_.connect((mem, "resp"), (sink2, "resp"))
     assert block_names(sys_) == ["src.eval", "sink.eval", "src2.eval", "mem.eval",
                                  "sink2.eval", "mem.eval_req_rdy"]
+    # the ticks are bound with the schedule, so the late joiners tick too
+    assert sys_.run_until(lambda: len(sink2.received) == 1, 10)
+    assert src.done and src2.done and sys_.cycle == 2
+    assert src2.log == [(0, req(0x20))]
+    assert [r.kind for r in sink2.responses()] == [MsgKind.READ]
+
+
+def test_methods_are_bound_when_the_schedule_is():
+    # a tick or idle_cycles replaced on an instance before the first cycle is
+    # the one the kernel calls; one replaced later, with no rewiring, is not
+    sys_, src, sink, ch = wire_source_to_sink([req(0x10), (req(0x20), 5)])
+    calls = []
+    for comp in (src, sink):
+        for method in ("tick", "idle_cycles"):
+            def counted(original=getattr(comp, method), key=(comp.name, method)):
+                calls.append(key)
+                return original()
+            setattr(comp, method, counted)
+    assert sys_.run_until(lambda: len(sink.received) == 1, 100)
+    assert calls.count(("src", "tick")) == calls.count(("sink", "tick")) == 1
+    assert calls.count(("src", "idle_cycles")) == 1
+    calls.clear()
+    src.tick = sink.tick = lambda: calls.append("late")
+    assert sys_.run_until(lambda: len(sink.received) == 2, 100)
+    assert "late" not in calls and calls.count(("src", "tick")) > 0
+    assert src.log == [(0, req(0x10)), (6, req(0x20))]
+
+
+# Python calls per simulated cycle in run_until, by (workload, latency, params):
+# (without prefetcher, with prefetcher). Measured 9.72/14.36, 1.76/4.07 and
+# 7.64/10.29 after the per-cycle path was bound once (12.80/19.00, 2.30/5.38
+# and 9.86/13.73 before); each ceiling is about 5% above its measured value.
+CALLS_PER_CYCLE = [
+    ("random", 4, dict(n=2000), (10.2, 15.1)),
+    ("traversal", 40, dict(nodes=200, gap=12), (1.85, 4.27)),
+    ("array", 10, dict(elements=512), (8.0, 10.8)),
+]
+
+
+@pytest.mark.parametrize("name,latency,params,ceilings", CALLS_PER_CYCLE,
+                         ids=[case[0] for case in CALLS_PER_CYCLE])
+def test_python_calls_per_cycle_stay_under_their_ceiling(name, latency, params, ceilings):
+    # a deterministic guard on the per-cycle path: a call added to every
+    # tick, poll or transfer shows up here whatever the host's speed
+    for topology, ceiling in zip(("baseline", "alternate"), ceilings):
+        handle = build_system(make_config(topology, latency, name, **params))
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+        sys.setprofile(profile)
+        try:
+            assert handle.system.run_until(lambda: handle.core.done)
+        finally:
+            sys.setprofile(None)
+        assert calls[0] / handle.system.cycle <= ceiling, topology
 
 
 @pytest.mark.parametrize("latency", [1, 4])
