@@ -21,7 +21,7 @@ from .workloads import WORKLOADS
 def _add_workload_opts(p):
     # workload sizes default to None: unset ones take the WORKLOADS defaults
     p.add_argument("--nodes", type=int, help="list length")
-    p.add_argument("--nodes-per-line", type=int, choices=(1, 2))
+    p.add_argument("--nodes-per-line", type=int, help="list nodes per cache line")
     p.add_argument("--gap", type=int, help="compute cycles between memory tokens")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--disks", type=int, help="hanoi disks")

@@ -34,6 +34,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise ConfigurationError(f"unknown topology {self.topology!r}")
+        _check_integers({"latency": self.latency, "max_cycles": self.max_cycles,
+                         "seed": self.seed})
         if self.latency < 1:
             raise ConfigurationError("memory latency must be >= 1 cycle")
         if self.max_cycles < 1:
@@ -64,8 +66,16 @@ def _workload_params(name: str, params: dict) -> dict:
     ConfigurationError if its validator rejects them."""
     _, defaults, check = wl.WORKLOADS[name]
     full = {k: params.get(k, v) for k, v in defaults.items()}
+    _check_integers(full)
     check(full)
     return full
+
+
+def _check_integers(settings: dict):
+    """Raise ConfigurationError naming the first setting that is not an int."""
+    for name, value in settings.items():
+        if not isinstance(value, int):
+            raise ConfigurationError(f"{name} must be an integer")
 
 
 def make_workload(name: str, seed: int = 1, **params) -> wl.Workload:

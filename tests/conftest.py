@@ -2,7 +2,9 @@
 
 Directed tests wire a device under test between a scripted source/sink pair
 and a memory with ``chasesim.build_testbench`` and compare acceptance /
-response cycles from their logs.
+response cycles from their logs. The ``audit_blocks`` fixture, which every
+directed-test module uses, checks that each eval block a test runs touches
+only the signals it declares.
 """
 
 from __future__ import annotations
@@ -12,6 +14,12 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+
+import chasesim.kernel as kernel
+from chasesim import (BlockingCache, Channel, CoreModel, PipelinedMemory,
+                      PointerChasePrefetcher, TestSink, TestSource)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -46,3 +54,70 @@ def raised_optimized(snippet: str) -> str:
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
+
+
+# -- declared-signal audit --
+
+AUDITED = (CoreModel, BlockingCache, PointerChasePrefetcher, PipelinedMemory,
+           TestSource, TestSink)
+# (component name, block, port, wire, "read"/"write") of every declared signal
+DECLARED = {(cls.name, block, *signal.split("."), mode)
+            for cls in AUDITED for block, signals in cls.blocks.items()
+            for mode, names in zip(("read", "write"), signals) for signal in names}
+
+
+def _recorded(slot, wire):
+    def note(ch, mode):
+        if RecordingChannel.block is not None:
+            RecordingChannel.accesses.add((*RecordingChannel.block, ch, wire, mode))
+
+    def get(ch):
+        note(ch, "read")
+        return slot.__get__(ch)
+
+    def set_(ch, value):
+        note(ch, "write")
+        slot.__set__(ch, value)
+    return property(get, set_)
+
+
+class RecordingChannel(Channel):
+    """A channel that notes the val, rdy and msg accesses of the audited eval
+    block that is running (msg travels with val, so it counts as val);
+    accesses from ticks and the kernel are not block accesses."""
+
+    __slots__ = ()
+    block = None  # (component, block name) while an audited block runs
+    accesses: set = set()  # (component, block, channel, wire, "read"/"write")
+    msg = _recorded(Channel.msg, "val")
+    val = _recorded(Channel.val, "val")
+    rdy = _recorded(Channel.rdy, "rdy")
+
+
+def _marked(block, name):
+    def run(self):
+        outer, RecordingChannel.block = RecordingChannel.block, (self, name)
+        try:
+            return block(self)
+        finally:
+            RecordingChannel.block = outer
+    return run
+
+
+@pytest.fixture
+def audit_blocks(monkeypatch):
+    """For the length of the test, systems wire ``RecordingChannel``s and each
+    audited class's eval blocks mark themselves while they run. Yields a
+    function giving the (component name, block, port, wire, mode) touched so
+    far; fails the test if a block touched a signal it does not declare."""
+    monkeypatch.setattr(kernel, "Channel", RecordingChannel)
+    monkeypatch.setattr(RecordingChannel, "accesses", set())
+    for cls in AUDITED:
+        for name in cls.blocks:
+            monkeypatch.setattr(cls, name, _marked(getattr(cls, name), name))
+
+    def touched():
+        return {(comp.name, block, next(p for p, v in vars(comp).items() if v is ch),
+                 wire, mode) for comp, block, ch, wire, mode in RecordingChannel.accesses}
+    yield touched
+    assert sorted(touched() - DECLARED) == [], "undeclared signals"

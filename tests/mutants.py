@@ -151,7 +151,10 @@ def suite_fails(tree: Path) -> str:
         return f"timed out after {TIMEOUT_S} s"
     if out.returncode == 0:
         return ""
-    failed = [line for line in out.stdout.splitlines() if line.startswith("FAILED")]
+    # a failing test prints FAILED, a failing fixture teardown (the
+    # declared-signal audit) or collection prints ERROR
+    failed = [line for line in out.stdout.splitlines()
+              if line.startswith(("FAILED", "ERROR"))]
     return failed[0] if failed else f"pytest exit {out.returncode}"
 
 

@@ -5,123 +5,30 @@ no val while nothing arrives, and that its tick with nothing arriving changes
 nothing except in the last of them; the kernel then moves ``System.cycle`` to
 the last of them and ticks once. The static eval schedule trusts each block's
 declared signals. These tests check both promises instead of trusting them:
-the declarations against what the blocks really touch, idle_cycles against
-input-free cycles, and that the kernel steps no cycle in which nothing could
-transfer.
+idle_cycles against input-free cycles, that the kernel steps no cycle in
+which nothing could transfer, and the declarations against what the blocks
+really touch. The ``audit_blocks`` fixture of ``conftest.py`` checks the
+declarations in every test of ``test_cache.py``, ``test_memory.py`` and
+``test_prefetcher.py``: a block that touches an undeclared signal fails the
+test that ran it. Here it audits the 36 trace-lock runs and one prefetcher
+testbench, which together touch every declared signal.
 """
 
 import copy
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import chasesim.kernel as kernel
-from chasesim import (BlockingCache, Channel, Component, CoreModel,
-                      PipelinedMemory, PointerChasePrefetcher, System, TestSink,
-                      TestSource, build_system, make_config)
+from chasesim import (Channel, MemRequest, MsgKind, PointerChasePrefetcher,
+                      build_system, build_testbench, make_config)
 from golden.make_golden import TOPOLOGIES, WORKLOADS
 from golden.make_traces import LATENCIES, SMALL
 
-import test_cache
-import test_memory
-import test_prefetcher
+from conftest import DECLARED, run_to_responses
 
 TRACE_LOCK = [(name, topo, lat) for name in WORKLOADS for topo in TOPOLOGIES
               for lat in LATENCIES]
-
-
-# -- declared-signal audit --
-
-COMPONENTS = (CoreModel, BlockingCache, PointerChasePrefetcher, PipelinedMemory,
-              TestSource, TestSink)
-BLOCK_NAMES = {block for cls in COMPONENTS for block in cls.blocks}
-KERNEL = (System.step.__code__, System._skip.__code__)  # ticks run from these
-ACCESSES: set[tuple] = set()  # (component, block, channel, wire, "read"/"write")
-
-
-def _note(ch, wire, mode):
-    """Record an access made, directly or through a Channel method, by the
-    eval block that is running; accesses from ticks and the kernel are not
-    block accesses."""
-    frame = sys._getframe(2)
-    while frame is not None and frame.f_code not in KERNEL:
-        name = frame.f_code.co_name
-        if name in BLOCK_NAMES:
-            me = frame.f_locals.get("self")
-            if isinstance(me, Component) and name in me.blocks:
-                ACCESSES.add((me, name, ch, wire, mode))
-                return
-        frame = frame.f_back
-
-
-def _recorded(slot, wire):
-    def get(ch):
-        _note(ch, wire, "read")
-        return slot.__get__(ch)
-
-    def set_(ch, value):
-        _note(ch, wire, "write")
-        slot.__set__(ch, value)
-    return property(get, set_)
-
-
-class RecordingChannel(Channel):
-    """A channel whose val, rdy and msg accesses are recorded per eval block
-    (msg travels with val, so it counts as val)."""
-
-    __slots__ = ()
-    msg = _recorded(Channel.msg, "val")
-    val = _recorded(Channel.val, "val")
-    rdy = _recorded(Channel.rdy, "rdy")
-
-
-def _directed_tests():
-    """The directed testbench tests as calls, one per parametrization."""
-    for module in (test_cache, test_memory, test_prefetcher):
-        for name, fn in sorted(vars(module).items()):
-            if not name.startswith("test_"):
-                continue
-            marks = [m for m in getattr(fn, "pytestmark", []) if m.name == "parametrize"]
-            if not marks:
-                yield fn
-            for mark in marks:
-                for value in mark.args[1]:
-                    yield lambda fn=fn, value=value: fn(value)
-
-
-def _declared():
-    """(component name, block, port, wire, mode) for every declared signal."""
-    out = set()
-    for cls in COMPONENTS:
-        for block, (reads, writes) in cls.blocks.items():
-            for mode, signals in (("read", reads), ("write", writes)):
-                for signal in signals:
-                    port, _, wire = signal.partition(".")
-                    out.add((cls.name, block, port, wire, mode))
-    return out
-
-
-def test_eval_blocks_touch_exactly_their_declared_signals(monkeypatch):
-    # the trace-lock systems and the directed testbenches together exercise
-    # every declared signal: the prefetcher reads cache_resp.rdy for its
-    # cache_req ready only behind a test sink
-    monkeypatch.setattr(kernel, "Channel", RecordingChannel)
-    ACCESSES.clear()
-    for name, topo, lat in TRACE_LOCK:
-        handle = build_system(make_config(topo, lat, name, **SMALL[name]))
-        assert handle.system.run_until(lambda: handle.core.done)
-    for test in _directed_tests():
-        test()
-    assert ACCESSES, "no block access was recorded"
-    touched = set()
-    for comp, block, ch, wire, mode in ACCESSES:
-        port = next(p for p, v in vars(comp).items() if v is ch)
-        touched.add((comp.name, block, port, wire, mode))
-    declared = _declared()
-    assert sorted(touched - declared) == [], "undeclared signals"
-    assert sorted(declared - touched) == [], "declared signals never touched"
 
 
 # -- the kernel steps only cycles that carry a val --
@@ -193,3 +100,22 @@ def test_idle_ticks_change_nothing_until_the_last(name, topology, latency, cycle
             system.cycle += 1
             if i < k - 1:
                 assert _state(comp) == before, (comp.name, i)
+
+
+# -- declared-signal audit --
+
+
+def test_eval_blocks_touch_exactly_their_declared_signals(audit_blocks):
+    # audit_blocks fails an undeclared access; the trace-lock runs and one
+    # testbench must also touch every declared signal. Only a testbench has a
+    # source writing req.val and a sink writing resp.rdy, and only there does
+    # the prefetcher's cache_req ready read cache_resp.rdy: an INIT, then a
+    # read that hits its entry
+    for name, topo, lat in TRACE_LOCK:
+        handle = build_system(make_config(topo, lat, name, **SMALL[name]))
+        assert handle.system.run_until(lambda: handle.core.done)
+    sys_, _, sink, _, _ = build_testbench(
+        1, [MemRequest(MsgKind.INIT, 0x1000, data=bytes(16)),
+            MemRequest(MsgKind.READ, 0x1000)], PointerChasePrefetcher())
+    run_to_responses(sys_, sink, 2)
+    assert sorted(DECLARED - audit_blocks()) == [], "declared signals never touched"

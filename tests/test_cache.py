@@ -11,6 +11,8 @@ from chasesim.messages import line_base, word_bytes, word_value
 
 from conftest import raised_optimized, run_to_responses
 
+pytestmark = pytest.mark.usefixtures("audit_blocks")
+
 LINE_A = bytes(range(1, 17))
 
 

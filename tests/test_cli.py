@@ -88,6 +88,7 @@ def test_run_defaults_match_library_defaults(name, capsys):
      "elements exceed the address budget"),
     (["--workload", "traversal", "--nodes", "2", "--trace", "/nonexistent/x.txt"],
      "cannot open --trace '/nonexistent/x.txt': No such file or directory"),
+    (["--workload", "traversal", "--nodes-per-line", "3"], "nodes_per_line must be 1 or 2"),
 ])
 def test_run_bad_input_is_one_error_line(argv, message, capsys):
     assert main(["run", *argv]) == 2
@@ -151,6 +152,8 @@ def test_sweep_empty_or_bad_list_is_one_error_line(argv, message, capsys):
     (["--workloads", "bogus,hanoi"], "unknown workload 'bogus'"),
     (["--workloads", "hanoi,array", "--elements", "262145"],
      "elements exceed the address budget"),
+    (["--workloads", "hanoi,insertion", "--nodes-per-line", "3"],
+     "nodes_per_line must be 1 or 2"),
 ])
 def test_sweep_bad_size_is_one_error_line(argv, message, capsys):
     # every config is checked when it is made: no row is simulated

@@ -53,6 +53,21 @@ def test_config_rejects_unknown_workload():
         assert str(e.value) == "unknown workload 'bogus'"
 
 
+@pytest.mark.parametrize("field,workload", [
+    ("latency", "traversal"), ("max_cycles", "traversal"), ("seed", "traversal"),
+    ("nodes", "traversal"), ("nodes_per_line", "traversal"), ("gap", "traversal"),
+    ("inserts", "insertion"), ("buckets", "hashtable"), ("keys", "hashtable"),
+    ("disks", "hanoi"), ("elements", "array"), ("n", "random"),
+])
+def test_config_rejects_a_non_integer_setting(field, workload):
+    # 2.5 passes every range check, so unchecked a latency or gap of 2.5
+    # runs and reports a real-looking row, and a list size of 2.5 raises a
+    # TypeError deep in a builder
+    settings = {"latency": 5, field: 2.5}
+    with pytest.raises(ConfigurationError, match=f"^{field} must be an integer$"):
+        make_config("baseline", settings.pop("latency"), workload, **settings)
+
+
 def test_config_params_are_order_independent():
     a = make_config("baseline", 5, "traversal", nodes=8, gap=2)
     b = make_config("baseline", 5, "traversal", gap=2, nodes=8)

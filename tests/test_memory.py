@@ -10,6 +10,8 @@ from chasesim.memory import dump_image
 
 from conftest import raised_optimized, run_to_responses
 
+pytestmark = pytest.mark.usefixtures("audit_blocks")
+
 
 def rd(addr, opaque=0):
     return MemRequest(MsgKind.READ, addr, opaque=opaque)

@@ -16,6 +16,8 @@ from chasesim.prefetcher import WAIT_DATA_INVALID, PrefetchEntry
 
 from conftest import run_to_responses
 
+pytestmark = pytest.mark.usefixtures("audit_blocks")
+
 # pf index bits are addr[5:4]: 0x1000->0, 0x1010->1, 0x2020->2, 0x2030->3
 ADDR_A = 0x1000
 ADDR_B = 0x1010
