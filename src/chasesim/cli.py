@@ -33,6 +33,14 @@ def _add_workload_opts(p):
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors (a flag that is not an integer, say) as
+    ``ConfigurationError``, so they print as one error line too."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _workload_params(args, name):
     """The given flags that the named workload takes as parameters."""
     defaults = WORKLOADS[name][1] if name in WORKLOADS else {}
@@ -40,11 +48,11 @@ def _workload_params(args, name):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="chasesim", description=__doc__)
+    parser = _Parser(prog="chasesim", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment")
-    p_run.add_argument("--topology", choices=TOPOLOGIES, default="alternate")
+    p_run.add_argument("--topology", default="alternate")
     p_run.add_argument("--latency", type=int, default=5)
     p_run.add_argument("--workload", required=True)
     p_run.add_argument("--trace", metavar="FILE", default=None,
@@ -58,8 +66,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--topologies", default=",".join(TOPOLOGIES))
     _add_workload_opts(p_sweep)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.cmd == "run":
             cfg = make_config(args.topology, args.latency, args.workload,
                               seed=args.seed, max_cycles=args.max_cycles,

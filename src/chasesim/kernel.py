@@ -162,11 +162,7 @@ class System:
         naming the blocks on it. Each component's ``tick`` and
         ``idle_cycles`` are bound here too, so a method replaced on an
         instance takes effect only if replaced before the first cycle or
-        a rewiring. Binding them once, ticks that read ``val``/``rdy``/``msg``
-        instead of calling channel methods, and a cache that splits an
-        address once on accept cut the Python calls per cycle by a quarter:
-        12.8 to 9.7 on ``random`` at L=4 without a prefetcher, 19.0 to 14.4
-        with one.
+        a rewiring.
         """
         if self._schedule is not None:
             return self._schedule

@@ -100,7 +100,11 @@ class PipelinedMemory(Component):
 
     def idle_cycles(self):
         if self.pipeline:
-            return self.pipeline[0][0] - (self.system.cycle - self.stalls)
+            wait = self.pipeline[0][0] - (self.system.cycle - self.stalls)
+            if wait < 0:
+                # eval sends only on the due cycle: this response never goes
+                raise RuntimeError(f"memory response overdue by {-wait} cycles")
+            return wait
         return IDLE_FOREVER
 
     def _response(self, req: MemRequest) -> MemResponse:

@@ -172,9 +172,6 @@ class PointerChasePrefetcher(Component):
                 self._next_or_idle()
         elif st in (WAIT_MEM, STALL_MEM):
             if got is not None:
-                if got.opaque != DEMAND_OPAQUE:
-                    raise RuntimeError(f"memory response with unknown opaque "
-                                       f"{got.opaque:#x}")
                 if self.req.kind == READCP and not self.buffer.busy:
                     self._push(got.data, split_address(self.req.addr,
                                                        PREFETCH_GEOMETRY)[2])

@@ -1,10 +1,13 @@
-"""Shared helpers for directed tests.
+"""Helpers shared by the test modules.
 
 Directed tests wire a device under test between a scripted source/sink pair
-and a memory with ``chasesim.build_testbench`` and compare acceptance /
-response cycles from their logs. The ``audit_blocks`` fixture, which every
-directed-test module uses, checks that each eval block a test runs touches
-only the signals it declares.
+and a memory with ``chasesim.build_testbench``, feed it ``rd``/``cp``
+requests and compare acceptance / response cycles from their logs. The
+``audit_blocks`` fixture, which every directed-test module uses, checks that
+each eval block a test runs touches only the signals it declares. System
+tests run a token program with ``run_program``, or with
+``run_against_oracle``, which also checks its loads and final image against
+the flat-replay oracle.
 """
 
 from __future__ import annotations
@@ -18,10 +21,21 @@ from pathlib import Path
 import pytest
 
 import chasesim.kernel as kernel
-from chasesim import (BlockingCache, Channel, CoreModel, PipelinedMemory,
-                      PointerChasePrefetcher, TestSink, TestSource)
+from chasesim import (BlockingCache, Channel, CoreModel, MemRequest, MsgKind,
+                      PipelinedMemory, PointerChasePrefetcher, System, TestSink,
+                      TestSource, replay_program)
+from chasesim.core import as_generator
+from chasesim.messages import ZERO_LINE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def rd(addr, opaque=0):
+    return MemRequest(MsgKind.READ, addr, opaque=opaque)
+
+
+def cp(addr):
+    return MemRequest(MsgKind.READCP, addr)
 
 
 def run_to_responses(sys_, sink, count, max_cycles=100_000):
@@ -41,6 +55,64 @@ def count_steps(system):
 
     system.step = counted
     return steps
+
+
+def after_each_block(system, hook):
+    """Make each eval block of system's components call hook(component,
+    block name) once it has run. The schedule binds the blocks, so call
+    this before the system's first cycle."""
+    for comp in system.components:
+        for name in comp.blocks:
+            def run(block=getattr(comp, name), comp=comp, name=name):
+                block()
+                hook(comp, name)
+            setattr(comp, name, run)
+
+
+def tokens_of(program):
+    """Expand a program against flat replay, recording the yielded tokens."""
+    out = []
+
+    def wrapper():
+        gen = as_generator(program)
+        value = None
+        first = True
+        while True:
+            try:
+                tok = next(gen) if first else gen.send(value)
+                first = False
+            except StopIteration:
+                return
+            out.append(tok)
+            value = yield tok
+
+    return wrapper, out
+
+
+def run_program(topology, program, segments, latency=4):
+    """Run a token program to completion in a system of the given topology;
+    return the system and its core."""
+    core, memory = CoreModel(program), PipelinedMemory(latency)
+    memory.load_image(segments)
+    system = System()
+    pf = [PointerChasePrefetcher()] if topology == "alternate" else []
+    system.chain(core, BlockingCache(), *pf, memory)
+    assert system.run_until(lambda: core.done)
+    return system, core
+
+
+def run_against_oracle(topology, program, segments, latency):
+    """Run program; assert its loads and flushed image match
+    replay_program's; return the system."""
+    system, core = run_program(topology, program, segments, latency)
+    loads, flat = replay_program(program, segments)
+    assert core.loads == loads
+    cache, memory = system.components[1], system.components[-1]
+    cache.flush_dirty(memory.poke_line)
+    expect = flat.lines()
+    for addr in set(expect) | set(memory.store):
+        assert memory.peek_line(addr) == expect.get(addr, ZERO_LINE), hex(addr)
+    return system
 
 
 def raised_optimized(snippet: str) -> str:

@@ -22,14 +22,14 @@ import json
 import sys
 from pathlib import Path
 
+import chasesim
 from chasesim import build_system, make_config, report
-from chasesim.harness import RunStats, run_built
+from chasesim.harness import TOPOLOGIES, RunStats, run_built
 from chasesim.memory import dump_image
 
 GOLDEN = Path(__file__).resolve().parent / "matrix.json"
 
-WORKLOADS = ("traversal", "insertion", "hashtable", "hanoi", "array", "random")
-TOPOLOGIES = ("baseline", "alternate")
+WORKLOADS = tuple(chasesim.WORKLOADS)  # in registry order
 LATENCIES = (1, 2, 5, 10, 40)
 SEEDS = (1, 2)
 # command-line default sizes, except the 10 000-token random stream

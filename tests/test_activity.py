@@ -25,7 +25,7 @@ from chasesim import (Channel, MemRequest, MsgKind, PointerChasePrefetcher,
 from golden.make_golden import TOPOLOGIES, WORKLOADS
 from golden.make_traces import LATENCIES, SMALL
 
-from conftest import DECLARED, run_to_responses
+from conftest import DECLARED, after_each_block, run_to_responses
 
 TRACE_LOCK = [(name, topo, lat) for name in WORKLOADS for topo in TOPOLOGIES
               for lat in LATENCIES]
@@ -42,16 +42,14 @@ def test_no_stepped_cycle_leaves_every_val_low(name):
             handle = build_system(make_config(topo, lat, name, **SMALL[name]))
             system = handle.system
             per_cycle, ran = sum(len(c.blocks) for c in system.components), [0]
-            for comp in system.components:
-                for method in comp.blocks:
-                    def checked(block=getattr(comp, method), where=(topo, lat)):
-                        block()
-                        ran[0] += 1
-                        if ran[0] == per_cycle:  # the eval phase is over
-                            ran[0] = 0
-                            if not any(ch.val for ch in system.channels):
-                                quiet.append((*where, system.cycle))
-                    setattr(comp, method, checked)
+
+            def checked(comp, block, system=system, where=(topo, lat)):
+                ran[0] += 1
+                if ran[0] == per_cycle:  # the eval phase is over
+                    ran[0] = 0
+                    if not any(ch.val for ch in system.channels):
+                        quiet.append((*where, system.cycle))
+            after_each_block(system, checked)
             assert system.run_until(lambda: handle.core.done)
     assert quiet == []
 

@@ -4,24 +4,16 @@ import textwrap
 
 import pytest
 
-from chasesim import (BlockingCache, MemRequest, MsgKind, build_system,
-                      build_testbench, make_config, replay_program)
+from chasesim import (BlockingCache, MemRequest, MsgKind, build_testbench,
+                      make_workload)
 from chasesim.cache import IDLE
 from chasesim.messages import line_base, word_bytes, word_value
 
-from conftest import raised_optimized, run_to_responses
+from conftest import cp, raised_optimized, rd, run_against_oracle, run_to_responses
 
 pytestmark = pytest.mark.usefixtures("audit_blocks")
 
 LINE_A = bytes(range(1, 17))
-
-
-def rd(addr):
-    return MemRequest(MsgKind.READ, addr)
-
-
-def cp(addr):
-    return MemRequest(MsgKind.READCP, addr)
 
 
 def wr(addr, value):
@@ -159,13 +151,5 @@ def test_flush_on_busy_cache_raises():
 def test_functional_transparency_against_flat_replay():
     # a randomized token stream through core+cache+memory must match the
     # flat-memory oracle in both load values and the final image
-    cfg = make_config("baseline", 3, "random", n=2000, seed=7)
-    handle = build_system(cfg)
-    assert handle.system.run_until(lambda: handle.core.done, 1_000_000)
-    handle.cache.flush_dirty(handle.memory.poke_line)
-
-    loads, flat = replay_program(handle.workload.program, handle.workload.segments)
-    assert handle.core.loads == loads
-    expect = flat.lines()
-    for addr in set(expect) | set(handle.memory.store):
-        assert handle.memory.peek_line(addr) == expect.get(addr, bytes(16)), hex(addr)
+    w = make_workload("random", seed=7, n=2000)
+    run_against_oracle("baseline", w.program, w.segments, 3)

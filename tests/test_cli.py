@@ -8,6 +8,14 @@ from chasesim import WORKLOADS, make_config, report, run_experiment
 from chasesim.cli import main
 
 
+def assert_one_error_line(argv, message, capsys):
+    """main(argv) exits 2 and prints only ``chasesim: error: <message>``."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chasesim: error: {message}\n"
+
+
 def test_run_csv(capsys):
     assert main(["run", "--workload", "traversal", "--nodes", "8",
                  "--latency", "5", "--format", "csv"]) == 0
@@ -89,21 +97,22 @@ def test_run_defaults_match_library_defaults(name, capsys):
     (["--workload", "traversal", "--nodes", "2", "--trace", "/nonexistent/x.txt"],
      "cannot open --trace '/nonexistent/x.txt': No such file or directory"),
     (["--workload", "traversal", "--nodes-per-line", "3"], "nodes_per_line must be 1 or 2"),
+    # argparse's own errors are one line too
+    (["--workload", "traversal", "--nodes", "4.5"],
+     "argument --nodes: invalid int value: '4.5'"),
+    (["--workload", "traversal", "--topology", "sideways"], "unknown topology 'sideways'"),
+    (["--workload", "traversal", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'table', 'csv', 'json')"),
 ])
 def test_run_bad_input_is_one_error_line(argv, message, capsys):
-    assert main(["run", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"chasesim: error: {message}\n"
+    assert_one_error_line(["run", *argv], message, capsys)
 
 
 @pytest.mark.parametrize("command", [["run", "--workload"], ["sweep", "--workloads"]])
 def test_hashtable_over_the_address_budget_is_one_error_line(command, capsys):
     # 70000 keys need more than the 1 MiB region: refused before any build
-    assert main([*command, "hashtable", "--keys", "70000"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "chasesim: error: buckets and keys exceed the address budget\n"
+    assert_one_error_line([*command, "hashtable", "--keys", "70000"],
+                          "buckets and keys exceed the address budget", capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -122,11 +131,9 @@ def test_run_bad_input_leaves_trace_file_alone(argv, tmp_path, capsys):
 
 
 def test_sweep_bad_latencies_is_one_error_line(capsys):
-    assert main(["sweep", "--workloads", "hanoi", "--latencies", "2,x"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("chasesim: error: --latencies must be "
-                            "comma-separated integers, not '2,x'\n")
+    assert_one_error_line(["sweep", "--workloads", "hanoi", "--latencies", "2,x"],
+                          "--latencies must be comma-separated integers, not '2,x'",
+                          capsys)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -138,10 +145,8 @@ def test_sweep_bad_latencies_is_one_error_line(capsys):
 ])
 def test_sweep_empty_or_bad_list_is_one_error_line(argv, message, capsys):
     # an empty sweep would print only the CSV header and look like a success
-    assert main(["sweep", "--workloads", "hanoi", *argv, "--format", "csv"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"chasesim: error: {message}\n"
+    assert_one_error_line(["sweep", "--workloads", "hanoi", *argv, "--format", "csv"],
+                          message, capsys)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -157,12 +162,10 @@ def test_sweep_empty_or_bad_list_is_one_error_line(argv, message, capsys):
 ])
 def test_sweep_bad_size_is_one_error_line(argv, message, capsys):
     # every config is checked when it is made: no row is simulated
-    assert main(["sweep", *argv, "--latencies", "5", "--format", "csv"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"chasesim: error: {message}\n"
+    assert_one_error_line(["sweep", *argv, "--latencies", "5", "--format", "csv"],
+                          message, capsys)
 
 
-def test_unknown_subcommand_rejected():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_unknown_subcommand_rejected(capsys):
+    assert_one_error_line(["frobnicate"], "argument cmd: invalid choice: 'frobnicate' "
+                          "(choose from 'run', 'sweep')", capsys)

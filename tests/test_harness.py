@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chasesim import (WORKLOADS, BlockingCache, Compute, ConfigurationError,
-                      CoreModel, ExperimentConfig, PipelinedMemory,
-                      PointerChasePrefetcher, Read, ReadCP, System, Write,
-                      build_system, dump_image, make_config, make_workload,
-                      replay_program, run_experiment, workloads)
+from chasesim import (WORKLOADS, Compute, ConfigurationError, ExperimentConfig,
+                      Read, ReadCP, Write, build_system, dump_image, make_config,
+                      make_workload, replay_program, run_experiment, workloads)
 from chasesim.harness import (TOPOLOGIES, collect_counters, report,
                               result_rows, sweep)
 from chasesim.messages import LINE_BYTES, WORD_BYTES, word_bytes
 from chasesim.workloads import HEAD_CELL
-from conftest import count_steps
-from test_workloads import tokens_of
+from conftest import count_steps, run_against_oracle, run_program, tokens_of
+from golden.make_traces import SMALL
 
 
 def run_handle(config):
@@ -26,18 +24,6 @@ def run_handle(config):
     assert handle.system.run_until(lambda: handle.core.done, config.max_cycles)
     handle.cache.flush_dirty(handle.memory.poke_line)
     return handle
-
-
-def run_program(topology, program, segments, latency=4):
-    """Run a token program to completion in a system of the given topology;
-    return the system and its core."""
-    core, memory = CoreModel(program), PipelinedMemory(latency)
-    memory.load_image(segments)
-    system = System()
-    pf = [PointerChasePrefetcher()] if topology == "alternate" else []
-    system.chain(core, BlockingCache(), *pf, memory)
-    assert system.run_until(lambda: core.done)
-    return system, core
 
 
 def test_make_config_rejects_unknown_topology():
@@ -105,13 +91,8 @@ def test_alternate_traversal_prefetches_every_successor():
 
 
 def test_alternate_run_matches_flat_replay():
-    cfg = make_config("alternate", 4, "insertion", nodes=32, inserts=4)
-    handle = run_handle(cfg)
-    loads, flat = replay_program(handle.workload.program, handle.workload.segments)
-    assert handle.core.loads == loads
-    expect = flat.lines()
-    for addr in set(expect) | set(handle.memory.store):
-        assert handle.memory.peek_line(addr) == expect.get(addr, bytes(16))
+    w = make_workload("insertion", nodes=32, inserts=4)
+    run_against_oracle("alternate", w.program, w.segments, 4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,14 +103,7 @@ def test_random_streams_match_the_oracle(topology, latency, seed, n, lines, read
     # write is the share of the non-read tokens; the rest are read-cp
     mix = (read, (1 - read) * write, (1 - read) * (1 - write))
     w = workloads._random(seed, n, lines=lines, mix=mix)
-    system, core = run_program(topology, w.program, w.segments, latency)
-    loads, flat = replay_program(w.program, w.segments)
-    assert core.loads == loads
-    cache, memory = system.components[1], system.components[-1]
-    cache.flush_dirty(memory.poke_line)
-    expect = flat.lines()
-    for addr in set(expect) | set(memory.store):
-        assert memory.peek_line(addr) == expect.get(addr, bytes(16))
+    run_against_oracle(topology, w.program, w.segments, latency)
 
 
 POINTER_REGION = 0x1000  # nonzero, so no in-region pointer is null
@@ -162,20 +136,6 @@ def pointer_stream(n, seed, lines, chase, write):
                 ptr = yield ReadCP(pointer(rng))
 
     return program, [(POINTER_REGION, region)]
-
-
-def run_against_oracle(topology, program, segments, latency):
-    """Run program; assert its loads and flushed image match
-    replay_program's; return the system."""
-    system, core = run_program(topology, program, segments, latency)
-    loads, flat = replay_program(program, segments)
-    assert core.loads == loads
-    cache, memory = system.components[1], system.components[-1]
-    cache.flush_dirty(memory.poke_line)
-    expect = flat.lines()
-    for addr in set(expect) | set(memory.store):
-        assert memory.peek_line(addr) == expect.get(addr, bytes(16))
-    return system
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,11 +304,6 @@ def test_run_determinism():
 
 
 # -- idle-cycle skipping --
-
-SMALL = {"traversal": {"nodes": 16, "gap": 5}, "insertion": {"nodes": 16, "inserts": 4},
-         "hashtable": {"buckets": 4, "keys": 16}, "hanoi": {"disks": 3},
-         "array": {"elements": 32}, "random": {"n": 200}}
-
 
 def finish(config, advance):
     """Run config to core.done with advance(handle); return what it made."""

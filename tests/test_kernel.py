@@ -9,7 +9,7 @@ from chasesim import (BlockingCache, CombinationalLoopError, Component, Compute,
                       ConfigurationError, CoreModel, MemRequest, MsgKind,
                       PipelinedMemory, PointerChasePrefetcher, System, TestSink,
                       TestSource, build_system, make_config, make_workload)
-from conftest import count_steps
+from conftest import after_each_block, count_steps
 
 
 def req(addr, kind=MsgKind.READ):
@@ -198,6 +198,13 @@ def test_declared_signal_on_unbound_port_raises():
         system.step()
 
 
+def test_declared_signal_other_than_val_or_rdy_raises():
+    sys_, src, _, _ = wire_source_to_sink([])
+    src.blocks = {"eval": ((), ("req.foo",))}
+    with pytest.raises(ConfigurationError, match=r"^src: bad signal 'req\.foo'$"):
+        sys_.step()
+
+
 def block_names(system):
     return [f"{b.__self__.name}.{b.__name__}" for b in system.schedule()]
 
@@ -304,17 +311,11 @@ def test_schedule_does_not_depend_on_component_order(latency):
 @pytest.mark.parametrize("topology", ["baseline", "alternate"])
 def test_each_eval_block_runs_once_per_stepped_cycle(topology):
     handle = build_system(make_config(topology, 4, "random", n=200))
-    calls = {}
-    for comp in handle.system.components:
-        for method in comp.blocks:
-            key = f"{comp.name}.{method}"
-            calls[key] = 0
+    calls = {(c.name, m): 0 for c in handle.system.components for m in c.blocks}
 
-            def counted(block=getattr(comp, method), key=key):
-                calls[key] += 1
-                block()
-
-            setattr(comp, method, counted)
+    def counted(comp, block):
+        calls[comp.name, block] += 1
+    after_each_block(handle.system, counted)
     steps = count_steps(handle.system)
     assert handle.system.run_until(lambda: handle.core.done)
     assert steps[0] > 100

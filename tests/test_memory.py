@@ -4,17 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chasesim import (ConfigurationError, MemRequest, MsgKind, PipelinedMemory,
-                      build_testbench)
+from chasesim import (ConfigurationError, CoreModel, MemRequest, MsgKind,
+                      PipelinedMemory, System, build_testbench)
 from chasesim.memory import dump_image
 
-from conftest import raised_optimized, run_to_responses
+from conftest import raised_optimized, rd, run_to_responses
 
 pytestmark = pytest.mark.usefixtures("audit_blocks")
-
-
-def rd(addr, opaque=0):
-    return MemRequest(MsgKind.READ, addr, opaque=opaque)
 
 
 def wr_line(addr, data):
@@ -47,6 +43,11 @@ def test_load_image_overlap_later_wins():
     mem = PipelinedMemory(1)
     mem.load_image([(0x1000, LINE_A), (0x1000, LINE_B)])
     assert mem.peek_line(0x1000) == LINE_B
+
+
+def test_load_image_rejects_a_misaligned_segment():
+    with pytest.raises(ConfigurationError, match="^segment address misaligned: 0x1002$"):
+        PipelinedMemory(1).load_image([(0x1002, LINE_A)])
 
 
 def test_load_image_partial_lines():
@@ -156,6 +157,19 @@ def test_occupancy_never_exceeds_latency():
         max_occ = max(max_occ, len(mem.pipeline))
         assert sys_.cycle < 1000
     assert max_occ <= latency
+
+
+def test_overdue_response_raises():
+    # eval sends the head response only on its due cycle: one behind the
+    # pipeline clock would never go, and run_until would step to its budget.
+    # run_until consults memory only when every component before it reports
+    # idle cycles, which a testbench's source never does; a done core does
+    core, mem = CoreModel([]), PipelinedMemory(4)
+    system = System()
+    system.chain(core, mem)
+    mem.pipeline.append((-3, rd(0x1000)))
+    with pytest.raises(RuntimeError, match="^memory response overdue by 3 cycles$"):
+        system.run_until(lambda: False)
 
 
 def test_partial_write_rejected():

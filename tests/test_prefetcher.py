@@ -14,7 +14,7 @@ from chasesim.messages import LINE_BYTES, WORD_BYTES, set_word_in_line
 from chasesim.kernel import IDLE_FOREVER
 from chasesim.prefetcher import WAIT_DATA_INVALID, PrefetchEntry
 
-from conftest import run_to_responses
+from conftest import cp, rd, run_to_responses
 
 pytestmark = pytest.mark.usefixtures("audit_blocks")
 
@@ -34,14 +34,6 @@ def line_with_ptr(ptr, offset=0):
 
 def init(addr, data):
     return MemRequest(MsgKind.INIT, addr, data=data)
-
-
-def rd(addr):
-    return MemRequest(MsgKind.READ, addr)
-
-
-def cp(addr):
-    return MemRequest(MsgKind.READCP, addr)
 
 
 def wr(addr, data):

@@ -6,30 +6,10 @@ import pytest
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
                       Read, ReadCP, Write, replay_program)
-from chasesim.core import as_generator
 from chasesim.harness import make_workload
 from chasesim.messages import LINE_BYTES, WORD_BYTES, line_base
 from chasesim.workloads import HEAD_CELL, REGION_BYTES
-
-
-def tokens_of(program):
-    """Expand a program against flat replay, recording the yielded tokens."""
-    out = []
-
-    def wrapper():
-        gen = as_generator(program)
-        value = None
-        first = True
-        while True:
-            try:
-                tok = next(gen) if first else gen.send(value)
-                first = False
-            except StopIteration:
-                return
-            out.append(tok)
-            value = yield tok
-
-    return wrapper, out
+from conftest import tokens_of
 
 
 # -- LCG --
