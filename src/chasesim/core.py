@@ -57,7 +57,7 @@ class CoreModel(Component):
     def __init__(self, program):
         super().__init__()
         self._gen = as_generator(program)
-        self._token: Token | None = None
+        self._req: MemRequest | None = None  # the current token's request
         self.state = REQUEST
         self._compute_end = 0  # last cycle of the current Compute
         self.loads: list[tuple[int, int]] = []  # (addr, value) in issue order
@@ -83,21 +83,17 @@ class CoreModel(Component):
                 self._compute_end = now + tok.cycles
                 self.state = COMPUTE
                 return
-            self._token = tok
+            if isinstance(tok, Write):
+                self._req = MemRequest(WRITE, tok.addr, data=word_bytes(tok.value))
+            else:
+                self._req = MemRequest(READCP if isinstance(tok, ReadCP) else READ,
+                                       tok.addr)
             self.state = REQUEST
             return
 
-    def _request(self) -> MemRequest:
-        tok = self._token
-        if isinstance(tok, Read):
-            return MemRequest(READ, tok.addr)
-        if isinstance(tok, ReadCP):
-            return MemRequest(READCP, tok.addr)
-        return MemRequest(WRITE, tok.addr, data=word_bytes(tok.value))
-
     def eval(self):
         if self.state == REQUEST:
-            self.mem_req.send(self._request())
+            self.mem_req.send(self._req)
         self.mem_resp.rdy = self.state == WAIT
 
     def tick(self):
@@ -107,9 +103,9 @@ class CoreModel(Component):
         elif self.state == WAIT:
             r = self.mem_resp.msg if self.mem_resp.rdy else None
             if r is not None:
-                if isinstance(self._token, (Read, ReadCP)):
+                if self._req.kind != WRITE:  # a Read or ReadCP: a load
                     value = word_value(r.data)
-                    self.loads.append((self._token.addr, value))
+                    self.loads.append((self._req.addr, value))
                     self._advance(value, self.system.cycle)
                 else:
                     self._advance(None, self.system.cycle)

@@ -9,7 +9,8 @@ form a cycle raise a ``CombinationalLoopError`` naming them before the first
 cycle runs. Blocks only assert signals (``send``, or assign ``rdy``); each
 cycle starts with all of them low. In the commit phase each component's
 ``tick`` runs once and sees a transfer where val and rdy are both high;
-then the kernel counts the transfers and resets every channel.
+then the kernel counts the transfers and resets every channel. Once per
+wiring, ``System.schedule`` compiles this cycle into straight-line code.
 
 ``System.cycle`` is the only clock: a component that waits for a cycle (a
 core's compute, memory's due responses) compares against it instead of
@@ -22,11 +23,14 @@ nothing can transfer in those n cycles, so the kernel writes the n trace
 lines unchanged, moves the cycle to the last of them and runs every tick
 once there. The predicate is therefore evaluated at every cycle where a
 component's state, a transfer log or a counter can change, which makes
-predicates over those exact. ``step`` always advances exactly one cycle.
+predicates over those exact. ``step`` always advances exactly one cycle, and
+``run_until`` calls ``self.step()`` for each cycle it steps, so a probe that
+replaces ``System.step`` sees every stepped cycle.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable
 
@@ -114,6 +118,7 @@ class System:
         self._schedule: list[Callable[[], None]] | None = None
         self._ticks: list[Callable[[], None]] = []
         self._idles: list[Callable[[], float]] = []
+        self._cycle: Callable[[System], None] | None = None
 
     def add(self, *comps: Component):
         if self.cycle:
@@ -162,7 +167,8 @@ class System:
         naming the blocks on it. Each component's ``tick`` and
         ``idle_cycles`` are bound here too, so a method replaced on an
         instance takes effect only if replaced before the first cycle or
-        a rewiring.
+        a rewiring. So is the stepped cycle, compiled from ``_cycle_code``
+        with ``b<i>``, ``t<i>`` and ``c<i>`` its i-th block, tick and channel.
         """
         if self._schedule is not None:
             return self._schedule
@@ -191,6 +197,11 @@ class System:
         self._schedule = [getattr(*blocks[i]) for i in order]
         self._ticks = [c.tick for c in self.components]
         self._idles = [c.idle_cycles for c in self.components]
+        bound = {"b": self._schedule, "t": self._ticks, "c": self.channels}
+        env = {f"{k}{i}": f for k, fs in bound.items() for i, f in enumerate(fs)}
+        exec(_cycle_code(" ".join(c.name for c in self.components),
+                         *map(len, bound.values())), env)
+        self._cycle = env["cycle"]
         return self._schedule
 
     @staticmethod
@@ -204,20 +215,9 @@ class System:
         return ch, wire
 
     def step(self):
-        for block in self._schedule or self.schedule():
-            block()
-        if self._trace is not None:
-            self._write_trace()
-        for tick in self._ticks:
-            tick()
-        for ch in self.channels:
-            if ch.val:
-                if ch.rdy:
-                    ch.transfers += 1
-                ch.msg = None
-                ch.val = False
-            ch.rdy = False
-        self.cycle += 1
+        if self._schedule is None:
+            self.schedule()
+        self._cycle(self)
 
     def run_until(self, predicate: Callable[[], bool], max_cycles: int = MAX_CYCLES) -> bool:
         """Advance until predicate holds, skipping cycles in which no
@@ -225,7 +225,7 @@ class System:
         if max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
         self.schedule()  # a combinational loop fails before the first cycle
-        idles = self._idles
+        idles, ticks = self._idles, self._ticks
         steps = 0
         while not predicate():
             if steps >= max_cycles:
@@ -238,22 +238,19 @@ class System:
                     if n <= 0:
                         break
             if n > 0:
-                self._skip(n)
+                # no component asserts val in these n cycles: only the last
+                # of them can change a component, so tick once there
+                if self._trace is not None:
+                    self._write_trace(n)
+                self.cycle += n - 1
+                for tick in ticks:
+                    tick()
+                self.cycle += 1
             else:
                 self.step()
                 n = 1
             steps += n
         return True
-
-    def _skip(self, n: int):
-        """Advance n cycles in which no component asserts val: only the
-        last of them can change a component, so tick once there."""
-        if self._trace is not None:
-            self._write_trace(n)
-        self.cycle += n - 1
-        for tick in self._ticks:
-            tick()
-        self.cycle += 1
 
     def state_summary(self) -> dict[str, str]:
         return {c.name: c.trace_state() for c in self.components}
@@ -266,3 +263,22 @@ class System:
         tail = "".join(" " + p for p in parts) + "\n"
         self._trace.writelines(f"{cy:8d}{tail}"
                                for cy in range(self.cycle, self.cycle + n))
+
+
+@lru_cache(maxsize=64)
+def _cycle_code(wiring: str, blocks: int, ticks: int, channels: int):
+    """Code defining ``cycle(system)``, one stepped cycle: each block in
+    schedule order, the trace hook, each tick, then per channel: count a
+    transfer, drop val and msg, drop rdy. Compiling takes about 0.5 ms (2
+    vCPUs, Python 3.11), which a sweep of short runs would pay per run, so
+    wirings of one shape share the code."""
+    src = ["def cycle(system):"]
+    src += [f"    b{i}()" for i in range(blocks)]
+    src += ["    if system._trace is not None:", "        system._write_trace()"]
+    src += [f"    t{i}()" for i in range(ticks)]
+    for c in (f"c{i}" for i in range(channels)):
+        src += [f"    if {c}.val:", f"        if {c}.rdy:",
+                f"            {c}.transfers += 1", f"        {c}.msg = None",
+                f"        {c}.val = False", f"    {c}.rdy = False"]
+    src.append("    system.cycle += 1")
+    return compile("\n".join(src), f"<cycle of {wiring}>", "exec")

@@ -75,7 +75,12 @@ class PipelinedMemory(Component):
 
     def eval(self):
         if self.pipeline and self.pipeline[0][0] == self.system.cycle - self.stalls:
-            self.resp.send(self._response(self.pipeline[0][1]))
+            r = self.pipeline[0][1]
+            # a read returns its whole line (r.addr & -LINE_BYTES is its
+            # line_base), a write an empty response
+            data = (b"" if r.kind == WRITE
+                    else self.store.get(r.addr & -LINE_BYTES, ZERO_LINE))
+            self.resp.send(MemResponse(r.kind, r.opaque, data))
 
     def eval_req_rdy(self):
         # a due head that is not accepted stalls the whole pipeline
@@ -106,11 +111,6 @@ class PipelinedMemory(Component):
                 raise RuntimeError(f"memory response overdue by {-wait} cycles")
             return wait
         return IDLE_FOREVER
-
-    def _response(self, req: MemRequest) -> MemResponse:
-        if req.kind == WRITE:
-            return MemResponse(WRITE, req.opaque)
-        return MemResponse(req.kind, req.opaque, self.peek_line(req.addr), hit=False)
 
     def trace_state(self):
         return f"p{len(self.pipeline)}"

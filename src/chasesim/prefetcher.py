@@ -4,8 +4,9 @@ Four entries of {26-bit tag, tag-valid, data-valid, 16-byte line}. On
 read-cp traffic the address generation unit extracts the next-node pointer
 from the serviced line into one latched output (``next_ptr``), and a single
 buffer address register issues one outstanding prefetch (opaque=1) for it.
-``tag_check`` is the only lookup. Separate tag/data valid bits let a demand
-to a line whose fill is still in flight wait instead of re-requesting.
+``tag_check`` is the only lookup, and a request's address is split once, on
+accept. Separate tag/data valid bits let a demand to a line whose fill is
+still in flight wait instead of re-requesting.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
 from .messages import (INIT as INIT_KIND, PREFETCH_GEOMETRY, READ, READCP, WRITE,
-                       ZERO_LINE, MemRequest, MemResponse, line_base,
-                       split_address, word_in_line)
+                       ZERO_LINE, MemRequest, MemResponse, join_address,
+                       line_base, split_address, word_in_line)
 
 NUM_ENTRIES = PREFETCH_GEOMETRY.num_indices
 
@@ -77,6 +78,7 @@ class PointerChasePrefetcher(Component):
         self.buffer = BufferAddressRegister()
         self.state = IDLE
         self.req: MemRequest | None = None
+        self.tag = self.idx = self.off = 0  # self.req's address, split on accept
         self.next_ptr = 0  # AGU output latched for PUSH_NEXT
         self.stats = PrefetchStats()
         # ports
@@ -94,12 +96,18 @@ class PointerChasePrefetcher(Component):
         for the pending line is applied combinationally, so a same-cycle
         demand sees its data."""
         tag, idx, off = split_address(addr, PREFETCH_GEOMETRY)
+        hit, line, dvalid = self._probe(tag, idx, fill)
+        return hit, idx, off, line, dvalid
+
+    def _probe(self, tag: int, idx: int, fill: MemResponse | None = None):
+        """``tag_check``'s (hit, line, data_valid) for a split address."""
         e = self.entries[idx]
         hit = e.tag_valid and e.tag == tag
         if (fill is not None and hit and not e.data_valid and self.buffer.busy
-                and line_base(self.buffer.next_addr) == line_base(addr)):
-            return hit, idx, off, fill.data, True
-        return hit, idx, off, e.data, e.data_valid
+                and line_base(self.buffer.next_addr)
+                == join_address(tag, idx, 0, PREFETCH_GEOMETRY)):
+            return hit, fill.data, True
+        return hit, e.data, e.data_valid
 
     def eval(self):
         incoming = self.mem_resp.msg
@@ -110,7 +118,7 @@ class PointerChasePrefetcher(Component):
         if st == TAG_CHECK or st == WAIT_DATA_INVALID:
             req = self.req
             if req.kind != INIT_KIND:
-                hit, _, _, line, dvalid = self.tag_check(req.addr, fill)
+                hit, line, dvalid = self._probe(self.tag, self.idx, fill)
                 if req.kind == WRITE or not hit:
                     self.mem_req.send(MemRequest(req.kind, req.addr,
                                                  DEMAND_OPAQUE, data=req.data))
@@ -153,16 +161,15 @@ class PointerChasePrefetcher(Component):
             got = None
         st = self.state
         if st == IDLE:
-            self._next_or_idle()
+            if self.cache_req.msg is not None:  # IDLE's cache_req is ready
+                self._next_or_idle()
         elif st == TAG_CHECK or st == WAIT_DATA_INVALID:
             self._tick_tag_check()
         elif st == INIT:
             if self.cache_resp.val and self.cache_resp.rdy:
-                req = self.req
-                tag, idx, _ = split_address(req.addr, PREFETCH_GEOMETRY)
-                data = (req.data + ZERO_LINE)[:16]
-                self.entries[idx] = PrefetchEntry(tag=tag, tag_valid=True,
-                                                  data_valid=True, data=data)
+                data = (self.req.data + ZERO_LINE)[:16]
+                self.entries[self.idx] = PrefetchEntry(tag=self.tag, tag_valid=True,
+                                                       data_valid=True, data=data)
                 self._next_or_idle()
         elif st == PUSH_NEXT:
             self._tick_push_next()
@@ -173,8 +180,7 @@ class PointerChasePrefetcher(Component):
         elif st in (WAIT_MEM, STALL_MEM):
             if got is not None:
                 if self.req.kind == READCP and not self.buffer.busy:
-                    self._push(got.data, split_address(self.req.addr,
-                                                       PREFETCH_GEOMETRY)[2])
+                    self._push(got.data, self.off)
                 else:
                     self.state = IDLE
             else:
@@ -186,13 +192,13 @@ class PointerChasePrefetcher(Component):
     def _tick_tag_check(self):
         # TAG_CHECK and WAIT_DATA_INVALID: the fill of this cycle has landed
         req = self.req
-        hit, idx, off, line, dvalid = self.tag_check(req.addr)
+        hit, line, dvalid = self._probe(self.tag, self.idx)
         if req.kind == INIT_KIND:
             self.state = INIT
         elif self.cache_resp.val and self.cache_resp.rdy:
-            self._count_hit(req.kind, self.entries[idx])
+            self._count_hit(req.kind, self.entries[self.idx])
             if req.kind == READCP:
-                self._push(line, off)
+                self._push(line, self.off)
             else:
                 self._next_or_idle()  # cache_req is not ready in DI: idle
         elif self.mem_req.val and self.mem_req.rdy:
@@ -200,7 +206,7 @@ class PointerChasePrefetcher(Component):
                 self.stats.writes += 1
                 if hit:
                     # invalidate before forwarding so no stale data survives
-                    e = self.entries[idx]
+                    e = self.entries[self.idx]
                     e.tag_valid = e.data_valid = False
             elif req.kind == READ:
                 self.stats.read_misses += 1
@@ -260,6 +266,7 @@ class PointerChasePrefetcher(Component):
         r = self.cache_req.msg if self.cache_req.rdy else None
         if r is not None:
             self.req = r
+            self.tag, self.idx, self.off = split_address(r.addr, PREFETCH_GEOMETRY)
             self.state = TAG_CHECK
         else:
             self.state = IDLE
@@ -271,7 +278,7 @@ class PointerChasePrefetcher(Component):
         if st == PUSH_NEXT:
             return 1
         if st == TAG_CHECK or st == WAIT_DATA_INVALID:
-            hit, _, _, _, dvalid = self.tag_check(self.req.addr)
+            hit, _, dvalid = self._probe(self.tag, self.idx)
             if hit and not dvalid and self.req.kind != WRITE:
                 # a hit on a pending fill asserts nothing: TAG_CHECK moves to
                 # DI at the end of the cycle, DI waits for the fill

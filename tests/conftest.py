@@ -1,11 +1,11 @@
 """Helpers shared by the test modules.
 
 Directed tests wire a device under test between a scripted source/sink pair
-and a memory with ``chasesim.build_testbench``, feed it ``rd``/``cp``
-requests and compare acceptance / response cycles from their logs. The
-``audit_blocks`` fixture, which every directed-test module uses, checks that
-each eval block a test runs touches only the signals it declares. System
-tests run a token program with ``run_program``, or with
+and a memory with ``chasesim.build_testbench``, feed it ``rd``, ``cp`` and
+``wr_line`` requests and compare acceptance / response cycles from their
+logs. The ``audit_blocks`` fixture, which every directed-test module uses,
+checks that each eval block a test runs touches only the signals it
+declares. System tests run a token program with ``run_program``, or with
 ``run_against_oracle``, which also checks its loads and final image against
 the flat-replay oracle.
 """
@@ -36,6 +36,11 @@ def rd(addr, opaque=0):
 
 def cp(addr):
     return MemRequest(MsgKind.READCP, addr)
+
+
+def wr_line(addr, data):
+    """A full-line write (``test_cache.py``'s ``wr`` writes one word)."""
+    return MemRequest(MsgKind.WRITE, addr, data=data)
 
 
 def run_to_responses(sys_, sink, count, max_cycles=100_000):

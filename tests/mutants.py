@@ -67,8 +67,8 @@ MUTANTS = [
            '"eval": (("mem_resp.val", "cache_resp.rdy"),',
            '"eval": ((),'),
     Mutant("same-cycle-fill-from-stale-entry", "prefetcher.py",
-           "return hit, idx, off, fill.data, True",
-           "return hit, idx, off, e.data, True"),
+           "return hit, fill.data, True",
+           "return hit, e.data, True"),
     Mutant("memory-stall-uncounted", "memory.py",
            "self.stalls += 1  # due head stalled",
            "pass  # due head stalled"),
@@ -76,9 +76,9 @@ MUTANTS = [
            "self._compute_end = now + tok.cycles\n",
            "self._compute_end = now + tok.cycles - 1\n"),
     Mutant("skip-drops-final-tick", "kernel.py",
-           "        self.cycle += n - 1\n        for tick in self._ticks:\n"
-           "            tick()\n",
-           "        self.cycle += n - 1\n"),
+           "                self.cycle += n - 1\n                for tick in ticks:\n"
+           "                    tick()\n",
+           "                self.cycle += n - 1\n"),
     Mutant("refill-mutates-core-request", "cache.py",
            "            self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))\n",
            "            self.req.kind = kind\n            self.mem_req.send(self.req)\n"),
@@ -118,6 +118,12 @@ MUTANTS = [
     Mutant("cache-stale-decode", "cache.py",
            "                self.tag, self.idx, self.off = split_address(r.addr, CACHE_GEOMETRY)\n",
            ""),
+    Mutant("pf-stale-decode", "prefetcher.py",
+           "            self.tag, self.idx, self.off = split_address(r.addr, PREFETCH_GEOMETRY)\n",
+           ""),
+    Mutant("cycle-drops-last-channel-reset", "kernel.py",
+           'for c in (f"c{i}" for i in range(channels)):',
+           'for c in (f"c{i}" for i in range(channels - 1)):'),
     Mutant("pf-took-without-val", "prefetcher.py",
            "        elif self.mem_req.val and self.mem_req.rdy:\n            if req.kind == WRITE:",
            "        elif self.mem_req.rdy:\n            if req.kind == WRITE:"),

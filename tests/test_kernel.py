@@ -1,7 +1,9 @@
 """Channel handshake and cycle-loop semantics."""
 
+import io
 import sys
 import time
+import traceback
 
 import pytest
 
@@ -9,6 +11,9 @@ from chasesim import (BlockingCache, CombinationalLoopError, Component, Compute,
                       ConfigurationError, CoreModel, MemRequest, MsgKind,
                       PipelinedMemory, PointerChasePrefetcher, System, TestSink,
                       TestSource, build_system, make_config, make_workload)
+from golden.make_golden import TOPOLOGIES, WORKLOADS
+from golden.make_traces import LATENCIES, SMALL
+
 from conftest import after_each_block, count_steps
 
 
@@ -142,8 +147,6 @@ def test_channel_conservation():
 
 
 def test_trace_lines_one_per_cycle(tmp_path):
-    import io
-
     buf = io.StringIO()
     sys_, src, sink, _ = wire_source_to_sink([req(0x10)])
     sys_.attach_trace(buf)
@@ -154,6 +157,33 @@ def test_trace_lines_one_per_cycle(tmp_path):
     assert "src:" in lines[0] and "sink:" in lines[0]
     # transfer marker with the rendered message on the transfer cycle
     assert "[direct rd 00000010 op=00]" in lines[0]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_transfer_counts_match_the_trace_markers(name):
+    # two independent counts over the trace-lock runs: the markers the trace
+    # writer prints before the ticks, and the count the compiled cycle keeps
+    # as it resets each channel after them
+    for topo in TOPOLOGIES:
+        for lat in LATENCIES:
+            buf = io.StringIO()
+            handle = build_system(make_config(topo, lat, name, **SMALL[name]), trace=buf)
+            assert handle.system.run_until(lambda: handle.core.done)
+            text = buf.getvalue()
+            for ch in handle.system.channels:
+                assert ch.transfers == text.count(f" [{ch.name} "), (topo, lat, ch.name)
+
+
+def test_a_fault_in_the_cycle_names_the_wiring():
+    sys_, src, sink, _ = wire_source_to_sink([req(0x10)])
+
+    def broken():
+        raise RuntimeError("tick failed")
+    sink.tick = broken
+    with pytest.raises(RuntimeError, match="tick failed") as info:
+        sys_.step()
+    files = [frame.filename for frame in traceback.extract_tb(info.tb)]
+    assert "<cycle of src sink>" in files
 
 
 # -- static eval schedule --
@@ -256,13 +286,14 @@ def test_methods_are_bound_when_the_schedule_is():
 
 
 # Python calls per simulated cycle in run_until, by (workload, latency, params):
-# (without prefetcher, with prefetcher). Measured 9.72/14.36, 1.76/4.07 and
-# 7.64/10.29 after the per-cycle path was bound once (12.80/19.00, 2.30/5.38
-# and 9.86/13.73 before); each ceiling is about 5% above its measured value.
+# (without prefetcher, with prefetcher). Measured 9.43/13.60, 1.69/3.76 and
+# 7.45/9.63 after the stepped cycle was compiled and the prefetcher split its
+# request address once on accept (9.72/14.36, 1.76/4.07 and 7.64/10.29
+# before); each ceiling is about 5% above its measured value.
 CALLS_PER_CYCLE = [
-    ("random", 4, dict(n=2000), (10.2, 15.1)),
-    ("traversal", 40, dict(nodes=200, gap=12), (1.85, 4.27)),
-    ("array", 10, dict(elements=512), (8.0, 10.8)),
+    ("random", 4, dict(n=2000), (9.9, 14.3)),
+    ("traversal", 40, dict(nodes=200, gap=12), (1.77, 3.95)),
+    ("array", 10, dict(elements=512), (7.8, 10.1)),
 ]
 
 

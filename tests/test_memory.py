@@ -8,13 +8,9 @@ from chasesim import (ConfigurationError, CoreModel, MemRequest, MsgKind,
                       PipelinedMemory, System, build_testbench)
 from chasesim.memory import dump_image
 
-from conftest import raised_optimized, rd, run_to_responses
+from conftest import raised_optimized, rd, run_to_responses, wr_line
 
 pytestmark = pytest.mark.usefixtures("audit_blocks")
-
-
-def wr_line(addr, data):
-    return MemRequest(MsgKind.WRITE, addr, data=data)
 
 
 LINE_A = bytes(range(16))

@@ -8,13 +8,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from chasesim import (MemRequest, MemResponse, MsgKind, PointerChasePrefetcher,
-                      build_testbench, PREFETCH_OPAQUE, DEMAND_OPAQUE)
+from chasesim import (Channel, MemRequest, MemResponse, MsgKind,
+                      PointerChasePrefetcher, build_testbench, PREFETCH_OPAQUE,
+                      DEMAND_OPAQUE)
 from chasesim.messages import LINE_BYTES, WORD_BYTES, set_word_in_line
 from chasesim.kernel import IDLE_FOREVER
-from chasesim.prefetcher import WAIT_DATA_INVALID, PrefetchEntry
+from chasesim.prefetcher import TAG_CHECK, WAIT_DATA_INVALID, PrefetchEntry
 
-from conftest import cp, rd, run_to_responses
+from conftest import cp, rd, run_to_responses, wr_line
 
 pytestmark = pytest.mark.usefixtures("audit_blocks")
 
@@ -34,10 +35,6 @@ def line_with_ptr(ptr, offset=0):
 
 def init(addr, data):
     return MemRequest(MsgKind.INIT, addr, data=data)
-
-
-def wr(addr, data):
-    return MemRequest(MsgKind.WRITE, addr, data=data)
 
 
 def prefetch_requests(mem):
@@ -72,7 +69,13 @@ def test_wait_data_invalid_is_idle_until_the_fill_lands():
     pf.entries[0] = PrefetchEntry(tag=ADDR_A >> 6, tag_valid=True,
                                   data_valid=False, prefetched=True)
     pf.buffer.next_addr, pf.buffer.busy = ADDR_A, True
-    pf.state, pf.req = WAIT_DATA_INVALID, rd(ADDR_A + 4)
+    # accept the demand as the IDLE tick does: that splits its address
+    pf.cache_req = Channel("cache.req")
+    pf.cache_req.send(rd(ADDR_A + 4))
+    pf.cache_req.rdy = True
+    pf._next_or_idle()
+    assert pf.state == TAG_CHECK
+    pf.state = WAIT_DATA_INVALID
     assert pf.idle_cycles() == IDLE_FOREVER
     pf._apply_fill(MemResponse(MsgKind.READ, PREFETCH_OPAQUE, PAYLOAD_P))
     assert pf.entries[0].data_valid and pf.idle_cycles() == 0
@@ -181,7 +184,7 @@ def test_plain_read_does_not_prefetch():
 def test_write_invalidates_matching_entry():
     new_line = b"\x99" * 16
     sys_, src, sink, pf, mem = build_testbench(
-        3, [init(ADDR_A, PAYLOAD_P), wr(ADDR_A, new_line), rd(ADDR_A)],
+        3, [init(ADDR_A, PAYLOAD_P), wr_line(ADDR_A, new_line), rd(ADDR_A)],
         PointerChasePrefetcher())
     run_to_responses(sys_, sink, 3)
     w, r = sink.responses()[1:]
@@ -197,7 +200,7 @@ def test_write_invalidates_matching_entry():
 def test_write_to_unrelated_line_keeps_entry():
     new_line = b"\x77" * 16
     sys_, src, sink, pf, mem = build_testbench(
-        3, [init(ADDR_A, PAYLOAD_P), wr(ADDR_B, new_line), rd(ADDR_A)],
+        3, [init(ADDR_A, PAYLOAD_P), wr_line(ADDR_B, new_line), rd(ADDR_A)],
         PointerChasePrefetcher())
     run_to_responses(sys_, sink, 3)
     assert sink.responses()[2].hit is True
@@ -252,7 +255,7 @@ def test_invalidated_inflight_fill_is_dropped():
     new_line = b"\x55" * 16
     sys_, src, sink, pf, mem = build_testbench(
         10, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A),
-             wr(PTR_P, new_line), (rd(PTR_P), 25)], PointerChasePrefetcher(),
+             wr_line(PTR_P, new_line), (rd(PTR_P), 25)], PointerChasePrefetcher(),
         segments=[(PTR_P & ~0xF, PAYLOAD_P)])
     run_to_responses(sys_, sink, 4)
     final = sink.responses()[3]
@@ -323,7 +326,7 @@ def line_stream(n, seed, lines):
         if p < 0.25:
             addr = pointer() & ~(LINE_BYTES - 1)
             model[addr] = new_line()
-            script.append(wr(addr, model[addr]))
+            script.append(wr_line(addr, model[addr]))
             expected.append((MsgKind.WRITE, b""))
             continue
         addr = chased if chased is not None and p < 0.75 else pointer()
