@@ -5,7 +5,7 @@ them and a pipelined memory that logs its requests.
 
 from __future__ import annotations
 
-from .kernel import Component, System
+from .kernel import IDLE_FOREVER, Component, System
 from .memory import PipelinedMemory
 from .messages import MemRequest, MemResponse
 
@@ -22,7 +22,7 @@ class TestSource(Component):
         # script items: MemRequest or (MemRequest, delay-cycles-before-offer)
         self.script = [(s, 0) if not isinstance(s, tuple) else s for s in script]
         self.index = 0
-        self.wait = self.script[0][1] if self.script else 0
+        self.offer_at = self.script[0][1] if self.script else 0  # next offer's cycle
         self.log: list[tuple[int, object]] = []  # (cycle accepted, request)
         self.req = None  # port
 
@@ -31,19 +31,19 @@ class TestSource(Component):
         return self.index >= len(self.script)
 
     def eval(self):
-        if not self.done and self.wait == 0:
+        if not self.done and self.system.cycle >= self.offer_at:
             self.req.send(self.script[self.index][0])
 
     def tick(self):
-        if self.done:
-            return
-        if self.wait > 0:
-            self.wait -= 1
-        elif self.req.val and self.req.rdy:
-            self.log.append((self.system.cycle, self.script[self.index][0]))
+        if self.req.val and self.req.rdy:
+            now = self.system.cycle
+            self.log.append((now, self.script[self.index][0]))
             self.index += 1
             if not self.done:
-                self.wait = self.script[self.index][1]
+                self.offer_at = now + 1 + self.script[self.index][1]
+
+    def idle_cycles(self):
+        return IDLE_FOREVER if self.done else self.offer_at - self.system.cycle
 
     def trace_state(self):
         return "." if self.done else f"{self.index}"
@@ -59,21 +59,23 @@ class TestSink(Component):
     def __init__(self, delays=()):
         super().__init__()
         self.delays = list(delays)
-        self.wait = self.delays[0] if self.delays else 0
+        self.ready_at = self.delays[0] if self.delays else 0  # cycle rdy rises
         self.received: list[tuple[int, MemResponse]] = []  # (cycle, response)
         self.resp = None  # port
 
     def eval(self):
-        self.resp.rdy = self.wait == 0
+        self.resp.rdy = self.system.cycle >= self.ready_at
 
     def tick(self):
         r = self.resp.msg if self.resp.rdy else None
         if r is not None:
-            self.received.append((self.system.cycle, r))
+            now = self.system.cycle
+            self.received.append((now, r))
             i = len(self.received)
-            self.wait = self.delays[i] if i < len(self.delays) else 0
-        elif self.wait > 0:
-            self.wait -= 1
+            self.ready_at = now + 1 + (self.delays[i] if i < len(self.delays) else 0)
+
+    def idle_cycles(self):
+        return IDLE_FOREVER  # it never asserts val
 
     def responses(self):
         return [r for _, r in self.received]
@@ -109,10 +111,13 @@ def build_testbench(latency: int, script, *stages: Component, sink_delays=(),
     mem = LoggingMemory(latency)
     mem.load_image(segments)
     head = stages[0] if stages else mem
-    sys_.add(src, sink)
+    sys_.add(sink)
     sys_.connect((src, "req"), (head, head.up[0]), "src.req")
     sys_.connect((head, head.up[1]), (sink, "resp"), "src.resp")
     sys_.chain(*stages, mem)
+    # run_until's poll stops at the first component that may act; the
+    # source comes last, so memory's overdue check runs while it offers
+    sys_.add(src)
     if trace is not None:
         sys_.attach_trace(trace)
     return (sys_, src, sink, *stages, mem)

@@ -23,9 +23,9 @@ import pytest
 import chasesim.kernel as kernel
 from chasesim import (BlockingCache, Channel, CoreModel, MemRequest, MsgKind,
                       PipelinedMemory, PointerChasePrefetcher, System, TestSink,
-                      TestSource, replay_program)
+                      TestSource, build_testbench, replay_program)
 from chasesim.core import as_generator
-from chasesim.messages import ZERO_LINE
+from chasesim.messages import LINE_BYTES, ZERO_LINE, set_word_in_line
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +47,16 @@ def run_to_responses(sys_, sink, count, max_cycles=100_000):
     ok = sys_.run_until(lambda: len(sink.received) >= count, max_cycles)
     assert ok, f"expected {count} responses, got {len(sink.received)}"
     return sink.responses()
+
+
+def chase_testbench(latency, src_delays, sink_delays=(), *stages):
+    """A testbench whose source offers one ReadCP per item of src_delays,
+    that many cycles after the one before it, down a chain of lines whose
+    first word points to the next line; the sink waits sink_delays."""
+    lines = [0x1000 + 3 * LINE_BYTES * i for i in range(len(src_delays) + 1)]
+    segments = [(a, set_word_in_line(ZERO_LINE, 0, b)) for a, b in zip(lines, lines[1:])]
+    return build_testbench(latency, [(cp(a), d) for a, d in zip(lines, src_delays)],
+                           *stages, sink_delays=sink_delays, segments=segments)
 
 
 def count_steps(system):

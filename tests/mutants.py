@@ -76,9 +76,11 @@ MUTANTS = [
            "self._compute_end = now + tok.cycles\n",
            "self._compute_end = now + tok.cycles - 1\n"),
     Mutant("skip-drops-final-tick", "kernel.py",
-           "                self.cycle += n - 1\n                for tick in ticks:\n"
-           "                    tick()\n",
-           "                self.cycle += n - 1\n"),
+           'f"        if k{i} == n:',
+           'f"        if k{i} == n + 1:'),
+    Mutant("poll-skips-last-component", "kernel.py",
+           'f"        k{i} = i{i}()"',
+           'f"        k{i} = i{i}() if {i + 1 < components} else n"'),
     Mutant("refill-mutates-core-request", "cache.py",
            "            self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))\n",
            "            self.req.kind = kind\n            self.mem_req.send(self.req)\n"),

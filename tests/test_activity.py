@@ -3,15 +3,16 @@
 A component's ``idle_cycles()`` promises that for that many cycles it asserts
 no val while nothing arrives, and that its tick with nothing arriving changes
 nothing except in the last of them; the kernel then moves ``System.cycle`` to
-the last of them and ticks once. The static eval schedule trusts each block's
-declared signals. These tests check both promises instead of trusting them:
-idle_cycles against input-free cycles, that the kernel steps no cycle in
-which nothing could transfer, and the declarations against what the blocks
-really touch. The ``audit_blocks`` fixture of ``conftest.py`` checks the
-declarations in every test of ``test_cache.py``, ``test_memory.py`` and
-``test_prefetcher.py``: a block that touches an undeclared signal fails the
-test that ran it. Here it audits the 36 trace-lock runs and one prefetcher
-testbench, which together touch every declared signal.
+the last of them and ticks there each component whose stretch ends. The
+static eval schedule trusts each block's declared signals. These tests check
+both promises instead of trusting them: idle_cycles against input-free
+cycles, that the kernel steps no cycle in which nothing could transfer, and
+the declarations against what the blocks really touch. The ``audit_blocks``
+fixture of ``conftest.py`` checks the declarations in every test of
+``test_cache.py``, ``test_memory.py`` and ``test_prefetcher.py``: a block
+that touches an undeclared signal fails the test that ran it. Here it audits
+the 36 trace-lock runs and one prefetcher testbench, which together touch
+every declared signal.
 """
 
 import copy
@@ -25,7 +26,7 @@ from chasesim import (Channel, MemRequest, MsgKind, PointerChasePrefetcher,
 from golden.make_golden import TOPOLOGIES, WORKLOADS
 from golden.make_traces import LATENCIES, SMALL
 
-from conftest import DECLARED, after_each_block, run_to_responses
+from conftest import DECLARED, after_each_block, chase_testbench, run_to_responses
 
 TRACE_LOCK = [(name, topo, lat) for name in WORKLOADS for topo in TOPOLOGIES
               for lat in LATENCIES]
@@ -69,17 +70,26 @@ def _reset(system):
         ch.msg, ch.val, ch.rdy = None, False, False
 
 
-@settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(["random", "traversal"]),
+def _contract_case(name, topology, latency):
+    """A system of a golden workload, or a prefetcher testbench with source
+    and sink delays."""
+    if name == "testbench":
+        return chase_testbench(latency, [0, 5, 0, 2, 9, 0, 1, 3], [4, 0, 7, 1, 0, 12],
+                               PointerChasePrefetcher())[0]
+    return build_system(make_config(topology, latency, name, **SMALL[name])).system
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from([*WORKLOADS, "testbench"]),
        topology=st.sampled_from(TOPOLOGIES), latency=st.sampled_from([1, 4, 40]),
        cycles=st.integers(0, 1500), n=st.integers(1, 64))
 def test_idle_ticks_change_nothing_until_the_last(name, topology, latency, cycles, n):
     # each idle component runs k = min(n, idle_cycles()) cycles of its eval
     # blocks and tick with every channel low on entry and system.cycle
     # advancing: no block asserts a val, the trace state holds, and no tick
-    # but the last changes the component, so the kernel may tick only there
-    handle = build_system(make_config(topology, latency, name, **SMALL[name]))
-    system = handle.system
+    # but the last changes the component, so a skip of n cycles ticks only
+    # the components whose k is n, and only at the last of them
+    system = _contract_case(name, topology, latency)
     if cycles:
         system.run_until(lambda: False, max_cycles=cycles)
     start = system.cycle

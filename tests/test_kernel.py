@@ -6,6 +6,8 @@ import time
 import traceback
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chasesim import (BlockingCache, CombinationalLoopError, Component, Compute,
                       ConfigurationError, CoreModel, MemRequest, MsgKind,
@@ -14,7 +16,7 @@ from chasesim import (BlockingCache, CombinationalLoopError, Component, Compute,
 from golden.make_golden import TOPOLOGIES, WORKLOADS
 from golden.make_traces import LATENCIES, SMALL
 
-from conftest import after_each_block, count_steps
+from conftest import after_each_block, chase_testbench, count_steps
 
 
 def req(addr, kind=MsgKind.READ):
@@ -116,6 +118,31 @@ def test_run_until_jumps_idle_cycles_to_the_budget(budget, steps_taken):
     assert time.perf_counter() - t0 < 1.0
     assert system.cycle == budget
     assert steps[0] == steps_taken
+
+
+@settings(max_examples=40, deadline=None)
+@given(latency=st.integers(1, 6), prefetch=st.booleans(),
+       src_delays=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+       sink_delays=st.lists(st.integers(0, 12), max_size=8))
+def test_delayed_source_and_sink_run_as_they_step(latency, prefetch, src_delays,
+                                                  sink_delays):
+    # the source and sink report idle cycles, so run_until skips their
+    # delays: every transfer must still land on the cycle stepping gives it
+    runs = []
+    for stepped in (True, False):
+        stages = [PointerChasePrefetcher()] if prefetch else []
+        sys_, src, sink, *_ = chase_testbench(latency, src_delays, sink_delays, *stages)
+
+        def done():
+            return len(sink.received) == len(src_delays)
+        if stepped:
+            while not done() and sys_.cycle < 1000:
+                sys_.step()
+        else:
+            sys_.run_until(done, max_cycles=1000)
+        assert done()
+        runs.append((src.log, sink.received, sys_.cycle))
+    assert runs[0] == runs[1]
 
 
 def test_add_after_the_first_cycle_raises():
@@ -286,14 +313,15 @@ def test_methods_are_bound_when_the_schedule_is():
 
 
 # Python calls per simulated cycle in run_until, by (workload, latency, params):
-# (without prefetcher, with prefetcher). Measured 9.43/13.60, 1.69/3.76 and
-# 7.45/9.63 after the stepped cycle was compiled and the prefetcher split its
-# request address once on accept (9.72/14.36, 1.76/4.07 and 7.64/10.29
-# before); each ceiling is about 5% above its measured value.
+# (without prefetcher, with prefetcher). Measured 8.79/12.77, 1.55/3.38 and
+# 6.88/8.81 after run_until's loop was compiled with an unrolled idle poll
+# and skips that tick only the components whose idle stretch ends
+# (9.43/13.60, 1.69/3.76 and 7.45/9.63 before); each ceiling is about 5%
+# above its measured value.
 CALLS_PER_CYCLE = [
-    ("random", 4, dict(n=2000), (9.9, 14.3)),
-    ("traversal", 40, dict(nodes=200, gap=12), (1.77, 3.95)),
-    ("array", 10, dict(elements=512), (7.8, 10.1)),
+    ("random", 4, dict(n=2000), (9.2, 13.4)),
+    ("traversal", 40, dict(nodes=200, gap=12), (1.63, 3.55)),
+    ("array", 10, dict(elements=512), (7.2, 9.2)),
 ]
 
 

@@ -159,13 +159,25 @@ def test_overdue_response_raises():
     # eval sends the head response only on its due cycle: one behind the
     # pipeline clock would never go, and run_until would step to its budget.
     # run_until consults memory only when every component before it reports
-    # idle cycles, which a testbench's source never does; a done core does
+    # idle cycles, which a done core does
     core, mem = CoreModel([]), PipelinedMemory(4)
     system = System()
     system.chain(core, mem)
     mem.pipeline.append((-3, rd(0x1000)))
     with pytest.raises(RuntimeError, match="^memory response overdue by 3 cycles$"):
         system.run_until(lambda: False)
+
+
+@pytest.mark.parametrize("delay", [0, 5])
+def test_overdue_response_raises_in_a_testbench(delay):
+    # the sink and a source waiting to offer report idle cycles too, and the
+    # poll reaches memory before a source that offers, so a directed test
+    # meets the same check at once instead of stepping
+    sys_, src, sink, mem = build_testbench(4, [(rd(0x1000), delay)])
+    mem.pipeline.append((-3, rd(0x1000)))
+    with pytest.raises(RuntimeError, match="^memory response overdue by 3 cycles$"):
+        sys_.run_until(lambda: False, max_cycles=100)
+    assert sys_.cycle == 0 and src.log == []
 
 
 def test_partial_write_rejected():
