@@ -96,8 +96,16 @@ class SimHandle:
     workload: wl.Workload
 
 
+_sweep_share = None  # while sweep runs: {key: workload} of its last build
+
+
 def build_system(config: ExperimentConfig, trace=None) -> SimHandle:
-    workload = make_workload(config.workload, seed=config.seed, **dict(config.params))
+    share = {} if _sweep_share is None else _sweep_share
+    key = (config.workload, config.seed, config.params)
+    if key not in share:
+        share.clear()  # hold one workload at a time
+        share[key] = make_workload(config.workload, seed=config.seed, **dict(config.params))
+    workload = share[key]
     core = CoreModel(workload.program)
     cache = BlockingCache()
     memory = PipelinedMemory(config.latency)
@@ -142,8 +150,14 @@ def run_built(config: ExperimentConfig, handle: SimHandle) -> RunStats:
 
 
 def sweep(configs) -> list[RunStats]:
-    """Run each config in order."""
-    return [run_experiment(cfg) for cfg in configs]
+    """Run each config in order. Consecutive configs of one workload, seed
+    and params share one build: no simulation changes a Workload."""
+    global _sweep_share
+    _sweep_share = {}
+    try:
+        return [run_experiment(cfg) for cfg in configs]
+    finally:
+        _sweep_share = None
 
 
 def _speedups(results) -> dict[int, float | None]:

@@ -43,7 +43,8 @@ Program = Callable[[], object]  # generator function yielding Tokens
 
 @dataclass
 class Workload:
-    """A memory image plus a token program, ready to run."""
+    """A memory image plus a token program, ready to run. No simulation
+    changes either, so ``sweep`` may run one build many times."""
 
     segments: list[tuple[int, bytes]]
     program: Program

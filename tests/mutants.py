@@ -129,6 +129,12 @@ MUTANTS = [
     Mutant("pf-took-without-val", "prefetcher.py",
            "        elif self.mem_req.val and self.mem_req.rdy:\n            if req.kind == WRITE:",
            "        elif self.mem_req.rdy:\n            if req.kind == WRITE:"),
+    Mutant("sweep-share-ignores-seed", "harness.py",
+           "    key = (config.workload, config.seed, config.params)\n",
+           "    key = (config.workload, config.params)\n"),
+    Mutant("sweep-share-outlives-sweep", "harness.py",
+           "    finally:\n        _sweep_share = None\n",
+           "    finally:\n        pass\n"),
     Mutant("di-falls-back-to-tag-check", "prefetcher.py",
            "        elif st == TAG_CHECK or st == WAIT_DATA_INVALID:\n"
            "            self._tick_tag_check()\n",

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, ExperimentConfig,
-                      Read, ReadCP, Write, build_system, dump_image, make_config,
-                      make_workload, replay_program, run_experiment, workloads)
+                      Read, ReadCP, Write, build_system, cli, dump_image, harness,
+                      make_config, make_workload, replay_program, run_experiment,
+                      workloads)
 from chasesim.harness import (TOPOLOGIES, collect_counters, report,
                               result_rows, sweep)
 from chasesim.messages import LINE_BYTES, WORD_BYTES, word_bytes
@@ -301,6 +302,65 @@ def test_run_determinism():
     a = run_experiment(make_config("alternate", 5, "hashtable"))
     b = run_experiment(make_config("alternate", 5, "hashtable"))
     assert (a.cycles, a.counters) == (b.cycles, b.counters)
+
+
+# -- builds shared within a sweep --
+
+def count_builds(monkeypatch):
+    """Make harness.make_workload record each call's workload name in the
+    returned list."""
+    builds = []
+
+    def counted(name, *args, **kwargs):
+        builds.append(name)
+        return make_workload(name, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_workload", counted)
+    return builds
+
+
+def test_sweep_gives_each_config_the_result_of_its_own_run():
+    # neighbours that differ only in seed or only in params each get their
+    # own build, and a key seen before another is built again
+    by_seed = [make_config("alternate", 5, "random", seed=s, n=300) for s in (1, 2)]
+    by_params = [make_config(t, 5, "traversal", nodes=n) for n in (8, 16) for t in TOPOLOGIES]
+    configs = by_seed + by_params + by_seed[:1]
+    results = sweep(configs)
+    assert results[0].counters != results[1].counters  # the seeds tell apart
+    for cfg, got in zip(configs, results):
+        want = run_experiment(cfg)
+        assert (got.cycles, got.completed, got.counters) == \
+            (want.cycles, want.completed, want.counters), cfg
+
+
+def test_the_paper_sweep_builds_each_workload_once(monkeypatch, capsys):
+    # 5 workloads x 5 latencies x 2 topologies: one build per workload
+    builds = count_builds(monkeypatch)
+    names = ["traversal", "array", "hanoi", "hashtable", "insertion"]
+    assert cli.main(["sweep", "--workloads", ",".join(names),
+                     "--latencies", "2,5,10,20,40", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 50
+    assert builds == names
+
+
+@pytest.mark.parametrize("ends", ["returns", "raises"])
+def test_no_share_outlives_a_sweep(monkeypatch, ends):
+    # outside a sweep every run builds its own workload, also after a sweep
+    # whose run raised
+    builds = count_builds(monkeypatch)
+    cfg = make_config("baseline", 2, "traversal", nodes=8)
+    if ends == "returns":
+        sweep([cfg])
+    else:
+        def run_fails(config, handle):
+            raise RuntimeError("run failed")
+
+        with monkeypatch.context() as m, pytest.raises(RuntimeError, match="run failed"):
+            m.setattr(harness, "run_built", run_fails)
+            sweep([cfg])
+    run_experiment(cfg)
+    run_experiment(cfg)
+    assert len(builds) == 3
 
 
 # -- idle-cycle skipping --

@@ -346,7 +346,11 @@ def run_line_stream(latency, delays, script, segments, expected):
     sys_, src, sink, pf, mem = build_testbench(
         latency, script, PointerChasePrefetcher(), sink_delays=delays,
         segments=segments)
-    got = run_to_responses(sys_, sink, len(script))
+    # each request may wait out a prefetch and its own memory trip and its
+    # sink delay; the largest example (40 requests, latency 20, delays 40)
+    # takes at most 1,640 cycles of this 3,520, and a deadlock fails fast
+    budget = len(script) * (2 * latency + max(delays, default=0) + 8)
+    got = run_to_responses(sys_, sink, len(script), max(budget, 1))
     assert [(r.kind, r.data) for r in got] == expected
     return pf, mem
 

@@ -338,7 +338,7 @@ def test_make_workload_unknown_name():
 
 
 def test_workload_generators_deterministic():
-    for name in ("traversal", "insertion", "hashtable", "hanoi", "array"):
+    for name in sorted(WORKLOADS):
         a = make_workload(name, seed=5)
         b = make_workload(name, seed=5)
         assert a.segments == b.segments
@@ -347,6 +347,14 @@ def test_workload_generators_deterministic():
         replay_program(ta[0], a.segments)
         replay_program(tb[0], b.segments)
         assert ta[1] == tb[1]
+        # sweep runs one build many times, so running it must change
+        # neither its program nor its image
+        image = [(addr, bytes(data)) for addr, data in b.segments]
+        (loads, flat), (again, flat_again) = (
+            replay_program(b.program, b.segments) for _ in range(2))
+        assert again == loads
+        assert flat_again.lines() == flat.lines()
+        assert b.segments == image
 
 
 # -- flat replay oracle --
