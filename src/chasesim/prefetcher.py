@@ -4,9 +4,10 @@ Four entries of {26-bit tag, tag-valid, data-valid, 16-byte line}. On
 read-cp traffic the address generation unit extracts the next-node pointer
 from the serviced line into one latched output (``next_ptr``), and a single
 buffer address register issues one outstanding prefetch (opaque=1) for it.
-``tag_check`` is the only lookup, and a request's address is split once, on
-accept. Separate tag/data valid bits let a demand to a line whose fill is
-still in flight wait instead of re-requesting.
+A request's address is split once, on accept, for ``_probe``, the lookup of
+``eval``, the tag-check tick and ``idle_cycles``; ``tag_check`` serves only
+the fill path. Separate tag/data valid bits let a demand to a line whose
+fill is still in flight wait instead of re-requesting.
 """
 
 from __future__ import annotations

@@ -37,6 +37,14 @@ class Lcg:
         self.state = (LCG_MULT * self.state + LCG_INC) % LCG_MOD
         return self.state % n
 
+    def draws(self, k: int) -> list[int]:
+        """The next k states, as k ``next`` calls return them, in one loop
+        over locals (the modulus is a power of two, so ``%`` is a mask)."""
+        s, mult, inc, mask = self.state, LCG_MULT, LCG_INC, LCG_MOD - 1
+        out = [s := (mult * s + inc) & mask for _ in range(k)]
+        self.state = s
+        return out
+
 
 Program = Callable[[], object]  # generator function yielding Tokens
 
@@ -51,8 +59,9 @@ class Workload:
 
 
 # ---------------------------------------------------------------------------
-# named workloads: each builder takes the seed and exactly the keys of its
-# WORKLOADS defaults, and trusts them; the registry validator checks them
+# named workloads: each builder takes the seed and the keys of its WORKLOADS
+# defaults, and trusts them; the registry validator checks them. _random also
+# takes lines and mix, which only tests pass.
 
 
 HEAD_CELL = 0x1000  # a free list's head-pointer word; its nodes follow the line
@@ -79,8 +88,8 @@ def _free_list(seed: int, nodes: int, nodes_per_line: int,
     node_words = LINE_WORDS // nodes_per_line
     rng = Lcg(seed)
     perm = list(range(nodes))
-    for i in range(nodes - 1, 0, -1):  # Fisher-Yates
-        j = rng.randrange(i + 1)
+    for i, d in zip(range(nodes - 1, 0, -1), rng.draws(nodes - 1)):  # Fisher-Yates
+        j = d % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     order = [HEAD_CELL + LINE_BYTES + i * node_words * WORD_BYTES for i in perm]
 
@@ -88,7 +97,7 @@ def _free_list(seed: int, nodes: int, nodes_per_line: int,
     words = [order[0] if linked > 0 else 0] + [0] * (LINE_WORDS - 1 + nodes * node_words)
     for k in range(linked - 1):
         words[LINE_WORDS + perm[k] * node_words] = order[k + 1]
-    payload = [rng.next() for _ in range(nodes * (node_words - 1))]
+    payload = rng.draws(nodes * (node_words - 1))
     for w in range(1, node_words):
         words[LINE_WORDS + w::node_words] = payload[w - 1::node_words - 1]
     return order, [(HEAD_CELL, _pack(words))]
@@ -237,8 +246,7 @@ def _hanoi(seed: int, disks: int) -> Workload:
 def _array(seed: int, elements: int, gap: int) -> Workload:
     """Dense-array read and write passes with compute gaps; zero ReadCP."""
     base = 0x4000
-    rng = Lcg(seed)
-    region = _pack([rng.next() for _ in range(elements)])
+    region = _pack(Lcg(seed).draws(elements))
 
     def program():
         acc = 0
@@ -261,7 +269,7 @@ def _random(seed: int, n: int, lines: int = 256,
     oracle-equivalence checking. ReadCP values are arbitrary words, so the
     prefetcher chases garbage pointers; coherence must still hold."""
     rng = Lcg(seed)
-    region = _pack([rng.next() for _ in range(lines * LINE_WORDS)])
+    region = _pack(rng.draws(lines * LINE_WORDS))
     r_cut = mix[0]
     w_cut = mix[0] + mix[1]
     tokens: list[Token] = []

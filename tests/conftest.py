@@ -13,19 +13,22 @@ the flat-replay oracle.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import chasesim.kernel as kernel
 from chasesim import (BlockingCache, Channel, CoreModel, MemRequest, MsgKind,
-                      PipelinedMemory, PointerChasePrefetcher, System, TestSink,
-                      TestSource, build_testbench, replay_program)
+                      PipelinedMemory, PointerChasePrefetcher, Read, ReadCP, System,
+                      TestSink, TestSource, Write, build_testbench, replay_program)
 from chasesim.core import as_generator
-from chasesim.messages import LINE_BYTES, ZERO_LINE, set_word_in_line
+from chasesim.messages import (LINE_BYTES, WORD_BYTES, ZERO_LINE, set_word_in_line,
+                               word_bytes)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -102,6 +105,45 @@ def tokens_of(program):
             value = yield tok
 
     return wrapper, out
+
+
+def mixes():
+    """Strategy for a random stream's (read, write, read-cp) shares: a read
+    share, then the write share of the rest; read-cp takes what is left."""
+    return st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
+        lambda p: (p[0], (1 - p[0]) * p[1], (1 - p[0]) * (1 - p[1])))
+
+
+POINTER_REGION = 0x1000  # nonzero, so no in-region pointer is null
+
+
+def pointer_stream(n, seed, lines, chase, write):
+    """A region whose every word points to a word of the region, and a
+    program of n tokens over it: with probability chase a ReadCP of the last
+    ReadCP's result, else (write the share) a Write of an in-region pointer
+    to a random word, or a Read or ReadCP of a random word."""
+    words = lines * LINE_BYTES // WORD_BYTES
+
+    def pointer(rng):
+        return POINTER_REGION + WORD_BYTES * rng.randrange(words)
+
+    image = random.Random(seed)
+    region = b"".join(word_bytes(pointer(image)) for _ in range(words))
+
+    def program():
+        rng = random.Random(~seed)
+        ptr = pointer(rng)
+        for _ in range(n):
+            if rng.random() < chase:
+                ptr = yield ReadCP(ptr)
+            elif rng.random() < write:
+                yield Write(pointer(rng), pointer(rng))
+            elif rng.random() < 0.5:
+                yield Read(pointer(rng))
+            else:
+                ptr = yield ReadCP(pointer(rng))
+
+    return program, [(POINTER_REGION, region)]
 
 
 def run_program(topology, program, segments, latency=4):

@@ -135,6 +135,26 @@ MUTANTS = [
     Mutant("sweep-share-outlives-sweep", "harness.py",
            "    finally:\n        _sweep_share = None\n",
            "    finally:\n        pass\n"),
+    Mutant("tag-check-takes-two-cycles", "cache.py",
+           "        elif st == TAG_CHECK:\n            self._tag_check()\n",
+           "        elif st == TAG_CHECK:\n"
+           "            self._tc_waited = not getattr(self, '_tc_waited', False)\n"
+           "            if not self._tc_waited:\n"
+           "                self._tag_check()\n"),
+    Mutant("refill-update-skipped", "cache.py",
+           "                self.state = REFILL_UPDATE\n",
+           "                self.state = WRITE_DATA if self.req.kind == WRITE else READ_DATA\n"),
+    Mutant("pf-forwards-miss-late", "prefetcher.py",
+           "                if req.kind == WRITE or not hit:\n",
+           "                late = (req.kind != WRITE and not hit\n"
+           "                        and not getattr(self, '_was_late', False))\n"
+           "                self._was_late = late\n"
+           "                if late:\n"
+           "                    pass  # forward the miss in the next cycle\n"
+           "                elif req.kind == WRITE or not hit:\n"),
+    Mutant("draws-keeps-old-state", "workloads.py",
+           "        self.state = s\n        return out\n",
+           "        return out\n"),
     Mutant("di-falls-back-to-tag-check", "prefetcher.py",
            "        elif st == TAG_CHECK or st == WAIT_DATA_INVALID:\n"
            "            self._tick_tag_check()\n",

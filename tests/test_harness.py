@@ -2,21 +2,21 @@
 
 import io
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, ExperimentConfig,
-                      Read, ReadCP, Write, build_system, cli, dump_image, harness,
+                      Read, Write, build_system, cli, dump_image, harness,
                       make_config, make_workload, replay_program, run_experiment,
                       workloads)
 from chasesim.harness import (TOPOLOGIES, collect_counters, report,
                               result_rows, sweep)
-from chasesim.messages import LINE_BYTES, WORD_BYTES, word_bytes
+from chasesim.messages import LINE_BYTES, word_bytes
 from chasesim.workloads import HEAD_CELL
-from conftest import count_steps, run_against_oracle, run_program, tokens_of
+from conftest import (count_steps, mixes, pointer_stream, run_against_oracle,
+                      run_program, tokens_of)
 from golden.make_traces import SMALL
 
 
@@ -99,44 +99,10 @@ def test_alternate_run_matches_flat_replay():
 @settings(max_examples=40, deadline=None)
 @given(topology=st.sampled_from(TOPOLOGIES), latency=st.integers(1, 64),
        seed=st.integers(0, 2**31 - 1), n=st.integers(0, 120), lines=st.integers(4, 64),
-       read=st.floats(0, 1), write=st.floats(0, 1))
-def test_random_streams_match_the_oracle(topology, latency, seed, n, lines, read, write):
-    # write is the share of the non-read tokens; the rest are read-cp
-    mix = (read, (1 - read) * write, (1 - read) * (1 - write))
+       mix=mixes())
+def test_random_streams_match_the_oracle(topology, latency, seed, n, lines, mix):
     w = workloads._random(seed, n, lines=lines, mix=mix)
     run_against_oracle(topology, w.program, w.segments, latency)
-
-
-POINTER_REGION = 0x1000  # nonzero, so no in-region pointer is null
-
-
-def pointer_stream(n, seed, lines, chase, write):
-    """A region whose every word points to a word of the region, and a
-    program of n tokens over it: with probability chase a ReadCP of the last
-    ReadCP's result, else (write the share) a Write of an in-region pointer
-    to a random word, or a Read or ReadCP of a random word."""
-    words = lines * LINE_BYTES // WORD_BYTES
-
-    def pointer(rng):
-        return POINTER_REGION + WORD_BYTES * rng.randrange(words)
-
-    image = random.Random(seed)
-    region = b"".join(word_bytes(pointer(image)) for _ in range(words))
-
-    def program():
-        rng = random.Random(~seed)
-        ptr = pointer(rng)
-        for _ in range(n):
-            if rng.random() < chase:
-                ptr = yield ReadCP(ptr)
-            elif rng.random() < write:
-                yield Write(pointer(rng), pointer(rng))
-            elif rng.random() < 0.5:
-                yield Read(pointer(rng))
-            else:
-                ptr = yield ReadCP(pointer(rng))
-
-    return program, [(POINTER_REGION, region)]
 
 
 @settings(max_examples=60, deadline=None)

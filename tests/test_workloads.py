@@ -1,15 +1,19 @@
 """Workloads, built through make_workload, and the flat-replay oracle."""
 
 import hashlib
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
                       Read, ReadCP, Write, replay_program)
 from chasesim.harness import make_workload
 from chasesim.messages import LINE_BYTES, WORD_BYTES, line_base
-from chasesim.workloads import HEAD_CELL, REGION_BYTES
-from conftest import tokens_of
+from chasesim.workloads import (HEAD_CELL, LCG_MOD, LINE_WORDS, REGION_BYTES, _array,
+                                _free_list, _random)
+from conftest import mixes, tokens_of
 
 
 # -- LCG --
@@ -29,6 +33,18 @@ def test_lcg_wrapper_deterministic():
     a, b = Lcg(42), Lcg(42)
     assert [a.next() for _ in range(10)] == [b.next() for _ in range(10)]
     assert all(0 <= Lcg(7).randrange(13) < 13 for _ in range(5))
+
+
+# seeds below 0 and at or above 2**31 are reduced mod 2**31 first
+SEEDS = st.one_of(st.integers(-2**40, -1), st.integers(0, LCG_MOD - 1),
+                  st.integers(LCG_MOD, 2**64))
+
+
+@given(seed=SEEDS, k=st.integers(0, 200))
+def test_draws_equal_as_many_next_calls(seed, k):
+    a, b = Lcg(seed), Lcg(seed)
+    assert a.draws(k) == [b.next() for _ in range(k)]
+    assert a.state == b.state
 
 
 # -- free list --
@@ -86,6 +102,37 @@ def test_free_list_two_nodes_per_line_coresidency():
     # two nodes pack into each 16-byte line, halving the footprint
     distinct_lines = {line_base(a) for a in chain}
     assert len(distinct_lines) == 32
+
+
+def pack(words):
+    return struct.pack(f"<{len(words)}I", *words)
+
+
+def per_call_free_list(seed, nodes, nodes_per_line, linked):
+    """``_free_list`` with one Lcg call per draw, node by node: the
+    reference its single-pass draws must equal."""
+    node_words = LINE_WORDS // nodes_per_line
+    rng = Lcg(seed)
+    perm = list(range(nodes))
+    for i in range(nodes - 1, 0, -1):  # Fisher-Yates
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    order = [node_addr(i, node_words * WORD_BYTES) for i in perm]
+    successor = {perm[k]: order[k + 1] for k in range(linked - 1)}
+    words = [order[0] if linked > 0 else 0] + [0] * (LINE_WORDS - 1)
+    for i in range(nodes):  # the nodes in address order
+        words.append(successor.get(i, 0))
+        words.extend(rng.next() for _ in range(node_words - 1))
+    return order, [(HEAD_CELL, pack(words))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, nodes=st.integers(1, 80), nodes_per_line=st.sampled_from((1, 2)),
+       data=st.data())
+def test_free_list_equals_its_per_call_reference(seed, nodes, nodes_per_line, data):
+    linked = data.draw(st.integers(0, nodes))
+    assert (_free_list(seed, nodes, nodes_per_line, linked)
+            == per_call_free_list(seed, nodes, nodes_per_line, linked))
 
 
 def test_free_list_rejects_bad_parameters():
@@ -288,6 +335,15 @@ def test_array_kernel_has_no_pointer_chasing():
     assert sum(isinstance(t, Write) for t in toks) == 64
 
 
+@given(seed=SEEDS, elements=st.integers(0, 200))
+def test_array_image_equals_its_per_call_reference(seed, elements):
+    # the program reads the image and writes sums of what it read, so an
+    # equal image gives an equal token stream
+    rng = Lcg(seed)
+    assert (_array(seed, elements, 0).segments
+            == [(0x4000, pack([rng.next() for _ in range(elements)]))])
+
+
 @pytest.mark.parametrize("elements, message", [
     (-1, "elements must be >= 0"),
     # one word over the 1 MiB region: small enough to build if unchecked
@@ -314,6 +370,30 @@ def test_random_stream_mix_and_determinism():
     assert w1.segments == w2.segments
     kinds = [type(t).__name__ for t in w1.program]
     assert {"Read", "Write", "ReadCP"} <= set(kinds)
+
+
+def per_call_random(seed, n, lines, mix):
+    """``_random``'s image and tokens with one Lcg call per draw."""
+    rng = Lcg(seed)
+    region = [rng.next() for _ in range(lines * LINE_WORDS)]
+    tokens = []
+    for _ in range(n):
+        addr = WORD_BYTES * rng.randrange(lines * LINE_WORDS)
+        p = rng.next() / LCG_MOD
+        if p < mix[0]:
+            tokens.append(Read(addr))
+        elif p < mix[0] + mix[1]:
+            tokens.append(Write(addr, rng.next()))
+        else:
+            tokens.append(ReadCP(addr))
+    return [(0, pack(region))], tokens
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n=st.integers(0, 200), lines=st.integers(1, 64), mix=mixes())
+def test_random_stream_equals_its_per_call_reference(seed, n, lines, mix):
+    w = _random(seed, n, lines=lines, mix=mix)
+    assert (w.segments, w.program) == per_call_random(seed, n, lines, mix)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
