@@ -18,17 +18,19 @@ from .kernel import MAX_CYCLES, ConfigurationError
 from .workloads import WORKLOADS
 
 
+# every workload parameter of the registry, in first-declared order
+PARAMS = dict.fromkeys(k for _, ranges, _ in WORKLOADS.values() for k in ranges)
+
+
 def _add_workload_opts(p):
-    # workload sizes default to None: unset ones take the WORKLOADS defaults
-    p.add_argument("--nodes", type=int, help="list length")
-    p.add_argument("--nodes-per-line", type=int, help="list nodes per cache line")
-    p.add_argument("--gap", type=int, help="compute cycles between memory tokens")
+    # one flag per parameter, defaulting to None: unset ones take the
+    # defaults of the WORKLOADS entry, which the help text names
+    for param in PARAMS:
+        takers = ", ".join(f"{name} {ranges[param][0]}"
+                           for name, (_, ranges, _) in WORKLOADS.items() if param in ranges)
+        p.add_argument("--" + param.replace("_", "-"), type=int,
+                       help=f"default: {takers}")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--disks", type=int, help="hanoi disks")
-    p.add_argument("--buckets", type=int, help="hashtable buckets")
-    p.add_argument("--keys", type=int, help="hashtable keys")
-    p.add_argument("--inserts", type=int, help="insertion count")
-    p.add_argument("--elements", type=int, help="array elements")
     p.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
@@ -41,10 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _workload_params(args, name):
-    """The given flags that the named workload takes as parameters."""
-    defaults = WORKLOADS[name][1] if name in WORKLOADS else {}
-    return {k: v for k, v in vars(args).items() if k in defaults and v is not None}
+def _workload_params(args):
+    """The workload parameters given as flags; a config keeps the ones its
+    workload takes."""
+    return {k: v for k, v in vars(args).items() if k in PARAMS and v is not None}
 
 
 def main(argv=None) -> int:
@@ -71,7 +73,7 @@ def main(argv=None) -> int:
         if args.cmd == "run":
             cfg = make_config(args.topology, args.latency, args.workload,
                               seed=args.seed, max_cycles=args.max_cycles,
-                              **_workload_params(args, args.workload))
+                              **_workload_params(args))
             # opened only now, so bad input leaves an existing file alone
             try:
                 out = open(args.trace, "w") if args.trace else contextlib.nullcontext()
@@ -98,11 +100,10 @@ def main(argv=None) -> int:
                             ("--topologies", topologies)):
             if not items:
                 raise ConfigurationError(f"{flag} must name at least one value")
-        configs = [
-            make_config(topo, lat, name, seed=args.seed, max_cycles=args.max_cycles,
-                        **_workload_params(args, name))
-            for name in names for lat in latencies for topo in topologies
-        ]
+        params = _workload_params(args)
+        configs = [make_config(topo, lat, name, seed=args.seed,
+                               max_cycles=args.max_cycles, **params)
+                   for name in names for lat in latencies for topo in topologies]
         results = sweep(configs)
         sys.stdout.write(report(results, args.format))
         return 0 if all(r.completed for r in results) else 1

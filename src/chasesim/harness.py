@@ -27,7 +27,7 @@ class ExperimentConfig:
     topology: str
     latency: int
     workload: str
-    params: tuple = ()  # sorted (key, value) pairs; see make_config
+    params: tuple = ()  # (key, value) pairs; every one the workload takes
     seed: int = 1
     max_cycles: int = MAX_CYCLES
 
@@ -40,15 +40,15 @@ class ExperimentConfig:
             raise ConfigurationError("memory latency must be >= 1 cycle")
         if self.max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
-        if self.workload not in wl.WORKLOADS:
-            raise ConfigurationError(f"unknown workload {self.workload!r}")
-        _workload_params(self.workload, dict(self.params))
+        # stored filled in, so equal configs are exactly equal experiments
+        object.__setattr__(self, "params", tuple(
+            _workload_params(self.workload, dict(self.params)).items()))
 
 
 def make_config(topology, latency, workload, seed=1, max_cycles=MAX_CYCLES,
                 **params) -> ExperimentConfig:
-    return ExperimentConfig(topology, latency, workload,
-                            tuple(sorted(params.items())), seed, max_cycles)
+    return ExperimentConfig(topology, latency, workload, tuple(params.items()),
+                            seed, max_cycles)
 
 
 @dataclass
@@ -62,12 +62,16 @@ class RunStats:
 
 def _workload_params(name: str, params: dict) -> dict:
     """The parameters of workload ``name``: given ones, else the registry's
-    defaults; parameters the workload does not take are ignored. Raises
-    ConfigurationError if its validator rejects them."""
-    _, defaults, check = wl.WORKLOADS[name]
-    full = {k: params.get(k, v) for k, v in defaults.items()}
+    defaults; parameters the workload does not take are dropped. Raises
+    ConfigurationError for an unknown workload, a non-integer, a value out
+    of its registry range, or a size that does not fit."""
+    if name not in wl.WORKLOADS:
+        raise ConfigurationError(f"unknown workload {name!r}")
+    _, ranges, fits = wl.WORKLOADS[name]
+    full = {k: params.get(k, default) for k, (default, _, _) in ranges.items()}
     _check_integers(full)
-    check(full)
+    wl.check_ranges(full, ranges)
+    fits(full)
     return full
 
 
@@ -81,9 +85,8 @@ def _check_integers(settings: dict):
 def make_workload(name: str, seed: int = 1, **params) -> wl.Workload:
     """Build workload ``name`` of ``WORKLOADS`` (see ``_workload_params``):
     the one public way to build a workload."""
-    if name not in wl.WORKLOADS:
-        raise ConfigurationError(f"unknown workload {name!r}")
-    return wl.WORKLOADS[name][0](seed, **_workload_params(name, params))
+    params = _workload_params(name, params)
+    return wl.WORKLOADS[name][0](seed, **params)
 
 
 @dataclass

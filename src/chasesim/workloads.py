@@ -59,9 +59,9 @@ class Workload:
 
 
 # ---------------------------------------------------------------------------
-# named workloads: each builder takes the seed and the keys of its WORKLOADS
-# defaults, and trusts them; the registry validator checks them. _random also
-# takes lines and mix, which only tests pass.
+# named workloads: each builder takes the seed and the parameters of its
+# WORKLOADS entry, and trusts them; the registry's checks run first. _random
+# also takes lines and mix, which only tests pass.
 
 
 HEAD_CELL = 0x1000  # a free list's head-pointer word; its nodes follow the line
@@ -289,69 +289,61 @@ def _random(seed: int, n: int, lines: int = 256,
 # registry
 
 
-def _check(params: dict, **ranges):
-    """Raise ConfigurationError for the first named parameter outside its
-    inclusive (low, high) range; a high of None is unbounded."""
-    for name, (low, high) in ranges.items():
+def check_ranges(params: dict, ranges: dict):
+    """Raise ConfigurationError for the first parameter outside its
+    inclusive (low, high) range in ``ranges``; a high of None is unbounded."""
+    for name, (_, low, high) in ranges.items():
         value = params[name]
         if value < low or (high is not None and value > high):
-            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            bound = (f">= {low}" if high is None else f"{low} or {high}"
+                     if high == low + 1 else f"in {low}..{high}")
             raise ConfigurationError(f"{name} must be {bound}")
 
 
-def _check_free_list(nodes: int, nodes_per_line: int):
-    """Raise ConfigurationError unless such a free list fits its region."""
-    if nodes < 1:
-        raise ConfigurationError("nodes must be >= 1")
-    if nodes_per_line not in (1, 2):
-        raise ConfigurationError("nodes_per_line must be 1 or 2")
-    if LINE_BYTES + nodes * (LINE_BYTES // nodes_per_line) > REGION_BYTES:
+def _free_list_fits(params: dict):
+    if LINE_BYTES + params["nodes"] * (LINE_BYTES // params["nodes_per_line"]) > REGION_BYTES:
         raise ConfigurationError("nodes exceed the address budget")
 
 
-def _check_traversal(params: dict):
-    _check_free_list(params["nodes"], params["nodes_per_line"])
-    _check(params, gap=(0, None))
+def _insertion_fits(params: dict):
+    _free_list_fits(params)
+    if params["inserts"] > params["nodes"]:
+        raise ConfigurationError("not enough pool nodes for the requested inserts")
 
 
-def _check_hashtable(params: dict):
-    _check(params, buckets=(1, None), keys=(0, 0xFFFFFF))  # distinct nonzero 24-bit keys
+def _hashtable_fits(params: dict):
     # _hashtable's region: the bucket array in whole lines, one line per key
     bucket_lines = -(-params["buckets"] * WORD_BYTES // LINE_BYTES)
     if (bucket_lines + max(params["keys"], 1)) * LINE_BYTES > REGION_BYTES:
         raise ConfigurationError("buckets and keys exceed the address budget")
 
 
-def _check_hanoi(params: dict):
-    _check(params, disks=(1, 10))
-
-
-def _check_array(params: dict):
-    _check(params, elements=(0, None), gap=(0, None))
+def _array_fits(params: dict):
     if params["elements"] * WORD_BYTES > REGION_BYTES:
         raise ConfigurationError("elements exceed the address budget")
 
 
-def _check_insertion(params: dict):
-    _check_free_list(params["nodes"], params["nodes_per_line"])
-    _check(params, inserts=(0, None))
-    if params["inserts"] > params["nodes"]:
-        raise ConfigurationError("not enough pool nodes for the requested inserts")
+def _always_fits(params: dict):
+    pass
 
 
-# name -> (builder(seed, **params), default params, validator(params)). These
-# are the only defaults: make_workload and the command line fill unset
-# parameters from here. ExperimentConfig and make_workload run the validator
-# on the filled-in parameters, so a bad size fails before anything is built.
+# name -> (builder(seed, **params), {param: (default, low, high)}, fits(params)).
+# This is the only declaration of a workload parameter: configs and
+# make_workload fill unset parameters with its default, the command line
+# makes it a flag, and check_ranges then fits (the checks that involve more
+# than one parameter) run on the filled-in parameters, so a bad size fails
+# before anything is built.
 WORKLOADS: dict[str, tuple[Callable[..., Workload], dict, Callable[[dict], None]]] = {
-    "traversal": (_traversal, {"nodes": 64, "nodes_per_line": 1, "gap": 0},
-                  _check_traversal),
-    "insertion": (_insertion, {"nodes": 64, "nodes_per_line": 1, "inserts": 8},
-                  _check_insertion),
-    "hashtable": (_hashtable, {"buckets": 16, "keys": 64}, _check_hashtable),
-    "hanoi": (_hanoi, {"disks": 6}, _check_hanoi),
-    "array": (_array, {"elements": 256, "gap": 2}, _check_array),
-    "random": (_random, {"n": 10000}, lambda p: _check(p, n=(0, None))),
+    "traversal": (_traversal, {"nodes": (64, 1, None), "nodes_per_line": (1, 1, 2),
+                               "gap": (0, 0, None)}, _free_list_fits),
+    "insertion": (_insertion, {"nodes": (64, 1, None), "nodes_per_line": (1, 1, 2),
+                               "inserts": (8, 0, None)}, _insertion_fits),
+    # distinct nonzero 24-bit keys
+    "hashtable": (_hashtable, {"buckets": (16, 1, None), "keys": (64, 0, 0xFFFFFF)},
+                  _hashtable_fits),
+    "hanoi": (_hanoi, {"disks": (6, 1, 10)}, _always_fits),
+    "array": (_array, {"elements": (256, 0, None), "gap": (2, 0, None)}, _array_fits),
+    "random": (_random, {"n": (10000, 0, None)}, _always_fits),
 }
 
 

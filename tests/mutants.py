@@ -3,7 +3,8 @@
 Each mutant is an exact text patch to one file under ``src/chasesim``. For
 each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into
 a temporary directory, applies the patch there, runs the tier-1 suite on the
-copy (stopping at the first failure) and prints ``killed`` if some test
+copy (stopping at the first failure; ``PATCH_TEST``, which checks the
+patches themselves, is left out) and prints ``killed`` if some test
 failed or ``survived`` if none did. A run that outlasts ``TIMEOUT_S`` counts
 as killed: the mutant made some run hang. The working tree is never changed.
 
@@ -33,6 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 300
+# checks these patches against the unmutated tree, so it would fail on every
+# mutant; tier-1 runs it
+PATCH_TEST = "tests/test_source.py::test_every_mutant_patch_matches_its_file_once"
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,13 @@ MUTANTS = [
            "            self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))\n",
            "            self.req.kind = kind\n            self.mem_req.send(self.req)\n"),
     Mutant("config-takes-unknown-workload", "harness.py",
-           '        if self.workload not in wl.WORKLOADS:\n'
-           '            raise ConfigurationError(f"unknown workload {self.workload!r}")\n',
+           '    if name not in wl.WORKLOADS:\n'
+           '        raise ConfigurationError(f"unknown workload {name!r}")\n',
            ""),
     Mutant("array-over-the-address-budget", "workloads.py",
            '    if params["elements"] * WORD_BYTES > REGION_BYTES:\n'
            '        raise ConfigurationError("elements exceed the address budget")\n',
-           ""),
+           "    pass\n"),
     Mutant("speedup-ignores-params", "harness.py",
            "    base = {r.config: r.cycles for r in results\n"
            "            if r.config.topology == \"baseline\" and r.completed}\n"
@@ -104,9 +108,14 @@ MUTANTS = [
            "    for i, r in enumerate(results):\n"
            "        b = base.get(replace(r.config, topology=\"baseline\", params=()))\n"),
     Mutant("make-workload-skips-validator", "harness.py",
-           "    return wl.WORKLOADS[name][0](seed, **_workload_params(name, params))\n",
-           "    return wl.WORKLOADS[name][0](seed, **{\n"
-           "        k: params.get(k, v) for k, v in wl.WORKLOADS[name][1].items()})\n"),
+           "    params = _workload_params(name, params)\n",
+           # refuses an unknown name (the defaults pass every check) and
+           # fills in the defaults, but checks neither ranges nor fit
+           "    _workload_params(name, {})\n"
+           "    params = {k: params.get(k, default)\n"
+           "              for k, (default, _, _) in wl.WORKLOADS[name][1].items()}\n"),
+    Mutant("range-check-off-by-one", "workloads.py",
+           "value > high)", "value > high + 1)"),
     Mutant("image-packed-big-endian", "workloads.py",
            'return struct.pack(f"<{len(words)}I", *words)',
            'return struct.pack(f">{len(words)}I", *words)'),
@@ -179,7 +188,8 @@ def suite_fails(tree: Path) -> str:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     try:
         out = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--deselect", PATCH_TEST],
             cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return f"timed out after {TIMEOUT_S} s"

@@ -77,6 +77,27 @@ def test_run_defaults_match_library_defaults(name, capsys):
     assert capsys.readouterr().out == expect
 
 
+def test_run_random_takes_n(capsys):
+    assert main(["run", "--workload", "random", "--n", "300", "--format", "csv"]) == 0
+    expect = report([run_experiment(make_config("alternate", 5, "random", n=300))], "csv")
+    assert capsys.readouterr().out == expect
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_every_workload_parameter_is_a_flag(command, capsys):
+    # the flags come from WORKLOADS, and each one's help names the default
+    # of every workload that takes it
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for name, (_, ranges, _) in WORKLOADS.items():
+        for param, (default, _, _) in ranges.items():
+            flag = "--" + param.replace("_", "-")
+            assert f"[{flag} {param.upper()}]" in help_text
+            entry = help_text.split(f" {flag} {param.upper()} default: ")[1]
+            assert f"{name} {default}" in entry.split(" --")[0].split(", ")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--workload", "bogus"], "unknown workload 'bogus'"),
     (["--workload", "hanoi", "--latency", "0"], "memory latency must be >= 1 cycle"),

@@ -61,6 +61,16 @@ def test_config_params_are_order_independent():
     assert a == b
 
 
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_configs_of_the_same_experiment_are_equal(topology):
+    # a config keeps its filled-in parameters: a default spelled out and a
+    # parameter its workload does not take change nothing
+    assert (make_config(topology, 10, "traversal", nodes=16, gap=0)
+            == make_config(topology, 10, "traversal", nodes=16))
+    assert make_config(topology, 5, "hanoi", nodes=8) == make_config(topology, 5, "hanoi")
+    assert make_config(topology, 5, "hanoi").params == (("disks", 6),)
+
+
 @pytest.mark.parametrize("topology,components,channels", [
     ("baseline", ["core", "cache", "mem"],
      ["core.req", "core.resp", "cache.req", "cache.resp"]),
@@ -307,6 +317,15 @@ def test_the_paper_sweep_builds_each_workload_once(monkeypatch, capsys):
                      "--latencies", "2,5,10,20,40", "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 50
     assert builds == names
+
+
+def test_a_spelled_out_default_finds_its_baseline_and_its_build(monkeypatch):
+    builds = count_builds(monkeypatch)
+    results = sweep([make_config("baseline", 10, "traversal", nodes=16),
+                     make_config("alternate", 10, "traversal", nodes=16, gap=0)])
+    header, rows = result_rows(results)
+    assert rows[1][header.index("speedup")] == "1.224490"
+    assert builds == ["traversal"]
 
 
 @pytest.mark.parametrize("ends", ["returns", "raises"])

@@ -10,6 +10,7 @@ from chasesim import cache, core, messages, prefetcher
 from chasesim.core import Compute, Read, ReadCP, Write
 from chasesim.messages import MemRequest, MemResponse, MsgKind
 from chasesim.workloads import WORKLOADS
+from mutants import MUTANTS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chasesim"
 
@@ -67,3 +68,11 @@ def test_workload_builder_takes_the_seed_and_its_default_keys(name):
     assert build.__name__ == f"_{name}"
     assert required[0] == "seed"
     assert sorted(required[1:]) == sorted(defaults)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_every_mutant_patch_matches_its_file_once(mutant):
+    # tests/mutants.py refuses a patch that does not match exactly once, but
+    # it takes minutes to run: an edit that orphans a mutant shows here. The
+    # script leaves this test out, since no mutated tree passes it.
+    assert (PACKAGE / mutant.path).read_text().count(mutant.old) == 1

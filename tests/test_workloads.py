@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
                       Read, ReadCP, Write, replay_program)
-from chasesim.harness import make_workload
+from chasesim.harness import make_config, make_workload
 from chasesim.messages import LINE_BYTES, WORD_BYTES, line_base
 from chasesim.workloads import (HEAD_CELL, LCG_MOD, LINE_WORDS, REGION_BYTES, _array,
-                                _free_list, _random)
+                                _free_list, _random, check_ranges)
 from conftest import mixes, tokens_of
 
 
@@ -415,6 +415,24 @@ def test_make_workload_ignores_parameters_it_does_not_take():
 def test_make_workload_unknown_name():
     with pytest.raises(ConfigurationError):
         make_workload("bogus")
+
+
+RANGES = [(name, param, low, high) for name, (_, ranges, _) in WORKLOADS.items()
+          for param, (_, low, high) in ranges.items()]
+
+
+@pytest.mark.parametrize("name,param,low,high", RANGES,
+                         ids=[f"{name}-{param}" for name, param, _, _ in RANGES])
+def test_range_table_bounds_are_inclusive(name, param, low, high):
+    # one step outside a bound is refused by its range, so a typo in the
+    # table shows; the bounds themselves pass the range check
+    ranges = WORKLOADS[name][1]
+    defaults = {k: default for k, (default, _, _) in ranges.items()}
+    for outside in [low - 1] + ([] if high is None else [high + 1]):
+        with pytest.raises(ConfigurationError, match=f"^{param} must be "):
+            make_config("baseline", 5, name, **{param: outside})
+    for bound in [low] + ([] if high is None else [high]):
+        check_ranges({**defaults, param: bound}, ranges)
 
 
 def test_workload_generators_deterministic():
