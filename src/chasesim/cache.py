@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
 from .messages import (CACHE_GEOMETRY, READ, READCP, WRITE, ZERO_LINE,
-                       MemRequest, MemResponse, join_address, set_word_in_line,
-                       split_address, word_in_line)
+                       MemRequest, MemResponse, join_address, split_address)
 
 NUM_LINES = CACHE_GEOMETRY.num_indices
 
@@ -75,19 +74,18 @@ class BlockingCache(Component):
             off = self.off
             word = self.lines[self.idx].data[off:off + 4]
             self.core_resp.send(
-                MemResponse(self.req.kind, self.req.opaque, word, hit=self.was_hit))
+                MemResponse(self.req.kind, self.req.opaque, word, self.was_hit))
         elif st == WRITE_DATA:
-            self.core_resp.send(MemResponse(WRITE, self.req.opaque, hit=self.was_hit))
+            self.core_resp.send(MemResponse(WRITE, self.req.opaque, b"", self.was_hit))
         elif st == EVICT_REQ:
             # the victim stays in its line until the refill replaces it
             idx = self.idx
             victim = self.lines[idx]
             self.mem_req.send(MemRequest(
-                WRITE, join_address(victim.tag, idx, 0, CACHE_GEOMETRY),
-                opaque=0, data=victim.data))
+                WRITE, join_address(victim.tag, idx, 0, CACHE_GEOMETRY), 0, victim.data))
         elif st == REFILL_REQ:
             kind = READCP if self.req.kind == READCP else READ
-            self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))
+            self.mem_req.send(MemRequest(kind, self.req.addr))
 
     def tick(self):
         st = self.state
@@ -112,8 +110,7 @@ class BlockingCache(Component):
         elif st == REFILL_WAIT:
             r = self.mem_resp.msg if self.mem_resp.rdy else None
             if r is not None:
-                self.lines[self.idx] = CacheLine(tag=self.tag, valid=True, dirty=False,
-                                                 data=r.data)
+                self.lines[self.idx] = CacheLine(self.tag, True, False, r.data)  # valid, clean
                 self.state = REFILL_UPDATE
         elif st == REFILL_UPDATE:
             self.state = WRITE_DATA if self.req.kind == WRITE else READ_DATA
@@ -122,9 +119,9 @@ class BlockingCache(Component):
                 self.state = IDLE
         elif st == WRITE_DATA:
             if self.core_resp.val and self.core_resp.rdy:
-                line = self.lines[self.idx]
-                line.data = set_word_in_line(line.data, self.off,
-                                             word_in_line(self.req.data, 0))
+                # the core's write data is one word; off is word-aligned
+                line, off = self.lines[self.idx], self.off
+                line.data = line.data[:off] + self.req.data[:4] + line.data[off + 4:]
                 line.dirty = True
                 self.state = IDLE
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
-from .messages import READ, READCP, WRITE, MemRequest, word_bytes, word_value
+from .messages import READ, READCP, WRITE, MemRequest, word_bytes
 
 # states: each is its trace letter
 REQUEST, WAIT, COMPUTE, DONE = "RQ", "WT", "CP", "."
@@ -84,7 +84,7 @@ class CoreModel(Component):
                 self.state = COMPUTE
                 return
             if isinstance(tok, Write):
-                self._req = MemRequest(WRITE, tok.addr, data=word_bytes(tok.value))
+                self._req = MemRequest(WRITE, tok.addr, 0, word_bytes(tok.value))
             else:
                 self._req = MemRequest(READCP if isinstance(tok, ReadCP) else READ,
                                        tok.addr)
@@ -104,7 +104,7 @@ class CoreModel(Component):
             r = self.mem_resp.msg if self.mem_resp.rdy else None
             if r is not None:
                 if self._req.kind != WRITE:  # a Read or ReadCP: a load
-                    value = word_value(r.data)
+                    value = int.from_bytes(r.data[:4], "little")
                     self.loads.append((self._req.addr, value))
                     self._advance(value, self.system.cycle)
                 else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .kernel import IDLE_FOREVER, Component
 from .messages import (INIT as INIT_KIND, PREFETCH_GEOMETRY, READ, READCP, WRITE,
                        ZERO_LINE, MemRequest, MemResponse, join_address,
-                       line_base, split_address, word_in_line)
+                       line_base, split_address)
 
 NUM_ENTRIES = PREFETCH_GEOMETRY.num_indices
 
@@ -121,11 +121,11 @@ class PointerChasePrefetcher(Component):
             if req.kind != INIT_KIND:
                 hit, line, dvalid = self._probe(self.tag, self.idx, fill)
                 if req.kind == WRITE or not hit:
-                    self.mem_req.send(MemRequest(req.kind, req.addr,
-                                                 DEMAND_OPAQUE, data=req.data))
+                    self.mem_req.send(
+                        MemRequest(req.kind, req.addr, DEMAND_OPAQUE, req.data))
                 elif dvalid:
                     self.cache_resp.send(
-                        MemResponse(req.kind, req.opaque, line, hit=True))
+                        MemResponse(req.kind, req.opaque, line, True))
                 # else a hit on a pending fill: wait, never re-request
         elif st == INIT:
             self.cache_resp.send(MemResponse(INIT_KIND, self.req.opaque))
@@ -137,7 +137,7 @@ class PointerChasePrefetcher(Component):
                 # forward the demand response combinationally; flow control
                 # passes through (memory held while the cache is not ready)
                 self.cache_resp.send(MemResponse(
-                    incoming.kind, self.req.opaque, incoming.data, hit=False))
+                    incoming.kind, self.req.opaque, incoming.data, False))
                 mresp_rdy = self.cache_resp.rdy
         self.mem_resp.rdy = mresp_rdy
 
@@ -169,8 +169,7 @@ class PointerChasePrefetcher(Component):
         elif st == INIT:
             if self.cache_resp.val and self.cache_resp.rdy:
                 data = (self.req.data + ZERO_LINE)[:16]
-                self.entries[self.idx] = PrefetchEntry(tag=self.tag, tag_valid=True,
-                                                       data_valid=True, data=data)
+                self.entries[self.idx] = PrefetchEntry(self.tag, True, True, data)
                 self._next_or_idle()
         elif st == PUSH_NEXT:
             self._tick_push_next()
@@ -220,7 +219,7 @@ class PointerChasePrefetcher(Component):
     def _push(self, line: bytes, offset: int):
         # the AGU: the next-node pointer is the word of the serviced line at
         # the request's offset (a node's first word is its next pointer)
-        self.next_ptr = word_in_line(line, offset)
+        self.next_ptr = int.from_bytes(line[offset:offset + 4], "little")
         self.state = PUSH_NEXT
 
     def _tick_push_next(self):
@@ -234,10 +233,9 @@ class PointerChasePrefetcher(Component):
             return
         self.buffer.next_addr = nxt
         tag, idx, _ = split_address(nxt, PREFETCH_GEOMETRY)
-        # claim the entry now so a demand to this line waits instead of
-        # duplicating the memory request
-        self.entries[idx] = PrefetchEntry(tag=tag, tag_valid=True,
-                                          data_valid=False, prefetched=True)
+        # claim the entry now (tag valid, data pending, prefetched) so a
+        # demand to this line waits instead of duplicating the memory request
+        self.entries[idx] = PrefetchEntry(tag, True, False, ZERO_LINE, True)
         self.state = BUFFER_TO_MEM
 
     def _apply_fill(self, resp: MemResponse):

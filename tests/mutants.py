@@ -86,8 +86,16 @@ MUTANTS = [
            'f"        k{i} = i{i}()"',
            'f"        k{i} = i{i}() if {i + 1 < components} else n"'),
     Mutant("refill-mutates-core-request", "cache.py",
-           "            self.mem_req.send(MemRequest(kind, self.req.addr, opaque=0))\n",
+           "            self.mem_req.send(MemRequest(kind, self.req.addr))\n",
            "            self.req.kind = kind\n            self.mem_req.send(self.req)\n"),
+    Mutant("response-drops-hit-flag", "cache.py",
+           "MemResponse(self.req.kind, self.req.opaque, word, self.was_hit)",
+           # a positional call that loses its last argument builds with hit's
+           # default, False
+           "MemResponse(self.req.kind, self.req.opaque, word)"),
+    Mutant("write-merge-misplaces-word", "cache.py",
+           "line.data = line.data[:off] + self.req.data[:4] + line.data[off + 4:]",
+           "line.data = self.req.data[:4] + line.data[4:]"),
     Mutant("config-takes-unknown-workload", "harness.py",
            '    if name not in wl.WORKLOADS:\n'
            '        raise ConfigurationError(f"unknown workload {name!r}")\n',

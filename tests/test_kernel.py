@@ -313,15 +313,15 @@ def test_methods_are_bound_when_the_schedule_is():
 
 
 # Python calls per simulated cycle in run_until, by (workload, latency, params):
-# (without prefetcher, with prefetcher). Measured 8.79/12.77, 1.55/3.38 and
-# 6.88/8.81 after run_until's loop was compiled with an unrolled idle poll
-# and skips that tick only the components whose idle stretch ends
-# (9.43/13.60, 1.69/3.76 and 7.45/9.63 before); each ceiling is about 5%
-# above its measured value.
+# (without prefetcher, with prefetcher). Measured 8.62/12.57, 1.53/3.31 and
+# 6.61/8.55 once the transfer path called no word helper (8.79/12.77,
+# 1.55/3.38 and 6.88/8.81 before; 9.43/13.60, 1.69/3.76 and 7.45/9.63 before
+# run_until's loop was compiled); each ceiling is about 5% above its
+# measured value.
 CALLS_PER_CYCLE = [
-    ("random", 4, dict(n=2000), (9.2, 13.4)),
-    ("traversal", 40, dict(nodes=200, gap=12), (1.63, 3.55)),
-    ("array", 10, dict(elements=512), (7.2, 9.2)),
+    ("random", 4, dict(n=2000), (9.06, 13.2)),
+    ("traversal", 40, dict(nodes=200, gap=12), (1.61, 3.48)),
+    ("array", 10, dict(elements=512), (6.95, 8.98)),
 ]
 
 

@@ -57,6 +57,22 @@ def test_per_transfer_records_are_slotted_and_not_frozen(cls):
     assert "__slots__" in vars(cls)
 
 
+RECORDS = {"MemRequest", "MemResponse", "CacheLine", "PrefetchEntry"}
+
+
+def test_per_transfer_records_are_built_from_positional_arguments():
+    # a keyword argument roughly doubles what a dataclass costs to build, and
+    # these are built on every transfer, refill and prefetch claim
+    calls = []
+    for name in ("core.py", "cache.py", "prefetcher.py", "memory.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        lines = sorted(node.lineno for node in ast.walk(tree)
+                       if isinstance(node, ast.Call) and node.keywords
+                       and getattr(node.func, "id", getattr(node.func, "attr", None)) in RECORDS)
+        calls += [f"{name}:{line}" for line in lines]
+    assert calls == [], f"record built with keyword arguments at {', '.join(calls)}"
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_builder_takes_the_seed_and_its_default_keys(name):
     # make_workload calls builder(seed, **defaults-filled params): a builder
