@@ -7,16 +7,15 @@ read-cp hit per disk and no further pointer work, yet every cache miss
 still pays its extra cycle - so the alternate topology runs slower.
 """
 
-from chasesim import build_system, make_config
+from chasesim import make_config, run_experiment
 
 for topo in ("baseline", "alternate"):
-    handle = build_system(make_config(topo, 5, "hanoi", disks=6))
-    handle.system.run_until(lambda: handle.core.done, 1_000_000)
-    line = f"{topo:>9}: {handle.system.cycle:6d} cycles"
-    if handle.prefetcher:
-        s = handle.prefetcher.stats
-        line += (f"  (read-cp prefetcher hits: {s.readcp_hits},"
-                 f" prefetches issued: {s.prefetches_issued})")
+    stats = run_experiment(make_config(topo, 5, "hanoi", disks=6))
+    line = f"{topo:>9}: {stats.cycles:6d} cycles"
+    if topo == "alternate":
+        c = stats.counters
+        line += (f"  (read-cp prefetcher hits: {c['pf_readcp_hits']},"
+                 f" prefetches issued: {c['pf_prefetches_issued']})")
     print(line)
 
 print("\nthe structure fits in 6 lines: after the initial chase there is")

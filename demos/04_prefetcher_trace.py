@@ -9,15 +9,14 @@ never reach memory.
 
 import io
 
-from chasesim import build_system, make_config
+from chasesim import make_config, run_experiment
 
 trace = io.StringIO()
-handle = build_system(make_config("alternate", 5, "traversal", nodes=4),
-                      trace=trace)
-handle.system.run_until(lambda: handle.core.done, 10_000)
+stats = run_experiment(make_config("alternate", 5, "traversal", nodes=4),
+                       trace=trace)
 
 print(trace.getvalue())
-s = handle.prefetcher.stats
-print(f"completed in {handle.system.cycle} cycles")
-print(f"prefetches issued={s.prefetches_issued} fills={s.prefetch_fills} "
-      f"useful hits={s.useful_prefetch_hits}")
+c = stats.counters
+print(f"completed in {stats.cycles} cycles")
+print(f"prefetches issued={c['pf_prefetches_issued']} fills={c['pf_prefetch_fills']} "
+      f"useful hits={c['pf_useful_prefetch_hits']}")

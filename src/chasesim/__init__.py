@@ -3,7 +3,7 @@ prefetcher / pipelined memory system with valid-ready channels."""
 
 from .messages import (AddrGeometry, CACHE_GEOMETRY, LINE_BYTES,
                        PREFETCH_GEOMETRY, MemRequest, MemResponse, MsgKind,
-                       join_address, line_base, split_address, word_in_line)
+                       join_address, line_base, split_address)
 from .kernel import (Channel, CombinationalLoopError, Component,
                      ConfigurationError, System)
 from .memory import PipelinedMemory, dump_image
@@ -18,7 +18,7 @@ from .testbench import TestSink, TestSource, build_testbench
 __all__ = [
     "AddrGeometry", "CACHE_GEOMETRY", "LINE_BYTES", "PREFETCH_GEOMETRY",
     "MemRequest", "MemResponse", "MsgKind", "join_address", "line_base",
-    "split_address", "word_in_line",
+    "split_address",
     "Channel", "CombinationalLoopError", "Component", "ConfigurationError",
     "System",
     "PipelinedMemory", "dump_image",

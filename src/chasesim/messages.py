@@ -102,20 +102,10 @@ def line_base(addr: int) -> int:
     return addr & ~(LINE_BYTES - 1)
 
 
-def _check_word_offset(offset: int):
-    if offset % WORD_BYTES or not 0 <= offset < LINE_BYTES:
-        raise ValueError(f"word offset {offset} is misaligned or outside the line")
-
-
-def word_in_line(line: bytes, offset: int) -> int:
-    """32-bit word at the given byte offset of a 16-byte line."""
-    _check_word_offset(offset)
-    return int.from_bytes(line[offset:offset + WORD_BYTES], "little")
-
-
 def set_word_in_line(line: bytes, offset: int, value: int) -> bytes:
     """Copy of line with the word at the given byte offset replaced."""
-    _check_word_offset(offset)
+    if offset % WORD_BYTES or not 0 <= offset < LINE_BYTES:
+        raise ValueError(f"word offset {offset} is misaligned or outside the line")
     buf = bytearray(line)
     buf[offset:offset + WORD_BYTES] = value.to_bytes(WORD_BYTES, "little")
     return bytes(buf)
@@ -123,7 +113,3 @@ def set_word_in_line(line: bytes, offset: int, value: int) -> bytes:
 
 def word_bytes(value: int) -> bytes:
     return (value & 0xFFFFFFFF).to_bytes(WORD_BYTES, "little")
-
-
-def word_value(data: bytes) -> int:
-    return int.from_bytes(data[:WORD_BYTES], "little")

@@ -4,10 +4,11 @@ Four entries of {26-bit tag, tag-valid, data-valid, 16-byte line}. On
 read-cp traffic the address generation unit extracts the next-node pointer
 from the serviced line into one latched output (``next_ptr``), and a single
 buffer address register issues one outstanding prefetch (opaque=1) for it.
-A request's address is split once, on accept, for ``_probe``, the lookup of
-``eval``, the tag-check tick and ``idle_cycles``; ``tag_check`` serves only
-the fill path. Separate tag/data valid bits let a demand to a line whose
-fill is still in flight wait instead of re-requesting.
+A request's address is split once, on accept, for ``_probe``, the one lookup
+of ``eval``, the tag-check tick, ``idle_cycles`` and the fill path. Separate
+tag/data valid bits let a demand to a line whose fill is still in flight wait
+instead of re-requesting. A demand goes to memory as a copy tagged
+``DEMAND_OPAQUE``: the opaque field is what tells its response from a fill.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
 from .messages import (INIT as INIT_KIND, PREFETCH_GEOMETRY, READ, READCP, WRITE,
-                       ZERO_LINE, MemRequest, MemResponse, join_address,
-                       line_base, split_address)
+                       ZERO_LINE, MemRequest, MemResponse, line_base,
+                       split_address)
 
 NUM_ENTRIES = PREFETCH_GEOMETRY.num_indices
 
@@ -90,23 +91,17 @@ class PointerChasePrefetcher(Component):
 
     # -- combinational helpers --
 
-    def tag_check(self, addr: int, fill: MemResponse | None = None):
-        """(hit, index, offset, line, data_valid) for addr. Hit iff the
-        indexed entry's tag is valid and matches; hit is true even when the
-        data is still pending (the FSM then waits). An arriving prefetch fill
-        for the pending line is applied combinationally, so a same-cycle
-        demand sees its data."""
-        tag, idx, off = split_address(addr, PREFETCH_GEOMETRY)
-        hit, line, dvalid = self._probe(tag, idx, fill)
-        return hit, idx, off, line, dvalid
-
     def _probe(self, tag: int, idx: int, fill: MemResponse | None = None):
-        """``tag_check``'s (hit, line, data_valid) for a split address."""
+        """(hit, line, data_valid) for a split address. Hit iff the indexed
+        entry's tag is valid and matches; hit is true even when the data is
+        still pending (the FSM then waits). An arriving prefetch fill is
+        applied combinationally, so a same-cycle demand sees its data. It is
+        the data of any pending entry that hits: PUSH_NEXT claims an entry
+        only while no prefetch is outstanding, so the one pending entry is
+        the line at the buffer address."""
         e = self.entries[idx]
         hit = e.tag_valid and e.tag == tag
-        if (fill is not None and hit and not e.data_valid and self.buffer.busy
-                and line_base(self.buffer.next_addr)
-                == join_address(tag, idx, 0, PREFETCH_GEOMETRY)):
+        if fill is not None and hit and not e.data_valid:
             return hit, fill.data, True
         return hit, e.data, e.data_valid
 
@@ -180,7 +175,7 @@ class PointerChasePrefetcher(Component):
         elif st in (WAIT_MEM, STALL_MEM):
             if got is not None:
                 if self.req.kind == READCP and not self.buffer.busy:
-                    self._push(got.data, self.off)
+                    self._push(got.data)
                 else:
                     self.state = IDLE
             else:
@@ -198,7 +193,7 @@ class PointerChasePrefetcher(Component):
         elif self.cache_resp.val and self.cache_resp.rdy:
             self._count_hit(req.kind, self.entries[self.idx])
             if req.kind == READCP:
-                self._push(line, self.off)
+                self._push(line)
             else:
                 self._next_or_idle()  # cache_req is not ready in DI: idle
         elif self.mem_req.val and self.mem_req.rdy:
@@ -216,10 +211,10 @@ class PointerChasePrefetcher(Component):
         elif hit and not dvalid and req.kind != WRITE:
             self.state = WAIT_DATA_INVALID
 
-    def _push(self, line: bytes, offset: int):
+    def _push(self, line: bytes):
         # the AGU: the next-node pointer is the word of the serviced line at
         # the request's offset (a node's first word is its next pointer)
-        self.next_ptr = int.from_bytes(line[offset:offset + 4], "little")
+        self.next_ptr = int.from_bytes(line[self.off:self.off + 4], "little")
         self.state = PUSH_NEXT
 
     def _tick_push_next(self):
@@ -241,7 +236,8 @@ class PointerChasePrefetcher(Component):
     def _apply_fill(self, resp: MemResponse):
         if not self.buffer.busy:
             raise RuntimeError("prefetch fill with no prefetch outstanding")
-        hit, idx, _, _, dvalid = self.tag_check(self.buffer.next_addr)
+        tag, idx, _ = split_address(self.buffer.next_addr, PREFETCH_GEOMETRY)
+        hit, _, dvalid = self._probe(tag, idx)
         if hit and not dvalid:
             e = self.entries[idx]
             e.data = resp.data

@@ -46,7 +46,7 @@ class Lcg:
         return out
 
 
-Program = Callable[[], object]  # generator function yielding Tokens
+Program = Callable[[], object] | list[Token]  # Token list or generator function
 
 
 @dataclass

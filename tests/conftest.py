@@ -37,8 +37,8 @@ def rd(addr, opaque=0):
     return MemRequest(MsgKind.READ, addr, opaque=opaque)
 
 
-def cp(addr):
-    return MemRequest(MsgKind.READCP, addr)
+def cp(addr, opaque=0):
+    return MemRequest(MsgKind.READCP, addr, opaque=opaque)
 
 
 def wr_line(addr, data):

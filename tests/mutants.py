@@ -181,6 +181,17 @@ MUTANTS = [
            equivalent="the tick re-enters DI at once unless a landed fill's "
                       "response is refused, and the blocking cache never "
                       "refuses one"),
+    Mutant("claim-while-busy", "prefetcher.py",
+           "        self.stats.prefetches_issued += 1\n"
+           "        if self.buffer.busy:\n",
+           "        self.stats.prefetches_issued += 1\n"
+           "        tag, idx, _ = split_address(nxt, PREFETCH_GEOMETRY)\n"
+           "        self.entries[idx] = PrefetchEntry(tag, True, False, ZERO_LINE, True)\n"
+           "        if self.buffer.busy:\n"),
+    Mutant("pf-forwards-request-unchanged", "prefetcher.py",
+           "                    self.mem_req.send(\n"
+           "                        MemRequest(req.kind, req.addr, DEMAND_OPAQUE, req.data))\n",
+           "                    self.mem_req.send(req)\n"),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from chasesim import (BlockingCache, MemRequest, MsgKind, build_testbench,
                       make_workload)
 from chasesim.cache import IDLE
-from chasesim.messages import line_base, word_bytes, word_value
+from chasesim.messages import line_base, word_bytes
 
 from conftest import cp, raised_optimized, rd, run_against_oracle, run_to_responses
 
@@ -35,8 +35,8 @@ def test_read_miss_then_hit_timing():
     # hit: accept at t, response at t+2
     assert r1 - a1 == 2
     assert resp1.hit is True
-    assert word_value(resp0.data) == word_value(LINE_A[0:4])
-    assert word_value(resp1.data) == word_value(LINE_A[4:8])
+    assert resp0.data == LINE_A[0:4]
+    assert resp1.data == LINE_A[4:8]
     assert cache.stats.read_hits == 1 and cache.stats.read_misses == 1
 
 
@@ -56,7 +56,7 @@ def test_write_miss_allocates_with_read_refill():
     assert [r.kind for r in mem.request_log] == [MsgKind.READ]
     w, r = sink.responses()
     assert w.kind == MsgKind.WRITE and w.hit is False
-    assert r.hit is True and word_value(r.data) == 0xABCD
+    assert r.hit is True and int.from_bytes(r.data, "little") == 0xABCD
     assert cache.stats.write_misses == 1 and cache.stats.read_hits == 1
 
 
@@ -82,7 +82,7 @@ def test_dirty_eviction_writes_full_victim_line():
     evict = mem.request_log[1]
     assert evict.addr == 0x1000
     assert len(evict.data) == 16
-    assert word_value(evict.data[4:8]) == 0x5555  # victim carries the write
+    assert int.from_bytes(evict.data[4:8], "little") == 0x5555  # victim carries the write
     assert cache.stats.evictions == 1
     assert mem.peek_line(0x1000)[4:8] == word_bytes(0x5555)
 

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from chasesim import (CACHE_GEOMETRY, PREFETCH_GEOMETRY, MemRequest,
                       MemResponse, MsgKind, join_address, line_base,
-                      split_address, word_in_line)
-from chasesim.messages import set_word_in_line, word_bytes, word_value
+                      split_address)
+from chasesim.messages import set_word_in_line, word_bytes
 
 from conftest import raised_optimized
 
@@ -39,33 +39,23 @@ def test_line_base_examples():
     assert line_base(0x1000) == 0x1000
 
 
-def test_word_in_line_examples():
-    line = bytes(range(16))
-    assert word_in_line(line, 0) == 0x03020100
-    assert word_in_line(line, 12) == 0x0F0E0D0C
-    assert word_value(word_bytes(0xDEADBEEF)) == 0xDEADBEEF
-
-
 def test_set_word_in_line_roundtrip():
     line = bytes(16)
     out = set_word_in_line(line, 8, 0x12345678)
-    assert word_in_line(out, 8) == 0x12345678
+    assert out[8:12] == word_bytes(0x12345678) == bytes.fromhex("78563412")
     assert out[:8] == bytes(8) and out[12:] == bytes(4)
 
 
 @pytest.mark.parametrize("offset", [2, -4, 16])
 def test_word_helpers_reject_bad_offsets(offset):
     with pytest.raises(ValueError, match="misaligned or outside the line"):
-        word_in_line(bytes(16), offset)
-    with pytest.raises(ValueError, match="misaligned or outside the line"):
         set_word_in_line(bytes(16), offset, 1)
 
 
-@pytest.mark.parametrize("call,offset", [("word_in_line(bytes(16), 2)", 2),
-                                         ("set_word_in_line(bytes(16), 16, 1)", 16)])
+@pytest.mark.parametrize("call,offset", [("set_word_in_line(bytes(16), 16, 1)", 16)])
 def test_word_helpers_reject_bad_offsets_under_optimize(call, offset):
     assert raised_optimized(
-        "from chasesim.messages import set_word_in_line, word_in_line\n" + call
+        "from chasesim.messages import set_word_in_line\n" + call
     ) == f"ValueError: word offset {offset} is misaligned or outside the line"
 
 

@@ -1,21 +1,24 @@
 """Pointer-chase prefetcher: directed timing, prefetch issue, invalidation,
-duplicate suppression, drop behavior, and a property over random streams
-with sink delays."""
+duplicate suppression, drop behavior, a property over random streams with
+sink delays, and one that at most one entry, the buffer's line, is pending."""
 
 import io
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chasesim import (Channel, MemRequest, MemResponse, MsgKind,
-                      PointerChasePrefetcher, build_testbench, PREFETCH_OPAQUE,
-                      DEMAND_OPAQUE)
-from chasesim.messages import LINE_BYTES, WORD_BYTES, set_word_in_line
+                      PointerChasePrefetcher, build_system, build_testbench,
+                      make_config, PREFETCH_OPAQUE, DEMAND_OPAQUE)
+from chasesim.messages import (LINE_BYTES, PREFETCH_GEOMETRY, WORD_BYTES,
+                               set_word_in_line, split_address)
 from chasesim.kernel import IDLE_FOREVER
-from chasesim.prefetcher import TAG_CHECK, WAIT_DATA_INVALID, PrefetchEntry
+from chasesim.prefetcher import (BUFFER_TO_MEM, TAG_CHECK, WAIT_DATA_INVALID,
+                                 PrefetchEntry)
+from golden.make_traces import SMALL
 
-from conftest import cp, rd, run_to_responses, wr_line
+from conftest import chase_testbench, cp, rd, run_to_responses, wr_line
 
 pytestmark = pytest.mark.usefixtures("audit_blocks")
 
@@ -48,18 +51,25 @@ def drain(sys_, pf, cycles=80):
     assert not pf.buffer.busy
 
 
-def test_tag_check_direct():
+def probe_hit(pf, addr):
+    """_probe's hit for addr, split as an accept splits it."""
+    tag, idx, _ = split_address(addr, PREFETCH_GEOMETRY)
+    return pf._probe(tag, idx)[0]
+
+
+def test_probe_direct():
     pf = PointerChasePrefetcher()
-    hit, idx, off = pf.tag_check(ADDR_A)[:3]
-    assert (hit, idx, off) == (False, 0, 0)
+    assert split_address(ADDR_A, PREFETCH_GEOMETRY)[1:] == (0, 0)
+    assert probe_hit(pf, ADDR_A) is False
     e = pf.entries[0]
-    e.tag, e.tag_valid = ADDR_A >> 6, True
-    assert pf.tag_check(ADDR_A)[0] is True
-    assert pf.tag_check(ADDR_A + 8)[:3] == (True, 0, 8)  # same line, other word
-    assert pf.tag_check(ADDR_A + 0x40)[0] is False   # same index, other tag
+    e.tag, e.tag_valid, e.data_valid = ADDR_A >> 6, True, True
+    assert probe_hit(pf, ADDR_A) is True
+    assert probe_hit(pf, ADDR_A + 8) is True  # same line, other word
+    assert split_address(ADDR_A + 8, PREFETCH_GEOMETRY)[1:] == (0, 8)
+    assert probe_hit(pf, ADDR_A + 0x40) is False  # same index, other tag
     # a pending (data-invalid) entry still tag-hits
     e.data_valid = False
-    assert pf.tag_check(ADDR_A)[0] is True
+    assert probe_hit(pf, ADDR_A) is True
 
 
 def test_wait_data_invalid_is_idle_until_the_fill_lands():
@@ -298,6 +308,22 @@ def test_fill_with_no_prefetch_outstanding_raises():
         pf._apply_fill(MemResponse(MsgKind.READ, PREFETCH_OPAQUE, PAYLOAD_P))
 
 
+@pytest.mark.parametrize("opaque", [1, 7])
+def test_forwarded_demands_carry_the_demand_opaque(opaque):
+    # memory's responses are told from prefetch fills by their opaque field,
+    # so a demand goes down as a copy tagged DEMAND_OPAQUE, whatever the
+    # requester sent, and its response takes back the requester's opaque
+    sys_, src, sink, pf, mem = build_testbench(
+        4, [rd(ADDR_A, opaque), cp(ADDR_B, opaque)], PointerChasePrefetcher(),
+        segments=[(ADDR_A, PAYLOAD_P), (ADDR_B, line_with_ptr(PTR_P))])
+    got = run_to_responses(sys_, sink, 2, max_cycles=200)
+    assert [(r.kind, r.opaque) for r in got] == [(MsgKind.READ, opaque),
+                                                 (MsgKind.READCP, opaque)]
+    drain(sys_, pf)
+    assert [(r.addr, r.opaque) for r in mem.request_log] == [
+        (ADDR_A, DEMAND_OPAQUE), (ADDR_B, DEMAND_OPAQUE), (PTR_P, PREFETCH_OPAQUE)]
+
+
 STREAM_REGION = 0x1000  # nonzero, so no in-region pointer is null
 
 
@@ -369,3 +395,70 @@ def test_a_delayed_line_stream_stalls_memory():
     pf, mem = run_line_stream(10, [30] * 60, *line_stream(60, 3, 8))
     assert mem.stalls > 0
     assert pf.stats.read_hits + pf.stats.readcp_hits > 0
+
+
+def watch_pending_entries(pf):
+    """Make each of pf's ticks check, once it has run, that at most one
+    entry is claimed but unfilled, and that this is the line at the buffer
+    address with its prefetch outstanding or about to issue. Returns a
+    one-item list counting the probes that took a fill in the same cycle.
+    The schedule binds ticks, so call this before the first cycle."""
+    tick, probe, fills = pf.tick, pf._probe, [0]
+
+    def checked_tick():
+        tick()
+        pending = [i for i, e in enumerate(pf.entries) if e.tag_valid and not e.data_valid]
+        assert len(pending) <= 1, pending
+        if pending:
+            tag, idx, _ = split_address(pf.buffer.next_addr, PREFETCH_GEOMETRY)
+            assert pending == [idx] and pf.entries[idx].tag == tag
+            assert pf.buffer.busy or pf.state == BUFFER_TO_MEM
+
+    def counted_probe(tag, idx, fill=None):
+        hit, line, dvalid = probe(tag, idx, fill)
+        fills[0] += dvalid and not pf.entries[idx].data_valid
+        return hit, line, dvalid
+
+    pf.tick, pf._probe = checked_tick, counted_probe
+    return fills
+
+
+def test_the_one_pending_entry_is_the_buffer_line():
+    # the same-cycle fill path of _probe hands a fill to any pending entry
+    # that hits; that is right only while the one pending entry is the line
+    # the outstanding prefetch fetches. Line streams also drop prefetches
+    # while one is outstanding, which chains and the full systems never do
+    fills, drops = [], []
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["chain", "stream", "traversal", "insertion",
+                                 "hashtable"]),
+           latency=st.integers(1, 12), seed=st.integers(1, 1000),
+           src_delays=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+           sink_delays=st.lists(st.integers(0, 12), max_size=8))
+    @example(name="chain", latency=6, seed=1, src_delays=[0, 0, 3], sink_delays=[])
+    @example(name="stream", latency=6, seed=1, src_delays=[0], sink_delays=[])
+    def run(name, latency, seed, src_delays, sink_delays):
+        if name == "chain":
+            sys_, src, sink, pf, _ = chase_testbench(latency, src_delays, sink_delays,
+                                                     PointerChasePrefetcher())
+        elif name == "stream":
+            script, segments, _ = line_stream(16, seed, 4)
+            sys_, src, sink, pf, _ = build_testbench(
+                latency, script, PointerChasePrefetcher(), sink_delays=sink_delays,
+                segments=segments)
+        else:
+            handle = build_system(make_config("alternate", latency, name, seed=seed,
+                                              **SMALL[name]))
+            sys_, pf = handle.system, handle.prefetcher
+        same_cycle = watch_pending_entries(pf)
+        if name in ("chain", "stream"):
+            run_to_responses(sys_, sink, len(src.script))
+        else:
+            assert sys_.run_until(lambda: handle.core.done)
+        fills.append(same_cycle[0])
+        drops.append(pf.stats.prefetches_dropped)
+
+    run()
+    assert any(fills), "no run took a fill in the same cycle"
+    assert any(drops), "no run dropped a prefetch"
