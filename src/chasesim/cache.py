@@ -14,8 +14,6 @@ from .kernel import IDLE_FOREVER, Component
 from .messages import (CACHE_GEOMETRY, READ, READCP, WRITE, ZERO_LINE,
                        MemRequest, MemResponse, join_address, split_address)
 
-NUM_LINES = CACHE_GEOMETRY.num_indices
-
 
 @dataclass
 class CacheLine:
@@ -53,18 +51,12 @@ class BlockingCache(Component):
     blocks = {"eval": ((), ("core_req.rdy", "core_resp.val", "mem_req.val", "mem_resp.rdy"))}
 
     def __init__(self):
-        super().__init__()
-        self.lines = [CacheLine() for _ in range(NUM_LINES)]
+        self.lines = [CacheLine() for _ in range(CACHE_GEOMETRY.num_indices)]
         self.state = IDLE
         self.req: MemRequest | None = None
         self.tag = self.idx = self.off = 0  # self.req's address, split on accept
         self.was_hit = False
         self.stats = CacheStats()
-        # ports
-        self.core_req = None
-        self.core_resp = None
-        self.mem_req = None
-        self.mem_resp = None
 
     def eval(self):
         st = self.state

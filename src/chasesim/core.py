@@ -55,7 +55,6 @@ class CoreModel(Component):
     blocks = {"eval": ((), ("mem_req.val", "mem_resp.rdy"))}
 
     def __init__(self, program):
-        super().__init__()
         self._gen = as_generator(program)
         self._req: MemRequest | None = None  # the current token's request
         self.state = REQUEST
@@ -63,9 +62,6 @@ class CoreModel(Component):
         self.loads: list[tuple[int, int]] = []  # (addr, value) in issue order
         self.done = False
         self._advance(None, -1)  # the program starts at cycle 0
-        # ports
-        self.mem_req = None
-        self.mem_resp = None
 
     def _advance(self, value, now):
         """Take the next token after the tick of cycle now."""

@@ -72,20 +72,28 @@ class Channel:
 
 
 class Component:
-    """Base role: combinational eval blocks plus a sequential tick."""
+    """Base role: combinational eval blocks plus a sequential tick. Its
+    ``ports`` are the names its ``blocks`` declare signals on, each None on
+    the class until ``System.connect`` binds a channel to it."""
 
     name = "comp"
     state = "--"  # the FSM state: its trace letter
-    # port attribute names for System.chain:
+    system: System | None = None  # set by System.add
+    # the ports System.chain links:
     # up = (request-in, response-out), down = (request-out, response-in)
     up: tuple[str, ...] = ()
     down: tuple[str, ...] = ()
     # eval blocks: method name -> (signals read, signals written), each signal
     # "<port>.val" (val and msg) or "<port>.rdy"
     blocks: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {"eval": ((), ())}
+    ports: frozenset[str] = frozenset()
 
-    def __init__(self):
-        self.system: System | None = None
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.ports = frozenset(signal.partition(".")[0] for signals in cls.blocks.values()
+                              for names in signals for signal in names)
+        for port in cls.ports:
+            setattr(cls, port, None)
 
     def eval(self):
         """Assert outputs (send on output ports, assign rdy on input ports).
@@ -134,7 +142,7 @@ class System:
                 name: str | None = None) -> Channel:
         """Bind a producer port to a consumer port with a fresh channel."""
         for comp, port in (producer, consumer):
-            if not hasattr(comp, port):
+            if port not in comp.ports:
                 raise ConfigurationError(f"{comp.name} has no port {port!r}")
             if getattr(comp, port) is not None:
                 raise ConfigurationError(f"port {comp.name}.{port} already bound")

@@ -24,7 +24,6 @@ class PipelinedMemory(Component):
               "eval_req_rdy": (("resp.val", "resp.rdy"), ("req.rdy",))}
 
     def __init__(self, latency: int):
-        super().__init__()
         if latency < 1:
             raise ConfigurationError("memory latency must be >= 1 cycle")
         self.latency = latency
@@ -33,9 +32,6 @@ class PipelinedMemory(Component):
         # in-flight entries: (due pipeline-clock value, request)
         self.pipeline: deque[tuple[int, MemRequest]] = deque()
         self.stalls = 0  # cycles the pipeline clock stood still
-        # ports
-        self.req = None
-        self.resp = None
 
     # -- backing-store access (zero-time, used by loaders and oracles) --
 

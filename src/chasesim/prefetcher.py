@@ -20,8 +20,6 @@ from .messages import (INIT as INIT_KIND, PREFETCH_GEOMETRY, READ, READCP, WRITE
                        ZERO_LINE, MemRequest, MemResponse, line_base,
                        split_address)
 
-NUM_ENTRIES = PREFETCH_GEOMETRY.num_indices
-
 DEMAND_OPAQUE = 0    # forwarded cache requests
 PREFETCH_OPAQUE = 1  # buffer-to-memory prefetch requests
 
@@ -75,19 +73,13 @@ class PointerChasePrefetcher(Component):
     }
 
     def __init__(self):
-        super().__init__()
-        self.entries = [PrefetchEntry() for _ in range(NUM_ENTRIES)]
+        self.entries = [PrefetchEntry() for _ in range(PREFETCH_GEOMETRY.num_indices)]
         self.buffer = BufferAddressRegister()
         self.state = IDLE
         self.req: MemRequest | None = None
         self.tag = self.idx = self.off = 0  # self.req's address, split on accept
         self.next_ptr = 0  # AGU output latched for PUSH_NEXT
         self.stats = PrefetchStats()
-        # ports
-        self.cache_req = None
-        self.cache_resp = None
-        self.mem_req = None
-        self.mem_resp = None
 
     # -- combinational helpers --
 
@@ -173,8 +165,8 @@ class PointerChasePrefetcher(Component):
                 self.buffer.busy = True
                 self._next_or_idle()
         elif st in (WAIT_MEM, STALL_MEM):
-            if got is not None:
-                if self.req.kind == READCP and not self.buffer.busy:
+            if got is not None:  # memory answers in order: no prefetch is outstanding
+                if self.req.kind == READCP:
                     self._push(got.data)
                 else:
                     self.state = IDLE

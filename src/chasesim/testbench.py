@@ -18,13 +18,11 @@ class TestSource(Component):
     blocks = {"eval": ((), ("req.val",))}
 
     def __init__(self, script):
-        super().__init__()
         # script items: MemRequest or (MemRequest, delay-cycles-before-offer)
         self.script = [(s, 0) if not isinstance(s, tuple) else s for s in script]
         self.index = 0
         self.offer_at = self.script[0][1] if self.script else 0  # next offer's cycle
         self.log: list[tuple[int, object]] = []  # (cycle accepted, request)
-        self.req = None  # port
 
     @property
     def done(self):
@@ -57,11 +55,9 @@ class TestSink(Component):
     blocks = {"eval": ((), ("resp.rdy",))}
 
     def __init__(self, delays=()):
-        super().__init__()
         self.delays = list(delays)
         self.ready_at = self.delays[0] if self.delays else 0  # cycle rdy rises
         self.received: list[tuple[int, MemResponse]] = []  # (cycle, response)
-        self.resp = None  # port
 
     def eval(self):
         self.resp.rdy = self.system.cycle >= self.ready_at

@@ -79,6 +79,9 @@ MUTANTS = [
     Mutant("compute-ends-early", "core.py",
            "self._compute_end = now + tok.cycles\n",
            "self._compute_end = now + tok.cycles - 1\n"),
+    Mutant("connect-accepts-any-attribute", "kernel.py",
+           "            if port not in comp.ports:\n",
+           "            if not hasattr(comp, port):\n"),
     Mutant("skip-drops-final-tick", "kernel.py",
            'f"        if k{i} == n:',
            'f"        if k{i} == n + 1:'),

@@ -13,6 +13,7 @@ from chasesim import (BlockingCache, CombinationalLoopError, Component, Compute,
                       ConfigurationError, CoreModel, MemRequest, MsgKind,
                       PipelinedMemory, PointerChasePrefetcher, System, TestSink,
                       TestSource, build_system, make_config, make_workload)
+from chasesim.testbench import LoggingMemory
 from golden.make_golden import TOPOLOGIES, WORKLOADS
 from golden.make_traces import LATENCIES, SMALL
 
@@ -39,6 +40,41 @@ def test_connect_missing_port_raises():
     sys_.add(sink)
     with pytest.raises(ConfigurationError):
         sys_.connect((src, "nonexistent"), (sink, "resp"))
+
+
+@pytest.mark.parametrize("make", [PointerChasePrefetcher, BlockingCache],
+                         ids=["pf", "cache"])
+def test_connect_refuses_a_name_no_block_declares(make):
+    # req is the request being serviced, None while idle: an attribute that
+    # reads None is not a port
+    system = System()
+    comp, mem = system.add(make(), PipelinedMemory(4))
+    with pytest.raises(ConfigurationError, match=rf"^{comp.name} has no port 'req'$"):
+        system.connect((comp, "req"), (mem, "req"))
+    assert comp.req is None and mem.req is None and system.channels == []
+
+
+# each component class, a fresh instance of it and the port names its blocks
+# declare signals on
+PORTS = [
+    (CoreModel, lambda: CoreModel([]), {"mem_req", "mem_resp"}),
+    (BlockingCache, BlockingCache, {"core_req", "core_resp", "mem_req", "mem_resp"}),
+    (PointerChasePrefetcher, PointerChasePrefetcher,
+     {"cache_req", "cache_resp", "mem_req", "mem_resp"}),
+    (PipelinedMemory, lambda: PipelinedMemory(1), {"req", "resp"}),
+    (LoggingMemory, lambda: LoggingMemory(1), {"req", "resp"}),
+    (TestSource, lambda: TestSource([]), {"req"}),
+    (TestSink, TestSink, {"resp"}),
+]
+
+
+@pytest.mark.parametrize("cls,make,ports", PORTS, ids=[case[0].__name__ for case in PORTS])
+def test_ports_are_the_names_the_blocks_declare(cls, make, ports):
+    assert cls.ports == ports
+    assert set(cls.up + cls.down) <= cls.ports
+    comp = make()
+    assert {port: getattr(comp, port) for port in ports} == dict.fromkeys(ports)
+    assert comp.system is None
 
 
 def test_connect_double_bind_raises():
@@ -222,9 +258,7 @@ class RdyFollower(Component):
     blocks = {"eval": (("out.rdy",), ("inp.rdy",))}
 
     def __init__(self, name):
-        super().__init__()
         self.name = name
-        self.inp = self.out = None
         self.ticks = 0
 
     def eval(self):

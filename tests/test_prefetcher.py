@@ -369,16 +369,30 @@ def line_stream(n, seed, lines):
 
 
 def run_line_stream(latency, delays, script, segments, expected):
+    """Run the stream; check its responses and that no prefetch is
+    outstanding whenever the prefetcher accepts a demand response (memory
+    answers in order and fills are always drained, so an earlier prefetch
+    has landed: a busy drop is decided in PUSH_NEXT only). Returns the
+    prefetcher, memory and the number of demand responses accepted."""
     sys_, src, sink, pf, mem = build_testbench(
         latency, script, PointerChasePrefetcher(), sink_delays=delays,
         segments=segments)
+    tick, demands = pf.tick, [0]
+
+    def checked_tick():
+        got = pf.mem_resp.msg if pf.mem_resp.rdy else None
+        if got is not None and got.opaque == DEMAND_OPAQUE:
+            assert not pf.buffer.busy, sys_.cycle
+            demands[0] += 1
+        tick()
+    pf.tick = checked_tick  # the schedule binds ticks at the first cycle
     # each request may wait out a prefetch and its own memory trip and its
     # sink delay; the largest example (40 requests, latency 20, delays 40)
     # takes at most 1,640 cycles of this 3,520, and a deadlock fails fast
     budget = len(script) * (2 * latency + max(delays, default=0) + 8)
     got = run_to_responses(sys_, sink, len(script), max(budget, 1))
     assert [(r.kind, r.data) for r in got] == expected
-    return pf, mem
+    return pf, mem, demands[0]
 
 
 @given(latency=st.integers(1, 20), seed=st.integers(0, 2**31 - 1),
@@ -392,8 +406,8 @@ def test_line_streams_with_sink_delays_match_a_line_map(latency, seed, n, lines,
 
 
 def test_a_delayed_line_stream_stalls_memory():
-    pf, mem = run_line_stream(10, [30] * 60, *line_stream(60, 3, 8))
-    assert mem.stalls > 0
+    pf, mem, demands = run_line_stream(10, [30] * 60, *line_stream(60, 3, 8))
+    assert mem.stalls > 0 and demands > 0
     assert pf.stats.read_hits + pf.stats.readcp_hits > 0
 
 

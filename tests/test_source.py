@@ -1,12 +1,13 @@
 """Source-level checks on the simulator package."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
 import pytest
 
-from chasesim import cache, core, messages, prefetcher
+from chasesim import Component, cache, core, messages, prefetcher
 from chasesim.core import Compute, Read, ReadCP, Write
 from chasesim.messages import MemRequest, MemResponse, MsgKind
 from chasesim.workloads import WORKLOADS
@@ -84,6 +85,35 @@ def test_workload_builder_takes_the_seed_and_its_default_keys(name):
     assert build.__name__ == f"_{name}"
     assert required[0] == "seed"
     assert sorted(required[1:]) == sorted(defaults)
+
+
+def self_attributes_set(function):
+    """(line, name) of each ``self.<name>`` a function assigns."""
+    return [(node.lineno, node.attr) for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"]
+
+
+def test_no_constructor_assigns_a_port():
+    # a port is declared once, by a signal in the class's blocks; a
+    # constructor that set one too would be a second declaration to drift
+    assert "__init__" not in vars(Component)
+    checked, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "chasesim" if path.stem == "__init__" else f"chasesim.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if not (isinstance(cls, type) and issubclass(cls, Component)):
+                continue
+            checked.add(node.name)
+            for init in (f for f in node.body
+                         if isinstance(f, ast.FunctionDef) and f.name == "__init__"):
+                found += [f"{path.name}:{line} {node.name}.{name}"
+                          for line, name in self_attributes_set(init) if name in cls.ports]
+    assert checked >= {"CoreModel", "BlockingCache", "PointerChasePrefetcher",
+                       "PipelinedMemory", "LoggingMemory", "TestSource", "TestSink"}
+    assert found == [], f"constructors assign ports: {', '.join(found)}"
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
