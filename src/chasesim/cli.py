@@ -3,7 +3,9 @@
     chasesim run --topology alternate --latency 5 --workload traversal ...
     chasesim sweep --latencies 2,5,10,20,40 --workloads traversal,array ...
 
-Exit code 0 on success, 1 when a run deadlocks, 2 on bad input (one
+Both commands make their configs, run them, write the report and print one
+stderr line per run that reached ``max_cycles`` unfinished. Exit code 0 when
+every run finished, 1 when one did not, 2 on bad input (one
 ``chasesim: error: ...`` line on stderr).
 """
 
@@ -14,7 +16,7 @@ import contextlib
 import sys
 
 from .harness import TOPOLOGIES, make_config, report, run_experiment, sweep
-from .kernel import MAX_CYCLES, ConfigurationError
+from .kernel import ConfigurationError
 from .workloads import WORKLOADS
 
 
@@ -30,8 +32,9 @@ def _add_workload_opts(p):
                            for name, (_, ranges, _) in WORKLOADS.items() if param in ranges)
         p.add_argument("--" + param.replace("_", "-"), type=int,
                        help=f"default: {takers}")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
+    # None: the library's defaults apply
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-cycles", type=int)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
 
@@ -41,12 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigurationError(message)
-
-
-def _workload_params(args):
-    """The workload parameters given as flags; a config keeps the ones its
-    workload takes."""
-    return {k: v for k, v in vars(args).items() if k in PARAMS and v is not None}
 
 
 def main(argv=None) -> int:
@@ -71,9 +68,28 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.cmd == "run":
-            cfg = make_config(args.topology, args.latency, args.workload,
-                              seed=args.seed, max_cycles=args.max_cycles,
-                              **_workload_params(args))
+            names, latencies, topologies = [args.workload], [args.latency], [args.topology]
+        else:
+            try:
+                latencies = [int(x) for x in args.latencies.split(",") if x]
+            except ValueError:
+                raise ConfigurationError(
+                    f"--latencies must be comma-separated integers, not "
+                    f"{args.latencies!r}") from None
+            names = [x.strip() for x in args.workloads.split(",") if x.strip()]
+            topologies = [x.strip() for x in args.topologies.split(",") if x.strip()]
+            for flag, items in (("--latencies", latencies), ("--workloads", names),
+                                ("--topologies", topologies)):
+                if not items:
+                    raise ConfigurationError(f"{flag} must name at least one value")
+        # the flags given: a config keeps the workload parameters its workload takes
+        given = {k: v for k, v in vars(args).items()
+                 if (k in PARAMS or k in ("seed", "max_cycles")) and v is not None}
+        configs = [make_config(topo, lat, name, **given)
+                   for name in names for lat in latencies for topo in topologies]
+        if args.cmd == "sweep":
+            results = sweep(configs)
+        else:
             # opened only now, so bad input leaves an existing file alone
             try:
                 out = open(args.trace, "w") if args.trace else contextlib.nullcontext()
@@ -81,32 +97,14 @@ def main(argv=None) -> int:
                 raise ConfigurationError(
                     f"cannot open --trace {args.trace!r}: {e.strerror}") from None
             with out as trace:
-                stats = run_experiment(cfg, trace=trace)
-            sys.stdout.write(report([stats], args.format))
-            if not stats.completed:
-                sys.stderr.write("deadlock: " + str(stats.deadlock_states) + "\n")
-                return 1
-            return 0
-
-        try:
-            latencies = [int(x) for x in args.latencies.split(",") if x]
-        except ValueError:
-            raise ConfigurationError(
-                f"--latencies must be comma-separated integers, not "
-                f"{args.latencies!r}") from None
-        names = [x.strip() for x in args.workloads.split(",") if x.strip()]
-        topologies = [x.strip() for x in args.topologies.split(",") if x.strip()]
-        for flag, items in (("--latencies", latencies), ("--workloads", names),
-                            ("--topologies", topologies)):
-            if not items:
-                raise ConfigurationError(f"{flag} must name at least one value")
-        params = _workload_params(args)
-        configs = [make_config(topo, lat, name, seed=args.seed,
-                               max_cycles=args.max_cycles, **params)
-                   for name in names for lat in latencies for topo in topologies]
-        results = sweep(configs)
+                results = [run_experiment(configs[0], trace=trace)]
         sys.stdout.write(report(results, args.format))
-        return 0 if all(r.completed for r in results) else 1
+        unfinished = [r for r in results if not r.completed]
+        for r in unfinished:
+            c = r.config
+            sys.stderr.write(f"unfinished: {c.workload} {c.topology} latency {c.latency} "
+                             f"reached max_cycles {c.max_cycles}; states {r.deadlock_states}\n")
+        return 1 if unfinished else 0
     except ConfigurationError as e:
         sys.stderr.write(f"chasesim: error: {e}\n")
         return 2

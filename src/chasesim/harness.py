@@ -163,31 +163,21 @@ def sweep(configs) -> list[RunStats]:
         _sweep_share = None
 
 
-def _speedups(results) -> dict[int, float | None]:
-    """Per-row speedup = cycles of the completed baseline run of the same
-    config / this row's cycles."""
-    base = {r.config: r.cycles for r in results
-            if r.config.topology == "baseline" and r.completed}
-    out = {}
-    for i, r in enumerate(results):
-        b = base.get(replace(r.config, topology="baseline"))
-        out[i] = (b / r.cycles) if (b and r.completed and r.cycles) else None
-    return out
-
-
 def result_rows(results) -> tuple[list[str], list[list]]:
     """Stable column order: workload, topology, latency, cycles, speedup,
-    then counters alphabetically."""
+    then counters alphabetically. A row's speedup is the cycles of the
+    completed baseline run of the same config over the row's cycles."""
     counter_names = sorted({k for r in results for k in r.counters})
     header = ["workload", "topology", "latency", "cycles", "speedup"] + counter_names
-    speed = _speedups(results)
+    base = {r.config: r.cycles for r in results
+            if r.config.topology == "baseline" and r.completed}
     rows = []
-    for i, r in enumerate(results):
-        s = speed[i]
+    for r in results:
         c = r.config
+        b = base.get(replace(c, topology="baseline"))
         rows.append([c.workload, c.topology, c.latency,
-                     r.cycles if r.completed else "error:deadlock",
-                     f"{s:.6f}" if s is not None else ""]
+                     r.cycles if r.completed else "error:max_cycles",
+                     f"{b / r.cycles:.6f}" if b and r.completed and r.cycles else ""]
                     + [r.counters[k] for k in counter_names])
     return header, rows
 

@@ -170,9 +170,9 @@ class System:
     def schedule(self) -> list[Callable[[], None]]:
         """The bound eval blocks in the order ``step`` calls them.
 
-        Computed once per wiring: a topological order of the blocks over the
-        declared signals (writer before readers), in rounds of ready blocks,
-        each in component order. A cycle raises ``CombinationalLoopError``
+        Computed once per wiring: graphlib's ``static_order()`` of the
+        blocks, numbered in component order, over the declared signals
+        (writer before readers). A cycle raises ``CombinationalLoopError``
         naming the blocks on it. Each component's ``tick`` and
         ``idle_cycles`` are bound here too, so a method replaced on an
         instance takes effect only if replaced before the first cycle or
@@ -193,18 +193,12 @@ class System:
         graph = TopologicalSorter({i: {writer[s] for s in rd if s in writer} - {i}
                                    for i, rd in enumerate(reads)})
         try:
-            graph.prepare()
+            self._schedule = [getattr(*blocks[i]) for i in graph.static_order()]
         except CycleError as e:
             loop = ", ".join(f"{blocks[i][0].name}.{blocks[i][1]}"
                              for i in sorted(set(e.args[1])))
             raise CombinationalLoopError(
                 f"eval blocks form a combinational loop: {loop}") from None
-        order = []
-        while graph.is_active():
-            ready = sorted(graph.get_ready())
-            order += ready
-            graph.done(*ready)
-        self._schedule = [getattr(*blocks[i]) for i in order]
         bound = {"b": self._schedule, "t": [c.tick for c in self.components],
                  "i": [c.idle_cycles for c in self.components], "c": self.channels}
         env = {f"{k}{i}": f for k, fs in bound.items() for i, f in enumerate(fs)}
@@ -230,9 +224,9 @@ class System:
 
     def run_until(self, predicate: Callable[[], bool], max_cycles: int = MAX_CYCLES) -> bool:
         """Advance until predicate holds, skipping cycles in which no
-        component asserts val. False signals probable deadlock. The loop
-        is the wiring's compiled ``run``; each stepped cycle calls the
-        ``self.step`` bound here."""
+        component asserts val. False when max_cycles cycles pass first (a
+        deadlock reaches them at once). The loop is the wiring's compiled
+        ``run``; each stepped cycle calls the ``self.step`` bound here."""
         if max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
         self.schedule()  # a combinational loop fails before the first cycle

@@ -110,14 +110,24 @@ MUTANTS = [
     Mutant("speedup-ignores-params", "harness.py",
            "    base = {r.config: r.cycles for r in results\n"
            "            if r.config.topology == \"baseline\" and r.completed}\n"
-           "    out = {}\n"
-           "    for i, r in enumerate(results):\n"
-           "        b = base.get(replace(r.config, topology=\"baseline\"))\n",
+           "    rows = []\n"
+           "    for r in results:\n"
+           "        c = r.config\n"
+           "        b = base.get(replace(c, topology=\"baseline\"))\n",
            "    base = {replace(r.config, params=()): r.cycles for r in results\n"
            "            if r.config.topology == \"baseline\" and r.completed}\n"
-           "    out = {}\n"
-           "    for i, r in enumerate(results):\n"
-           "        b = base.get(replace(r.config, topology=\"baseline\", params=()))\n"),
+           "    rows = []\n"
+           "    for r in results:\n"
+           "        c = r.config\n"
+           "        b = base.get(replace(c, topology=\"baseline\", params=()))\n"),
+    Mutant("unfinished-run-unreported", "cli.py",
+           "        for r in unfinished:\n"
+           "            c = r.config\n"
+           "            sys.stderr.write(f\"unfinished: {c.workload} {c.topology} "
+           "latency {c.latency} \"\n"
+           "                             f\"reached max_cycles {c.max_cycles}; "
+           "states {r.deadlock_states}\\n\")\n",
+           ""),
     Mutant("make-workload-skips-validator", "harness.py",
            "    params = _workload_params(name, params)\n",
            # refuses an unknown name (the defaults pass every check) and

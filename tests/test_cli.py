@@ -44,11 +44,36 @@ def test_run_writes_trace_file(tmp_path, capsys):
 
 
 def test_run_deadlock_exit_code(capsys):
+    # the run is live when its budget runs out: it says so, and where it stood
     rc = main(["run", "--workload", "traversal", "--nodes", "64",
                "--max-cycles", "10"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "deadlock" in captured.err
+    assert captured.err == ("unfinished: traversal alternate latency 5 reached "
+                            "max_cycles 10; states {'core': 'WT', 'cache': 'RD', "
+                            "'pf': 'BM', 'mem': 'p0'}\n")
+
+
+def test_sweep_names_each_unfinished_run(capsys):
+    assert main(["sweep", "--workloads", "traversal", "--nodes", "64",
+                 "--latencies", "5,40", "--max-cycles", "300"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split("; states ")[0] for line in lines] == [
+        f"unfinished: traversal {topo} latency {lat} reached max_cycles 300"
+        for lat in (5, 40) for topo in ("baseline", "alternate")]
+    assert all("'core': " in line for line in lines)
+
+
+@pytest.mark.parametrize("budget", [[], ["--max-cycles", "300"]], ids=["finished", "unfinished"])
+def test_run_and_sweep_of_one_config_print_the_same(budget, capsys):
+    # both commands take one code path from their configs to the exit code
+    common = ["--nodes", "64", *budget, "--format", "csv"]
+    rc_run = main(["run", "--workload", "traversal", "--latency", "5", *common])
+    run_out = capsys.readouterr()
+    rc_sweep = main(["sweep", "--workloads", "traversal", "--latencies", "5",
+                     "--topologies", "alternate", *common])
+    assert (rc_sweep, capsys.readouterr()) == (rc_run, run_out)
+    assert rc_run == (1 if budget else 0)
 
 
 def test_sweep_row_count(capsys):

@@ -269,7 +269,7 @@ def test_incomplete_row_reports_deadlock_and_its_counters():
     stats = run_experiment(make_config("baseline", 5, "traversal",
                                        nodes=64, max_cycles=10))
     header, rows = result_rows([stats])
-    assert rows[0][header.index("cycles")] == "error:deadlock"
+    assert rows[0][header.index("cycles")] == "error:max_cycles"
     assert rows[0][header.index("speedup") + 1:] == \
         [stats.counters[k] for k in header[header.index("speedup") + 1:]]
 
