@@ -17,11 +17,7 @@ import sys
 
 from .harness import TOPOLOGIES, make_config, report, run_experiment, sweep
 from .kernel import ConfigurationError
-from .workloads import WORKLOADS
-
-
-# every workload parameter of the registry, in first-declared order
-PARAMS = dict.fromkeys(k for _, ranges, _ in WORKLOADS.values() for k in ranges)
+from .workloads import PARAMS, WORKLOADS
 
 
 def _add_workload_opts(p):

@@ -34,15 +34,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise ConfigurationError(f"unknown topology {self.topology!r}")
-        _check_integers({"latency": self.latency, "max_cycles": self.max_cycles,
-                         "seed": self.seed})
+        _check_integers({"latency": self.latency, "max_cycles": self.max_cycles})
         if self.latency < 1:
             raise ConfigurationError("memory latency must be >= 1 cycle")
         if self.max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
         # stored filled in, so equal configs are exactly equal experiments
         object.__setattr__(self, "params", tuple(
-            _workload_params(self.workload, dict(self.params)).items()))
+            _workload_params(self.workload, self.seed, dict(self.params)).items()))
 
 
 def make_config(topology, latency, workload, seed=1, max_cycles=MAX_CYCLES,
@@ -60,32 +59,35 @@ class RunStats:
     deadlock_states: dict[str, str] | None = None
 
 
-def _workload_params(name: str, params: dict) -> dict:
-    """The parameters of workload ``name``: given ones, else the registry's
-    defaults; parameters the workload does not take are dropped. Raises
-    ConfigurationError for an unknown workload, a non-integer, a value out
-    of its registry range, or a size that does not fit."""
+def _workload_params(name: str, seed, params: dict) -> dict:
+    """The one gate of what a run accepts, for configs and make_workload:
+    workload ``name``'s parameters, given or else the registry's defaults;
+    names only other workloads take are dropped. Raises ConfigurationError,
+    in order, for an unknown workload or parameter name, a seed or parameter
+    whose type is not int, a value out of range, or a size that won't fit."""
     if name not in wl.WORKLOADS:
         raise ConfigurationError(f"unknown workload {name!r}")
+    if unknown := [k for k in params if k not in wl.PARAMS]:
+        raise ConfigurationError(f"unknown parameter {unknown[0]!r}")
     _, ranges, fits = wl.WORKLOADS[name]
     full = {k: params.get(k, default) for k, (default, _, _) in ranges.items()}
-    _check_integers(full)
+    _check_integers({"seed": seed, **full})
     wl.check_ranges(full, ranges)
     fits(full)
     return full
 
 
 def _check_integers(settings: dict):
-    """Raise ConfigurationError naming the first setting that is not an int."""
+    """Raise ConfigurationError naming the first setting whose type is not int."""
     for name, value in settings.items():
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise ConfigurationError(f"{name} must be an integer")
 
 
 def make_workload(name: str, seed: int = 1, **params) -> wl.Workload:
     """Build workload ``name`` of ``WORKLOADS`` (see ``_workload_params``):
     the one public way to build a workload."""
-    params = _workload_params(name, params)
+    params = _workload_params(name, seed, params)
     return wl.WORKLOADS[name][0](seed, **params)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .kernel import ConfigurationError
-from .messages import LINE_BYTES, WORD_BYTES, ZERO_LINE, line_base, word_bytes
+from .messages import CACHE_GEOMETRY, LINE_BYTES, WORD_BYTES, ZERO_LINE, line_base, word_bytes
 from .core import Compute, Read, ReadCP, Token, Write, as_generator
 
 # Classical C-library LCG; any full-period generator works here, this one is
@@ -220,11 +220,11 @@ def _hanoi(seed: int, disks: int) -> Workload:
 
     moves: list[tuple[int, int]] = []
     _hanoi_moves(disks, 0, 2, 1, moves)
-    log_slots = list(range(disks + 1, 16))  # cache indices the nodes never use
+    log_slots = list(range(disks + 1, CACHE_GEOMETRY.num_indices))  # indices no node uses
 
-    def log_addr(m):
+    def log_addr(m):  # a page is one pass over the cache's indices
         page, slot = divmod(m, len(log_slots))
-        return 0x2000 + page * 256 + log_slots[slot] * LINE_BYTES
+        return 0x2000 + (page * CACHE_GEOMETRY.num_indices + log_slots[slot]) * LINE_BYTES
 
     def program():
         addr = yield ReadCP(hp_addr)  # the head cell itself holds a pointer
@@ -345,6 +345,8 @@ WORKLOADS: dict[str, tuple[Callable[..., Workload], dict, Callable[[dict], None]
     "array": (_array, {"elements": (256, 0, None), "gap": (2, 0, None)}, _array_fits),
     "random": (_random, {"n": (10000, 0, None)}, _always_fits),
 }
+# every parameter name of the registry, in first-declared order
+PARAMS = dict.fromkeys(k for _, ranges, _ in WORKLOADS.values() for k in ranges)
 
 
 # ---------------------------------------------------------------------------

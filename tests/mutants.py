@@ -129,12 +129,16 @@ MUTANTS = [
            "states {r.deadlock_states}\\n\")\n",
            ""),
     Mutant("make-workload-skips-validator", "harness.py",
-           "    params = _workload_params(name, params)\n",
-           # refuses an unknown name (the defaults pass every check) and
+           "    params = _workload_params(name, seed, params)\n",
+           # refuses an unknown workload (the defaults pass every check) and
            # fills in the defaults, but checks neither ranges nor fit
-           "    _workload_params(name, {})\n"
+           "    _workload_params(name, 1, {})\n"
            "    params = {k: params.get(k, default)\n"
            "              for k, (default, _, _) in wl.WORKLOADS[name][1].items()}\n"),
+    Mutant("gate-drops-unknown-parameters", "harness.py",
+           "    if unknown := [k for k in params if k not in wl.PARAMS]:\n"
+           "        raise ConfigurationError(f\"unknown parameter {unknown[0]!r}\")\n",
+           ""),
     Mutant("range-check-off-by-one", "workloads.py",
            "value > high)", "value > high + 1)"),
     Mutant("image-packed-big-endian", "workloads.py",

@@ -40,19 +40,37 @@ def test_config_rejects_unknown_workload():
         assert str(e.value) == "unknown workload 'bogus'"
 
 
-@pytest.mark.parametrize("field,workload", [
+SETTINGS = [
     ("latency", "traversal"), ("max_cycles", "traversal"), ("seed", "traversal"),
     ("nodes", "traversal"), ("nodes_per_line", "traversal"), ("gap", "traversal"),
     ("inserts", "insertion"), ("buckets", "hashtable"), ("keys", "hashtable"),
     ("disks", "hanoi"), ("elements", "array"), ("n", "random"),
+]
+
+
+@pytest.mark.parametrize("field,workload,bad", [
+    *(pytest.param(f, w, 2.5, id=f"{f}-{w}") for f, w in SETTINGS),
+    *(pytest.param(f, w, True, id=f"{f}-{w}-bool") for f, w in SETTINGS),
 ])
-def test_config_rejects_a_non_integer_setting(field, workload):
-    # 2.5 passes every range check, so unchecked a latency or gap of 2.5
-    # runs and reports a real-looking row, and a list size of 2.5 raises a
-    # TypeError deep in a builder
-    settings = {"latency": 5, field: 2.5}
+def test_config_rejects_a_non_integer_setting(field, workload, bad):
+    # 2.5 and True pass every range check, so unchecked a latency or gap of
+    # 2.5 runs and reports a real-looking row, a list size of 2.5 raises a
+    # TypeError deep in a builder, and a latency of True runs and prints
+    # True in the latency column
+    settings = {"latency": 5, field: bad}
     with pytest.raises(ConfigurationError, match=f"^{field} must be an integer$"):
         make_config("baseline", settings.pop("latency"), workload, **settings)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_config("baseline", 5, "traversal", nodez=3),
+    lambda: make_workload("traversal", nodez=3),
+], ids=["make_config", "make_workload"])
+def test_an_unknown_parameter_name_is_refused(build):
+    # a misspelled size is not dropped like a name another workload takes:
+    # dropped, it would run the default 64 nodes
+    with pytest.raises(ConfigurationError, match="^unknown parameter 'nodez'$"):
+        build()
 
 
 def test_config_params_are_order_independent():

@@ -417,6 +417,13 @@ def test_make_workload_unknown_name():
         make_workload("bogus")
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, True])
+def test_make_workload_refuses_a_non_integer_seed(seed):
+    # the message make_config gives, not a TypeError from inside the LCG
+    with pytest.raises(ConfigurationError, match="^seed must be an integer$"):
+        make_workload("traversal", seed=seed)
+
+
 RANGES = [(name, param, low, high) for name, (_, ranges, _) in WORKLOADS.items()
           for param, (_, low, high) in ranges.items()]
 
