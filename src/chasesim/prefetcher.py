@@ -1,13 +1,13 @@
 """Pointer-chase prefetch buffer sitting between cache and memory.
 
-Four entries of {26-bit tag, tag-valid, data-valid, 16-byte line}. On
-read-cp traffic the address generation unit extracts the next-node pointer
-from the serviced line into one latched output (``next_ptr``), and a single
-buffer address register issues one outstanding prefetch (opaque=1) for it.
-A request's address is split once, on accept, for ``_probe``, the one lookup
-of ``eval``, the tag-check tick, ``idle_cycles`` and the fill path. Separate
-tag/data valid bits let a demand to a line whose fill is still in flight wait
-instead of re-requesting. A demand goes to memory as a copy tagged
+Four entries of {26-bit tag, tag-valid, data-valid, 16-byte line, fresh}. On
+read-cp traffic the address generation unit latches the next-node pointer of
+the serviced line (``next_ptr``); the buffer address register holds its line
+and issues one outstanding prefetch (opaque=1). A request's address is split
+once, on accept, for ``_probe``, the one lookup; a fill splits the register.
+Separate tag/data valid bits let a demand to a line whose fill is in flight
+wait instead of re-requesting; a claimed entry is ``fresh`` until its first
+demand hit counts it useful. A demand goes to memory as a copy tagged
 ``DEMAND_OPAQUE``: the opaque field is what tells its response from a fill.
 """
 
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel import IDLE_FOREVER, Component
-from .messages import (INIT as INIT_KIND, PREFETCH_GEOMETRY, READ, READCP, WRITE,
-                       ZERO_LINE, MemRequest, MemResponse, line_base,
-                       split_address)
+from .messages import (INIT as INIT_KIND, LINE_BYTES, PREFETCH_GEOMETRY, READ,
+                       READCP, WRITE, ZERO_LINE, MemRequest, MemResponse,
+                       line_base, split_address)
 
 DEMAND_OPAQUE = 0    # forwarded cache requests
 PREFETCH_OPAQUE = 1  # buffer-to-memory prefetch requests
@@ -30,13 +30,12 @@ class PrefetchEntry:
     tag_valid: bool = False
     data_valid: bool = False  # tag valid, data not: claimed, fill in flight
     data: bytes = ZERO_LINE
-    prefetched: bool = False  # filled by prefetch (False for init-loaded)
-    used: bool = False        # demanded at least once since fill
+    fresh: bool = False  # claimed by a prefetch, no demand hit yet
 
 
 @dataclass
 class BufferAddressRegister:
-    next_addr: int = 0
+    next_addr: int = 0  # the line to prefetch
     busy: bool = False  # at most one prefetch outstanding
 
 
@@ -117,8 +116,7 @@ class PointerChasePrefetcher(Component):
         elif st == INIT:
             self.cache_resp.send(MemResponse(INIT_KIND, self.req.opaque))
         elif st == BUFFER_TO_MEM:
-            self.mem_req.send(MemRequest(READ, line_base(self.buffer.next_addr),
-                                         PREFETCH_OPAQUE))
+            self.mem_req.send(MemRequest(READ, self.buffer.next_addr, PREFETCH_OPAQUE))
         elif st in (WAIT_MEM, STALL_MEM):
             if incoming is not None and incoming.opaque == DEMAND_OPAQUE:
                 # forward the demand response combinationally; flow control
@@ -155,7 +153,7 @@ class PointerChasePrefetcher(Component):
             self._tick_tag_check()
         elif st == INIT:
             if self.cache_resp.val and self.cache_resp.rdy:
-                data = (self.req.data + ZERO_LINE)[:16]
+                data = (self.req.data + ZERO_LINE)[:LINE_BYTES]
                 self.entries[self.idx] = PrefetchEntry(self.tag, True, True, data)
                 self._next_or_idle()
         elif st == PUSH_NEXT:
@@ -170,11 +168,9 @@ class PointerChasePrefetcher(Component):
                     self._push(got.data)
                 else:
                     self.state = IDLE
-            else:
-                pending = self.mem_resp.msg
-                if (st == WAIT_MEM and pending is not None
-                        and pending.opaque == DEMAND_OPAQUE):
-                    self.state = STALL_MEM
+            elif self.mem_resp.val and not self.mem_resp.rdy:
+                # eval drains every fill: a refused response is the demand's
+                self.state = STALL_MEM
 
     def _tick_tag_check(self):
         # TAG_CHECK and WAIT_DATA_INVALID: the fill of this cycle has landed
@@ -183,7 +179,14 @@ class PointerChasePrefetcher(Component):
         if req.kind == INIT_KIND:
             self.state = INIT
         elif self.cache_resp.val and self.cache_resp.rdy:
-            self._count_hit(req.kind, self.entries[self.idx])
+            if req.kind == READ:
+                self.stats.read_hits += 1
+            else:
+                self.stats.readcp_hits += 1
+            e = self.entries[self.idx]
+            if e.fresh:
+                e.fresh = False
+                self.stats.useful_prefetch_hits += 1
             if req.kind == READCP:
                 self._push(line)
             else:
@@ -218,10 +221,10 @@ class PointerChasePrefetcher(Component):
         if self.buffer.busy:
             self.stats.prefetches_dropped += 1
             return
-        self.buffer.next_addr = nxt
+        self.buffer.next_addr = line_base(nxt)
         tag, idx, _ = split_address(nxt, PREFETCH_GEOMETRY)
-        # claim the entry now (tag valid, data pending, prefetched) so a
-        # demand to this line waits instead of duplicating the memory request
+        # claim the entry now (tag valid, data pending, fresh) so a demand
+        # to this line waits instead of duplicating the memory request
         self.entries[idx] = PrefetchEntry(tag, True, False, ZERO_LINE, True)
         self.state = BUFFER_TO_MEM
 
@@ -239,15 +242,6 @@ class PointerChasePrefetcher(Component):
             # entry invalidated (write) since the issue: drop the fill
             self.stats.prefetches_dropped += 1
         self.buffer.busy = False
-
-    def _count_hit(self, kind: str, entry: PrefetchEntry):
-        if kind == READ:
-            self.stats.read_hits += 1
-        else:
-            self.stats.readcp_hits += 1
-        if entry.prefetched and not entry.used:
-            entry.used = True
-            self.stats.useful_prefetch_hits += 1
 
     def _next_or_idle(self):
         r = self.cache_req.msg if self.cache_req.rdy else None

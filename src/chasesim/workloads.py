@@ -60,13 +60,14 @@ class Workload:
 
 # ---------------------------------------------------------------------------
 # named workloads: each builder takes the seed and the parameters of its
-# WORKLOADS entry, and trusts them; the registry's checks run first. _random
-# also takes lines and mix, which only tests pass.
+# WORKLOADS entry, and trusts them; the registry's checks run first.
 
 
 HEAD_CELL = 0x1000  # a free list's head-pointer word; its nodes follow the line
 REGION_BYTES = 1 << 20  # address budget of one generated structure
 LINE_WORDS = LINE_BYTES // WORD_BYTES
+RANDOM_LINES = 256  # the lines of _random's region
+RANDOM_MIX = (0.5, 0.2, 0.3)  # _random's read, write and read-cp shares
 
 
 def _pack(words: list[int]) -> bytes:
@@ -263,18 +264,16 @@ def _array(seed: int, elements: int, gap: int) -> Workload:
     return Workload([(base, region)], program)
 
 
-def _random(seed: int, n: int, lines: int = 256,
-            mix: tuple[float, float, float] = (0.5, 0.2, 0.3)) -> Workload:
+def _random(seed: int, n: int) -> Workload:
     """Randomized read/write/read_cp token stream over a bounded region, for
     oracle-equivalence checking. ReadCP values are arbitrary words, so the
     prefetcher chases garbage pointers; coherence must still hold."""
     rng = Lcg(seed)
-    region = _pack(rng.draws(lines * LINE_WORDS))
-    r_cut = mix[0]
-    w_cut = mix[0] + mix[1]
+    region = _pack(rng.draws(RANDOM_LINES * LINE_WORDS))
+    r_cut, w_cut = RANDOM_MIX[0], RANDOM_MIX[0] + RANDOM_MIX[1]
     tokens: list[Token] = []
     for _ in range(n):
-        addr = WORD_BYTES * rng.randrange(lines * (LINE_BYTES // WORD_BYTES))
+        addr = WORD_BYTES * rng.randrange(RANDOM_LINES * LINE_WORDS)
         p = rng.next() / LCG_MOD
         if p < r_cut:
             tokens.append(Read(addr))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import random
+import struct
 import subprocess
 import sys
 import textwrap
@@ -23,12 +24,13 @@ import pytest
 from hypothesis import strategies as st
 
 import chasesim.kernel as kernel
-from chasesim import (BlockingCache, Channel, CoreModel, MemRequest, MsgKind,
+from chasesim import (BlockingCache, Channel, CoreModel, Lcg, MemRequest, MsgKind,
                       PipelinedMemory, PointerChasePrefetcher, Read, ReadCP, System,
                       TestSink, TestSource, Write, build_testbench, replay_program)
 from chasesim.core import as_generator
 from chasesim.messages import (LINE_BYTES, WORD_BYTES, ZERO_LINE, set_word_in_line,
                                word_bytes)
+from chasesim.workloads import LCG_MOD, LINE_WORDS, Workload
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -112,6 +114,25 @@ def mixes():
     share, then the write share of the rest; read-cp takes what is left."""
     return st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
         lambda p: (p[0], (1 - p[0]) * p[1], (1 - p[0]) * (1 - p[1])))
+
+
+def per_call_random(seed, n, lines, mix):
+    """``_random``'s workload with one Lcg call per draw, over a region of
+    ``lines`` lines with (read, write, read-cp) shares ``mix``: ``_random``
+    is this at ``RANDOM_LINES`` and ``RANDOM_MIX``."""
+    rng = Lcg(seed)
+    region = [rng.next() for _ in range(lines * LINE_WORDS)]
+    tokens = []
+    for _ in range(n):
+        addr = WORD_BYTES * rng.randrange(lines * LINE_WORDS)
+        p = rng.next() / LCG_MOD
+        if p < mix[0]:
+            tokens.append(Read(addr))
+        elif p < mix[0] + mix[1]:
+            tokens.append(Write(addr, rng.next()))
+        else:
+            tokens.append(ReadCP(addr))
+    return Workload([(0, struct.pack(f"<{len(region)}I", *region))], tokens)
 
 
 POINTER_REGION = 0x1000  # nonzero, so no in-region pointer is null

@@ -209,6 +209,12 @@ MUTANTS = [
            "                    self.mem_req.send(\n"
            "                        MemRequest(req.kind, req.addr, DEMAND_OPAQUE, req.data))\n",
            "                    self.mem_req.send(req)\n"),
+    Mutant("useful-hit-counted-every-time", "prefetcher.py",
+           "                e.fresh = False\n",
+           ""),
+    Mutant("stall-on-any-response", "prefetcher.py",
+           "            elif self.mem_resp.val and not self.mem_resp.rdy:\n",
+           "            elif self.mem_resp.val:\n"),
 ]
 
 

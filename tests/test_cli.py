@@ -1,11 +1,15 @@
 """Command-line interface: run and sweep subcommands."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from chasesim import WORKLOADS, make_config, report, run_experiment
 from chasesim.cli import main
+from conftest import SRC
 
 
 def assert_one_error_line(argv, message, capsys):
@@ -52,6 +56,25 @@ def test_run_deadlock_exit_code(capsys):
     assert captured.err == ("unfinished: traversal alternate latency 5 reached "
                             "max_cycles 10; states {'core': 'WT', 'cache': 'RD', "
                             "'pf': 'BM', 'mem': 'p0'}\n")
+
+
+def test_exit_codes_reach_the_process(tmp_path):
+    # main's return value is the exit status of ``python -m chasesim.cli``
+    def chasesim(*argv):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        return subprocess.run([sys.executable, "-m", "chasesim.cli", "run",
+                               "--workload", "traversal", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    done = chasesim("--nodes", "8")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("workload")
+    late = chasesim("--max-cycles", "10")
+    assert late.returncode == 1
+    assert [line[:12] for line in late.stderr.splitlines()] == ["unfinished: "]
+    bad = chasesim("--latency", "0")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert [line[:16] for line in bad.stderr.splitlines()] == ["chasesim: error:"]
 
 
 def test_sweep_names_each_unfinished_run(capsys):

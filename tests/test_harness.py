@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, ExperimentConfig,
                       Read, Write, build_system, cli, dump_image, harness,
-                      make_config, make_workload, replay_program, run_experiment,
-                      workloads)
+                      make_config, make_workload, replay_program, run_experiment)
 from chasesim.harness import (TOPOLOGIES, collect_counters, report,
                               result_rows, sweep)
 from chasesim.messages import LINE_BYTES, word_bytes
 from chasesim.workloads import HEAD_CELL
-from conftest import (count_steps, mixes, pointer_stream, run_against_oracle,
-                      run_program, tokens_of)
+from conftest import (count_steps, mixes, per_call_random, pointer_stream,
+                      run_against_oracle, run_program, tokens_of)
 from golden.make_traces import SMALL
 
 
@@ -129,7 +128,8 @@ def test_alternate_run_matches_flat_replay():
        seed=st.integers(0, 2**31 - 1), n=st.integers(0, 120), lines=st.integers(4, 64),
        mix=mixes())
 def test_random_streams_match_the_oracle(topology, latency, seed, n, lines, mix):
-    w = workloads._random(seed, n, lines=lines, mix=mix)
+    # _random's stream over a region of a few lines, so lines are revisited
+    w = per_call_random(seed, n, lines, mix)
     run_against_oracle(topology, w.program, w.segments, latency)
 
 

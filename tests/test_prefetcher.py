@@ -77,7 +77,7 @@ def test_wait_data_invalid_is_idle_until_the_fill_lands():
     # cycles only while the entry's data is still invalid
     pf = PointerChasePrefetcher()
     pf.entries[0] = PrefetchEntry(tag=ADDR_A >> 6, tag_valid=True,
-                                  data_valid=False, prefetched=True)
+                                  data_valid=False, fresh=True)
     pf.buffer.next_addr, pf.buffer.busy = ADDR_A, True
     # accept the demand as the IDLE tick does: that splits its address
     pf.cache_req = Channel("cache.req")
@@ -160,13 +160,15 @@ def test_readcp_miss_prefetches_from_response():
 
 def test_prefetched_line_hits_later_demand():
     sys_, src, sink, pf, mem = build_testbench(
-        5, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A), (rd(PTR_P), 20)],
+        5, [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A), (rd(PTR_P), 20), rd(PTR_P)],
         PointerChasePrefetcher(),
         segments=[(PTR_P & ~0xF, PAYLOAD_P)])
-    run_to_responses(sys_, sink, 3)
-    final = sink.responses()[2]
-    assert final.hit is True and final.data == PAYLOAD_P
+    run_to_responses(sys_, sink, 4)
+    for resp in sink.responses()[2:]:
+        assert resp.hit is True and resp.data == PAYLOAD_P
     assert len(prefetch_requests(mem)) == 1
+    # a prefetched line counts as useful on its first demand hit only
+    assert pf.stats.read_hits == 2
     assert pf.stats.useful_prefetch_hits == 1
 
 

@@ -77,14 +77,15 @@ def test_per_transfer_records_are_built_from_positional_arguments():
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_builder_takes_the_seed_and_its_default_keys(name):
     # make_workload calls builder(seed, **defaults-filled params): a builder
-    # of another shape needs an adapter, and a default key with no parameter
-    # of its name (or a parameter with no default key) would drift apart
+    # of another shape needs an adapter, a default key with no parameter of
+    # its name (or a parameter with no default key) would drift apart, and a
+    # parameter with a default of its own is a knob only tests could set
     build, defaults, _ = WORKLOADS[name]
-    required = [p.name for p in inspect.signature(build).parameters.values()
-                if p.default is inspect.Parameter.empty]
+    params = list(inspect.signature(build).parameters.values())
     assert build.__name__ == f"_{name}"
-    assert required[0] == "seed"
-    assert sorted(required[1:]) == sorted(defaults)
+    assert params[0].name == "seed"
+    assert sorted(p.name for p in params[1:]) == sorted(defaults)
+    assert all(p.default is inspect.Parameter.empty for p in params)
 
 
 def self_attributes_set(function):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasesim import WORKLOADS, make_workload
-from conftest import mixes, pointer_stream, run_program
+from conftest import mixes, per_call_random, pointer_stream, run_program
 from golden.make_golden import GOLDEN, PARAMS
 from timing_model import timing
 
@@ -26,7 +26,7 @@ def cache_terms(counts: dict, prefix: str = "") -> tuple[int, int, int]:
 
 
 # small sizes, so that an example simulates at most a few thousand cycles;
-# random also takes the lines and mix that only tests pass
+# random's stream is per_call_random's, over a drawn region and mix
 SIZES = {
     "traversal": {"nodes": st.integers(1, 24), "nodes_per_line": st.sampled_from((1, 2)),
                   "gap": st.integers(0, 4)},
@@ -47,7 +47,8 @@ def programs(draw):
     if kind == "pointer stream":
         return pointer_stream(draw(st.integers(0, 60)), seed, draw(st.integers(17, 32)),
                               draw(st.floats(0, 1)), draw(st.floats(0, 1)))
-    w = WORKLOADS[kind][0](seed, **draw(st.fixed_dictionaries(SIZES[kind])))
+    build = per_call_random if kind == "random" else WORKLOADS[kind][0]
+    w = build(seed, **draw(st.fixed_dictionaries(SIZES[kind])))
     return w.program, w.segments
 
 

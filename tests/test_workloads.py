@@ -11,9 +11,10 @@ from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
                       Read, ReadCP, Write, replay_program)
 from chasesim.harness import make_config, make_workload
 from chasesim.messages import LINE_BYTES, WORD_BYTES, line_base
-from chasesim.workloads import (HEAD_CELL, LCG_MOD, LINE_WORDS, REGION_BYTES, _array,
-                                _free_list, _random, check_ranges)
-from conftest import mixes, tokens_of
+from chasesim.workloads import (HEAD_CELL, LCG_MOD, LINE_WORDS, RANDOM_LINES,
+                                RANDOM_MIX, REGION_BYTES, _array, _free_list, _random,
+                                check_ranges)
+from conftest import per_call_random, tokens_of
 
 
 # -- LCG --
@@ -372,28 +373,10 @@ def test_random_stream_mix_and_determinism():
     assert {"Read", "Write", "ReadCP"} <= set(kinds)
 
 
-def per_call_random(seed, n, lines, mix):
-    """``_random``'s image and tokens with one Lcg call per draw."""
-    rng = Lcg(seed)
-    region = [rng.next() for _ in range(lines * LINE_WORDS)]
-    tokens = []
-    for _ in range(n):
-        addr = WORD_BYTES * rng.randrange(lines * LINE_WORDS)
-        p = rng.next() / LCG_MOD
-        if p < mix[0]:
-            tokens.append(Read(addr))
-        elif p < mix[0] + mix[1]:
-            tokens.append(Write(addr, rng.next()))
-        else:
-            tokens.append(ReadCP(addr))
-    return [(0, pack(region))], tokens
-
-
 @settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, n=st.integers(0, 200), lines=st.integers(1, 64), mix=mixes())
-def test_random_stream_equals_its_per_call_reference(seed, n, lines, mix):
-    w = _random(seed, n, lines=lines, mix=mix)
-    assert (w.segments, w.program) == per_call_random(seed, n, lines, mix)
+@given(seed=SEEDS, n=st.integers(0, 200))
+def test_random_stream_equals_its_per_call_reference(seed, n):
+    assert _random(seed, n) == per_call_random(seed, n, RANDOM_LINES, RANDOM_MIX)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
