@@ -60,8 +60,13 @@ class BlockingCache(Component):
 
     def eval(self):
         st = self.state
-        self.core_req.rdy = st == IDLE
-        self.mem_resp.rdy = st in (EVICT_WAIT, REFILL_WAIT)
+        if st == REFILL_WAIT or st == EVICT_WAIT:  # waiting states first: the most common
+            self.core_req.rdy, self.mem_resp.rdy = False, True
+            return
+        if st == IDLE:
+            self.core_req.rdy, self.mem_resp.rdy = True, False
+            return
+        self.core_req.rdy = self.mem_resp.rdy = False
         if st == READ_DATA:
             off = self.off
             word = self.lines[self.idx].data[off:off + 4]
@@ -81,29 +86,29 @@ class BlockingCache(Component):
 
     def tick(self):
         st = self.state
-        if st == IDLE:
+        if st == REFILL_WAIT:
+            r = self.mem_resp.msg if self.mem_resp.rdy else None
+            if r is not None:
+                self.lines[self.idx] = CacheLine(self.tag, True, False, r.data)  # valid, clean
+                self.state = REFILL_UPDATE
+        elif st == IDLE:
             r = self.core_req.msg if self.core_req.rdy else None
             if r is not None:
                 self.req = r
                 self.tag, self.idx, self.off = split_address(r.addr, CACHE_GEOMETRY)
                 self.state = TAG_CHECK
+        elif st == EVICT_WAIT:
+            if self.mem_resp.rdy and self.mem_resp.msg is not None:
+                self.state = REFILL_REQ
         elif st == TAG_CHECK:
             self._tag_check()
         elif st == EVICT_REQ:
             if self.mem_req.val and self.mem_req.rdy:
                 self.stats.evictions += 1
                 self.state = EVICT_WAIT
-        elif st == EVICT_WAIT:
-            if self.mem_resp.rdy and self.mem_resp.msg is not None:
-                self.state = REFILL_REQ
         elif st == REFILL_REQ:
             if self.mem_req.val and self.mem_req.rdy:
                 self.state = REFILL_WAIT
-        elif st == REFILL_WAIT:
-            r = self.mem_resp.msg if self.mem_resp.rdy else None
-            if r is not None:
-                self.lines[self.idx] = CacheLine(self.tag, True, False, r.data)  # valid, clean
-                self.state = REFILL_UPDATE
         elif st == REFILL_UPDATE:
             self.state = WRITE_DATA if self.req.kind == WRITE else READ_DATA
         elif st == READ_DATA:

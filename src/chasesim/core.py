@@ -88,15 +88,16 @@ class CoreModel(Component):
             return
 
     def eval(self):
+        if self.state == WAIT:  # WAIT first: most stepped cycles find the core waiting
+            self.mem_resp.rdy = True
+            return
         if self.state == REQUEST:
             self.mem_req.send(self._req)
-        self.mem_resp.rdy = self.state == WAIT
+        self.mem_resp.rdy = False
 
     def tick(self):
-        if self.state == REQUEST:
-            if self.mem_req.val and self.mem_req.rdy:
-                self.state = WAIT
-        elif self.state == WAIT:
+        st = self.state
+        if st == WAIT:
             r = self.mem_resp.msg if self.mem_resp.rdy else None
             if r is not None:
                 if self._req.kind != WRITE:  # a Read or ReadCP: a load
@@ -105,12 +106,18 @@ class CoreModel(Component):
                     self._advance(value, self.system.cycle)
                 else:
                     self._advance(None, self.system.cycle)
-        elif self.state == COMPUTE:
+        elif st == REQUEST:
+            if self.mem_req.val and self.mem_req.rdy:
+                self.state = WAIT
+        elif st == COMPUTE:
             now = self.system.cycle
             if now >= self._compute_end:
                 self._advance(None, now)
 
     def idle_cycles(self):
-        if self.state == COMPUTE:
+        st = self.state
+        if st == WAIT:
+            return IDLE_FOREVER
+        if st == COMPUTE:
             return self._compute_end - self.system.cycle + 1
-        return 0 if self.state == REQUEST else IDLE_FOREVER
+        return 0 if st == REQUEST else IDLE_FOREVER

@@ -6,11 +6,12 @@ declares its blocks in ``blocks``: per block method, the ``port.val`` and
 ``port.rdy`` signals it reads and those it writes. Over the bound channels, a
 block that reads a signal runs after the block that writes it; blocks that
 form a cycle raise a ``CombinationalLoopError`` naming them before the first
-cycle runs. Blocks only assert signals (``send``, or assign ``rdy``); each
-cycle starts with all of them low. In the commit phase each component's
-``tick`` runs once and sees a transfer where val and rdy are both high;
-then the kernel counts the transfers and resets every channel. Once per
-wiring, ``System.schedule`` compiles this cycle into straight-line code.
+cycle runs. A block asserts val with ``send`` and assigns every rdy it
+declares on every call. In the commit phase each component's ``tick`` runs
+once and sees a transfer where val and rdy are both high; then the kernel
+counts the transfers and drops every val and message; each rdy holds what its
+consumer's eval last assigned. Once per wiring, ``System.schedule`` compiles
+this cycle into straight-line code.
 
 ``System.cycle`` is the only clock: a component that waits for a cycle (a
 core's compute, memory's due responses) compares against it instead of
@@ -99,8 +100,8 @@ class Component:
         """Assert outputs (send on output ports, assign rdy on input ports).
 
         Runs once per stepped cycle, after the blocks that write the signals
-        it declares it reads; every channel starts the cycle with val and
-        rdy low. Must not mutate state.
+        it declares it reads. Each val starts the cycle low, each rdy as its
+        eval last left it: assign every rdy declared. Must not mutate state.
         """
 
     def tick(self):
@@ -249,14 +250,14 @@ class System:
 def _cycle_code(wiring: str, blocks: int, components: int, channels: int):
     """Code defining ``cycle(system)``, one stepped cycle: each block in
     schedule order, the trace hook, each tick, then per channel: count a
-    transfer, drop val and msg, drop rdy. It also defines ``run(system,
-    predicate, max_cycles, step)``, the loop of ``run_until``: the idle poll
-    keeps each component's ``idle_cycles()`` in a local ``k<i>`` and calls
-    ``step`` at the first k <= 0; otherwise it skips the n = min(k, budget)
-    cycles and ticks, at the last of them, only the components with k == n
-    (a component with k > n would change nothing). Compiling both takes
-    about 0.6 ms (2 vCPUs, Python 3.11), which a sweep of short runs would
-    pay per run, so wirings of one shape share the code."""
+    transfer, drop val and msg. It also defines ``run(system, predicate,
+    max_cycles, step)``, the loop of ``run_until``: the idle poll keeps each
+    component's ``idle_cycles()`` in a local ``k<i>`` and calls ``step`` at
+    the first k <= 0; otherwise it skips the n = min(k, budget) cycles and
+    ticks, at the last of them, only the components with k == n (a component
+    with k > n would change nothing). Compiling both takes about 0.6 ms (2
+    vCPUs, Python 3.11), which a sweep of short runs would pay per run, so
+    wirings of one shape share the code."""
     src = ["def cycle(system):"]
     src += [f"    b{i}()" for i in range(blocks)]
     src += ["    if system._trace is not None:", "        system._write_trace()"]
@@ -264,15 +265,17 @@ def _cycle_code(wiring: str, blocks: int, components: int, channels: int):
     for c in (f"c{i}" for i in range(channels)):
         src += [f"    if {c}.val:", f"        if {c}.rdy:",
                 f"            {c}.transfers += 1", f"        {c}.msg = None",
-                f"        {c}.val = False", f"    {c}.rdy = False"]
+                f"        {c}.val = False"]
     src.append("    system.cycle += 1")
     src += ["def run(system, predicate, max_cycles, step):", "    steps = 0",
             "    while not predicate():", "        if steps >= max_cycles:",
-            "            return False", "        n = max_cycles - steps"]
+            "            return False"]
     for i in range(components):
         src += [f"        k{i} = i{i}()", f"        if k{i} <= 0:", "            step()",
-                "            steps += 1", "            continue",
-                f"        if k{i} < n:", f"            n = k{i}"]
+                "            steps += 1", "            continue"]
+    ks = "".join(f"k{i}, " for i in range(components))
+    src.append(f"        n = min({ks}max_cycles - steps)" if components else
+               "        n = max_cycles - steps")  # an empty wiring has no k
     # no component asserts val in these n cycles: only the last of them can
     # change a component, and only one whose idle stretch ends there
     src += ["        if system._trace is not None:", "            system._write_trace(n)",

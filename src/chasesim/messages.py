@@ -10,6 +10,7 @@ occupies byte offsets 0-3); a node's next pointer sits in its first word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 LINE_BYTES = 16
 WORD_BYTES = 4
@@ -77,6 +78,11 @@ class AddrGeometry:
     def num_indices(self) -> int:
         return 1 << self.index_bits
 
+    @cached_property
+    def masks(self) -> tuple[int, int, int]:
+        """(offset mask, index mask, tag shift), computed once."""
+        return (1 << self.offset_bits) - 1, self.num_indices - 1, 32 - self.tag_bits
+
 
 # 256 B direct-mapped cache with 16 B lines: 4 offset, 4 index, 24 tag bits.
 CACHE_GEOMETRY = AddrGeometry(offset_bits=4, index_bits=4)
@@ -86,10 +92,8 @@ PREFETCH_GEOMETRY = AddrGeometry(offset_bits=4, index_bits=2)
 
 def split_address(addr: int, geo: AddrGeometry) -> tuple[int, int, int]:
     """Split a 32-bit byte address into (tag, index, offset) fields."""
-    offset = addr & ((1 << geo.offset_bits) - 1)
-    index = (addr >> geo.offset_bits) & ((1 << geo.index_bits) - 1)
-    tag = addr >> (geo.offset_bits + geo.index_bits)
-    return tag, index, offset
+    offset_mask, index_mask, tag_shift = geo.masks
+    return addr >> tag_shift, (addr >> geo.offset_bits) & index_mask, addr & offset_mask
 
 
 def join_address(tag: int, index: int, offset: int, geo: AddrGeometry) -> int:

@@ -97,15 +97,22 @@ class PointerChasePrefetcher(Component):
         return hit, e.data, e.data_valid
 
     def eval(self):
-        incoming = self.mem_resp.msg
-        fill = incoming if (incoming is not None
-                            and incoming.opaque == PREFETCH_OPAQUE) else None
-        mresp_rdy = fill is not None  # fills are always drained
+        resp = self.mem_resp.msg
+        drain = resp is not None and resp.opaque == PREFETCH_OPAQUE  # drain each fill
         st = self.state
-        if st == TAG_CHECK or st == WAIT_DATA_INVALID:
+        if st == IDLE:  # waiting states first: the most common
+            self.mem_resp.rdy = drain
+            return
+        if st == WAIT_MEM or st == STALL_MEM:
+            if resp is not None and resp.opaque == DEMAND_OPAQUE:
+                # forward the demand response combinationally; flow control
+                # passes through (memory held while the cache is not ready)
+                self.cache_resp.send(MemResponse(resp.kind, self.req.opaque, resp.data, False))
+                drain = self.cache_resp.rdy
+        elif st == TAG_CHECK or st == WAIT_DATA_INVALID:
             req = self.req
             if req.kind != INIT_KIND:
-                hit, line, dvalid = self._probe(self.tag, self.idx, fill)
+                hit, line, dvalid = self._probe(self.tag, self.idx, resp if drain else None)
                 if req.kind == WRITE or not hit:
                     self.mem_req.send(
                         MemRequest(req.kind, req.addr, DEMAND_OPAQUE, req.data))
@@ -117,28 +124,20 @@ class PointerChasePrefetcher(Component):
             self.cache_resp.send(MemResponse(INIT_KIND, self.req.opaque))
         elif st == BUFFER_TO_MEM:
             self.mem_req.send(MemRequest(READ, self.buffer.next_addr, PREFETCH_OPAQUE))
-        elif st in (WAIT_MEM, STALL_MEM):
-            if incoming is not None and incoming.opaque == DEMAND_OPAQUE:
-                # forward the demand response combinationally; flow control
-                # passes through (memory held while the cache is not ready)
-                self.cache_resp.send(MemResponse(
-                    incoming.kind, self.req.opaque, incoming.data, False))
-                mresp_rdy = self.cache_resp.rdy
-        self.mem_resp.rdy = mresp_rdy
+        self.mem_resp.rdy = drain
 
     def eval_cache_req_rdy(self):
         st = self.state
         if st == IDLE:
-            rdy = True
+            self.cache_req.rdy = True
         elif st == BUFFER_TO_MEM:
-            rdy = self.mem_req.rdy
+            self.cache_req.rdy = self.mem_req.rdy
         elif st == INIT or (st == TAG_CHECK and self.req.kind == READ):
             # INIT, or a single-cycle read hit: accept the next request as
             # the response drains
-            rdy = self.cache_resp.val and self.cache_resp.rdy
+            self.cache_req.rdy = self.cache_resp.val and self.cache_resp.rdy
         else:
-            rdy = False
-        self.cache_req.rdy = rdy
+            self.cache_req.rdy = False
 
     def tick(self):
         got = self.mem_resp.msg if self.mem_resp.rdy else None
@@ -149,6 +148,15 @@ class PointerChasePrefetcher(Component):
         if st == IDLE:
             if self.cache_req.msg is not None:  # IDLE's cache_req is ready
                 self._next_or_idle()
+        elif st == WAIT_MEM or st == STALL_MEM:
+            if got is not None:  # memory answers in order: no prefetch is outstanding
+                if self.req.kind == READCP:
+                    self._push(got.data)
+                else:
+                    self.state = IDLE
+            elif self.mem_resp.val and not self.mem_resp.rdy:
+                # eval drains every fill: a refused response is the demand's
+                self.state = STALL_MEM
         elif st == TAG_CHECK or st == WAIT_DATA_INVALID:
             self._tick_tag_check()
         elif st == INIT:
@@ -162,15 +170,6 @@ class PointerChasePrefetcher(Component):
             if self.mem_req.val and self.mem_req.rdy:
                 self.buffer.busy = True
                 self._next_or_idle()
-        elif st in (WAIT_MEM, STALL_MEM):
-            if got is not None:  # memory answers in order: no prefetch is outstanding
-                if self.req.kind == READCP:
-                    self._push(got.data)
-                else:
-                    self.state = IDLE
-            elif self.mem_resp.val and not self.mem_resp.rdy:
-                # eval drains every fill: a refused response is the demand's
-                self.state = STALL_MEM
 
     def _tick_tag_check(self):
         # TAG_CHECK and WAIT_DATA_INVALID: the fill of this cycle has landed

@@ -5,7 +5,7 @@ and a memory with ``chasesim.build_testbench``, feed it ``rd``, ``cp`` and
 ``wr_line`` requests and compare acceptance / response cycles from their
 logs. The ``audit_blocks`` fixture, which every directed-test module uses,
 checks that each eval block a test runs touches only the signals it
-declares. System tests run a token program with ``run_program``, or with
+declares and assigns every rdy it declares. System tests run a token program with ``run_program``, or with
 ``run_against_oracle``, which also checks its loads and final image against
 the flat-replay oracle.
 """
@@ -220,6 +220,8 @@ def _recorded(slot, wire):
     def note(ch, mode):
         if RecordingChannel.block is not None:
             RecordingChannel.accesses.add((*RecordingChannel.block, ch, wire, mode))
+            if wire == "rdy" and mode == "write":
+                RecordingChannel.assigned.add(ch)
 
     def get(ch):
         note(ch, "read")
@@ -239,18 +241,27 @@ class RecordingChannel(Channel):
     __slots__ = ()
     block = None  # (component, block name) while an audited block runs
     accesses: set = set()  # (component, block, channel, wire, "read"/"write")
+    assigned: set = set()  # channels whose rdy the running block assigned
+    unassigned: set = set()  # (component name, block, port) of a rdy a call left
     msg = _recorded(Channel.msg, "val")
     val = _recorded(Channel.val, "val")
     rdy = _recorded(Channel.rdy, "rdy")
 
 
-def _marked(block, name):
+def _marked(block, name, rdys):
+    """block, noting its accesses while it runs and, after each call, each
+    port of ``rdys`` whose rdy the call did not assign: the kernel never
+    drops a rdy, so one left unassigned keeps the last cycle's value."""
     def run(self):
-        outer, RecordingChannel.block = RecordingChannel.block, (self, name)
+        outer = RecordingChannel.block, RecordingChannel.assigned
+        RecordingChannel.block, RecordingChannel.assigned = (self, name), set()
         try:
-            return block(self)
+            block(self)
+            left = {(self.name, name, port) for port in rdys
+                    if getattr(self, port) not in RecordingChannel.assigned}
         finally:
-            RecordingChannel.block = outer
+            RecordingChannel.block, RecordingChannel.assigned = outer
+        RecordingChannel.unassigned |= left
     return run
 
 
@@ -259,15 +270,19 @@ def audit_blocks(monkeypatch):
     """For the length of the test, systems wire ``RecordingChannel``s and each
     audited class's eval blocks mark themselves while they run. Yields a
     function giving the (component name, block, port, wire, mode) touched so
-    far; fails the test if a block touched a signal it does not declare."""
+    far; fails the test if a block touched a signal it does not declare, or
+    if a call of a block left a rdy it declares unassigned."""
     monkeypatch.setattr(kernel, "Channel", RecordingChannel)
     monkeypatch.setattr(RecordingChannel, "accesses", set())
+    monkeypatch.setattr(RecordingChannel, "unassigned", set())
     for cls in AUDITED:
-        for name in cls.blocks:
-            monkeypatch.setattr(cls, name, _marked(getattr(cls, name), name))
+        for name, (_, written) in cls.blocks.items():
+            rdys = [s.partition(".")[0] for s in written if s.endswith(".rdy")]
+            monkeypatch.setattr(cls, name, _marked(getattr(cls, name), name, rdys))
 
     def touched():
         return {(comp.name, block, next(p for p, v in vars(comp).items() if v is ch),
                  wire, mode) for comp, block, ch, wire, mode in RecordingChannel.accesses}
     yield touched
     assert sorted(touched() - DECLARED) == [], "undeclared signals"
+    assert sorted(RecordingChannel.unassigned) == [], "rdy left unassigned"

@@ -87,7 +87,10 @@ MUTANTS = [
            'f"        if k{i} == n + 1:'),
     Mutant("poll-skips-last-component", "kernel.py",
            'f"        k{i} = i{i}()"',
-           'f"        k{i} = i{i}() if {i + 1 < components} else n"'),
+           'f"        k{i} = i{i}() if {i + 1 < components} else max_cycles - steps"'),
+    Mutant("skip-ignores-budget", "kernel.py",
+           'n = min({ks}max_cycles - steps)"',
+           'n = min({ks})"'),
     Mutant("refill-mutates-core-request", "cache.py",
            "            self.mem_req.send(MemRequest(kind, self.req.addr))\n",
            "            self.req.kind = kind\n            self.mem_req.send(self.req)\n"),
@@ -215,6 +218,15 @@ MUTANTS = [
     Mutant("stall-on-any-response", "prefetcher.py",
            "            elif self.mem_resp.val and not self.mem_resp.rdy:\n",
            "            elif self.mem_resp.val:\n"),
+    Mutant("pf-idle-drops-fill", "prefetcher.py",
+           "            self.mem_resp.rdy = drain\n            return\n",
+           "            self.mem_resp.rdy = False\n            return\n"),
+    # a stale high rdy under a low val changes nothing in a full system: only
+    # audit_blocks, which fails a block call that leaves a declared rdy
+    # unassigned, tells this from the model
+    Mutant("core-rdy-only-while-waiting", "core.py",
+           "            self.mem_req.send(self._req)\n        self.mem_resp.rdy = False\n",
+           "            self.mem_req.send(self._req)\n"),
 ]
 
 
