@@ -60,7 +60,7 @@ class Channel:
 
     __slots__ = ("name", "msg", "val", "rdy", "transfers")
 
-    def __init__(self, name: str = "chan"):
+    def __init__(self, name: str):
         self.name = name
         self.msg = None
         self.val = False

@@ -374,8 +374,13 @@ def finish(config, advance):
     handle = build_system(config, trace=trace)
     steps = advance(handle)
     handle.cache.flush_dirty(handle.memory.poke_line)
+    text = trace.getvalue()
+    # two independent counts: the markers the trace writer prints before the
+    # ticks, and the count the compiled cycle keeps as it resets each channel
+    for ch in handle.system.channels:
+        assert ch.transfers == text.count(f" [{ch.name} "), ch.name
     return (handle.system.cycle, collect_counters(handle),
-            dump_image(handle.memory.store), trace.getvalue()), steps
+            dump_image(handle.memory.store), text), steps
 
 
 def stepped(handle):
@@ -402,7 +407,8 @@ def test_skip_table_covers_every_workload():
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_run_until_skips_to_the_same_result_as_stepping(name, topology, latency):
     # cycles, every counter, the final image and the trace bytes must not
-    # depend on whether idle cycles are stepped one by one or skipped
+    # depend on whether idle cycles are stepped one by one or skipped; each
+    # run's transfer counts must match its trace (checked in finish)
     cfg = make_config(topology, latency, name, **SMALL[name])
     want, cycles = finish(cfg, stepped)
     got, steps = finish(cfg, skipping)
