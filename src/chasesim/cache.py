@@ -70,26 +70,30 @@ class BlockingCache(Component):
         if st == READ_DATA:
             off = self.off
             word = self.lines[self.idx].data[off:off + 4]
-            self.core_resp.send(
+            self.core_resp.msg = (
                 MemResponse(self.req.kind, self.req.opaque, word, self.was_hit))
         elif st == WRITE_DATA:
-            self.core_resp.send(MemResponse(WRITE, self.req.opaque, b"", self.was_hit))
+            self.core_resp.msg = MemResponse(WRITE, self.req.opaque, b"", self.was_hit)
         elif st == EVICT_REQ:
             # the victim stays in its line until the refill replaces it
             idx = self.idx
             victim = self.lines[idx]
-            self.mem_req.send(MemRequest(
-                WRITE, join_address(victim.tag, idx, 0, CACHE_GEOMETRY), 0, victim.data))
+            self.mem_req.msg = MemRequest(
+                WRITE, join_address(victim.tag, idx, 0, CACHE_GEOMETRY), 0, victim.data)
         elif st == REFILL_REQ:
             kind = READCP if self.req.kind == READCP else READ
-            self.mem_req.send(MemRequest(kind, self.req.addr))
+            self.mem_req.msg = MemRequest(kind, self.req.addr)
 
     def tick(self):
         st = self.state
         if st == REFILL_WAIT:
             r = self.mem_resp.msg if self.mem_resp.rdy else None
             if r is not None:
-                self.lines[self.idx] = CacheLine(self.tag, True, False, r.data)  # valid, clean
+                line = self.lines[self.idx]  # rewritten in place: valid, clean
+                line.tag = self.tag
+                line.valid = True
+                line.dirty = False
+                line.data = r.data
                 self.state = REFILL_UPDATE
         elif st == IDLE:
             r = self.core_req.msg if self.core_req.rdy else None
@@ -103,19 +107,19 @@ class BlockingCache(Component):
         elif st == TAG_CHECK:
             self._tag_check()
         elif st == EVICT_REQ:
-            if self.mem_req.val and self.mem_req.rdy:
+            if self.mem_req.rdy and self.mem_req.msg is not None:
                 self.stats.evictions += 1
                 self.state = EVICT_WAIT
         elif st == REFILL_REQ:
-            if self.mem_req.val and self.mem_req.rdy:
+            if self.mem_req.rdy and self.mem_req.msg is not None:
                 self.state = REFILL_WAIT
         elif st == REFILL_UPDATE:
             self.state = WRITE_DATA if self.req.kind == WRITE else READ_DATA
         elif st == READ_DATA:
-            if self.core_resp.val and self.core_resp.rdy:
+            if self.core_resp.rdy and self.core_resp.msg is not None:
                 self.state = IDLE
         elif st == WRITE_DATA:
-            if self.core_resp.val and self.core_resp.rdy:
+            if self.core_resp.rdy and self.core_resp.msg is not None:
                 # the core's write data is one word; off is word-aligned
                 line, off = self.lines[self.idx], self.off
                 line.data = line.data[:off] + self.req.data[:4] + line.data[off + 4:]

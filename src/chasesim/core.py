@@ -92,7 +92,7 @@ class CoreModel(Component):
             self.mem_resp.rdy = True
             return
         if self.state == REQUEST:
-            self.mem_req.send(self._req)
+            self.mem_req.msg = self._req
         self.mem_resp.rdy = False
 
     def tick(self):
@@ -107,7 +107,7 @@ class CoreModel(Component):
                 else:
                     self._advance(None, self.system.cycle)
         elif st == REQUEST:
-            if self.mem_req.val and self.mem_req.rdy:
+            if self.mem_req.rdy and self.mem_req.msg is not None:
                 self.state = WAIT
         elif st == COMPUTE:
             now = self.system.cycle

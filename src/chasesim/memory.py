@@ -76,14 +76,14 @@ class PipelinedMemory(Component):
             # line_base), a write an empty response
             data = (b"" if r.kind == WRITE
                     else self.store.get(r.addr & -LINE_BYTES, ZERO_LINE))
-            self.resp.send(MemResponse(r.kind, r.opaque, data))
+            self.resp.msg = MemResponse(r.kind, r.opaque, data)
 
     def eval_req_rdy(self):
         # a due head that is not accepted stalls the whole pipeline
-        self.req.rdy = not self.resp.val or self.resp.rdy
+        self.req.rdy = self.resp.msg is None or self.resp.rdy
 
     def tick(self):
-        if self.resp.val:
+        if self.resp.msg is not None:
             if not self.resp.rdy:
                 self.stalls += 1  # due head stalled: the clock stops, req was not ready
                 return

@@ -107,23 +107,21 @@ class PointerChasePrefetcher(Component):
             if resp is not None and resp.opaque == DEMAND_OPAQUE:
                 # forward the demand response combinationally; flow control
                 # passes through (memory held while the cache is not ready)
-                self.cache_resp.send(MemResponse(resp.kind, self.req.opaque, resp.data, False))
+                self.cache_resp.msg = MemResponse(resp.kind, self.req.opaque, resp.data, False)
                 drain = self.cache_resp.rdy
         elif st == TAG_CHECK or st == WAIT_DATA_INVALID:
             req = self.req
             if req.kind != INIT_KIND:
                 hit, line, dvalid = self._probe(self.tag, self.idx, resp if drain else None)
                 if req.kind == WRITE or not hit:
-                    self.mem_req.send(
-                        MemRequest(req.kind, req.addr, DEMAND_OPAQUE, req.data))
+                    self.mem_req.msg = MemRequest(req.kind, req.addr, DEMAND_OPAQUE, req.data)
                 elif dvalid:
-                    self.cache_resp.send(
-                        MemResponse(req.kind, req.opaque, line, True))
+                    self.cache_resp.msg = MemResponse(req.kind, req.opaque, line, True)
                 # else a hit on a pending fill: wait, never re-request
         elif st == INIT:
-            self.cache_resp.send(MemResponse(INIT_KIND, self.req.opaque))
+            self.cache_resp.msg = MemResponse(INIT_KIND, self.req.opaque)
         elif st == BUFFER_TO_MEM:
-            self.mem_req.send(MemRequest(READ, self.buffer.next_addr, PREFETCH_OPAQUE))
+            self.mem_req.msg = MemRequest(READ, self.buffer.next_addr, PREFETCH_OPAQUE)
         self.mem_resp.rdy = drain
 
     def eval_cache_req_rdy(self):
@@ -135,7 +133,7 @@ class PointerChasePrefetcher(Component):
         elif st == INIT or (st == TAG_CHECK and self.req.kind == READ):
             # INIT, or a single-cycle read hit: accept the next request as
             # the response drains
-            self.cache_req.rdy = self.cache_resp.val and self.cache_resp.rdy
+            self.cache_req.rdy = self.cache_resp.rdy and self.cache_resp.msg is not None
         else:
             self.cache_req.rdy = False
 
@@ -154,20 +152,20 @@ class PointerChasePrefetcher(Component):
                     self._push(got.data)
                 else:
                     self.state = IDLE
-            elif self.mem_resp.val and not self.mem_resp.rdy:
+            elif self.mem_resp.msg is not None and not self.mem_resp.rdy:
                 # eval drains every fill: a refused response is the demand's
                 self.state = STALL_MEM
         elif st == TAG_CHECK or st == WAIT_DATA_INVALID:
             self._tick_tag_check()
         elif st == INIT:
-            if self.cache_resp.val and self.cache_resp.rdy:
+            if self.cache_resp.rdy and self.cache_resp.msg is not None:
                 data = (self.req.data + ZERO_LINE)[:LINE_BYTES]
                 self.entries[self.idx] = PrefetchEntry(self.tag, True, True, data)
                 self._next_or_idle()
         elif st == PUSH_NEXT:
             self._tick_push_next()
         elif st == BUFFER_TO_MEM:
-            if self.mem_req.val and self.mem_req.rdy:
+            if self.mem_req.rdy and self.mem_req.msg is not None:
                 self.buffer.busy = True
                 self._next_or_idle()
 
@@ -177,7 +175,7 @@ class PointerChasePrefetcher(Component):
         hit, line, dvalid = self._probe(self.tag, self.idx)
         if req.kind == INIT_KIND:
             self.state = INIT
-        elif self.cache_resp.val and self.cache_resp.rdy:
+        elif self.cache_resp.rdy and self.cache_resp.msg is not None:
             if req.kind == READ:
                 self.stats.read_hits += 1
             else:
@@ -190,7 +188,7 @@ class PointerChasePrefetcher(Component):
                 self._push(line)
             else:
                 self._next_or_idle()  # cache_req is not ready in DI: idle
-        elif self.mem_req.val and self.mem_req.rdy:
+        elif self.mem_req.rdy and self.mem_req.msg is not None:
             if req.kind == WRITE:
                 self.stats.writes += 1
                 if hit:
@@ -222,9 +220,14 @@ class PointerChasePrefetcher(Component):
             return
         self.buffer.next_addr = line_base(nxt)
         tag, idx, _ = split_address(nxt, PREFETCH_GEOMETRY)
-        # claim the entry now (tag valid, data pending, fresh) so a demand
-        # to this line waits instead of duplicating the memory request
-        self.entries[idx] = PrefetchEntry(tag, True, False, ZERO_LINE, True)
+        # claim the entry now, in place (tag valid, data pending, fresh) so a
+        # demand to this line waits instead of duplicating the memory request
+        e = self.entries[idx]
+        e.tag = tag
+        e.tag_valid = True
+        e.data_valid = False
+        e.data = ZERO_LINE
+        e.fresh = True
         self.state = BUFFER_TO_MEM
 
     def _apply_fill(self, resp: MemResponse):

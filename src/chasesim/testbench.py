@@ -30,10 +30,10 @@ class TestSource(Component):
 
     def eval(self):
         if not self.done and self.system.cycle >= self.offer_at:
-            self.req.send(self.script[self.index][0])
+            self.req.msg = self.script[self.index][0]
 
     def tick(self):
-        if self.req.val and self.req.rdy:
+        if self.req.rdy and self.req.msg is not None:
             now = self.system.cycle
             self.log.append((now, self.script[self.index][0]))
             self.index += 1

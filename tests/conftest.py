@@ -243,8 +243,7 @@ class RecordingChannel(Channel):
     accesses: set = set()  # (component, block, channel, wire, "read"/"write")
     assigned: set = set()  # channels whose rdy the running block assigned
     unassigned: set = set()  # (component name, block, port) of a rdy a call left
-    msg = _recorded(Channel.msg, "val")
-    val = _recorded(Channel.val, "val")
+    msg = _recorded(Channel.msg, "val")  # Channel.val reads msg
     rdy = _recorded(Channel.rdy, "rdy")
 
 

@@ -67,7 +67,7 @@ def _state(comp):
 
 def _reset(system):
     for ch in system.channels:
-        ch.msg, ch.val, ch.rdy = None, False, False
+        ch.msg, ch.rdy = None, False
 
 
 def _contract_case(name, topology, latency):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chasesim import (BlockingCache, CombinationalLoopError, Component, Compute,
+from chasesim import (BlockingCache, Channel, CombinationalLoopError, Component, Compute,
                       ConfigurationError, CoreModel, MemRequest, MsgKind,
                       PipelinedMemory, PointerChasePrefetcher, System, TestSink,
                       TestSource, build_system, make_config, make_workload)
@@ -96,6 +96,36 @@ def test_transfer_requires_val_and_rdy():
     assert ch.transfers == 1
     assert src.done
     assert sink.responses() == [req(0x10)]
+
+
+def test_channel_val_is_a_read_only_view_of_msg():
+    ch = Channel("c")
+    assert ch.val is False
+    ch.msg = req(0x10)
+    assert ch.val is True
+    with pytest.raises(AttributeError):
+        ch.val = False
+    assert ch.msg == req(0x10)
+    ch.msg = None
+    assert ch.val is False
+
+
+@pytest.mark.parametrize("topology", ["baseline", "alternate"])
+def test_each_stepped_cycle_drops_every_message(topology):
+    # val is msg is not None, so a message left over would be a val that
+    # every later eval block sees asserted
+    handle = build_system(make_config(topology, 4, "random", n=200))
+    system, held = handle.system, []
+    steps = count_steps(system)
+    step = system.step
+
+    def checked():
+        step()
+        held.extend((system.cycle, ch.name) for ch in system.channels if ch.msg is not None)
+    system.step = checked
+    assert system.run_until(lambda: handle.core.done)
+    assert steps[0] > 100
+    assert held == []
 
 
 def test_one_transfer_per_cycle():
@@ -351,33 +381,39 @@ def test_methods_are_bound_when_the_schedule_is():
 
 
 # Per-cycle cost of run_until, by (workload, latency, params): ceilings on
-# Python calls and on bytecodes per simulated cycle, each as (without
-# prefetcher, with prefetcher). One sys.settrace pass per case counts both:
-# calls as its "call" events, bytecodes as its opcode events; the two guards
-# below read the same pass. Measured calls 8.62/12.54, 1.53/3.22 and
-# 6.61/8.55; bytecodes 224.9/338.2, 39.7/93.6 and 170.3/220.7. A ceiling is
-# set about 5% (calls) or 3% (bytecodes) above the count measured when it is
+# Python calls, bytecodes and C calls per simulated cycle, each as (without
+# prefetcher, with prefetcher). One traced pass per case counts all three:
+# calls as its sys.settrace "call" events, bytecodes as its opcode events,
+# C calls as its sys.setprofile "c_call" events; the guards below read the
+# same pass. Measured calls 7.86/11.44, 1.41/2.96 and 6.14/7.98; bytecodes
+# 216.0/325.1, 38.5/91.1 and 165.2/215.1; C calls 0.940/0.947, 0.201/0.304
+# and 0.888/0.861. Bytecodes alone once rewarded a min() per skip: it ran 8
+# bytecodes fewer than a compare chain, but as a C call it cost about twice
+# the time. A ceiling is set about 3% above the count measured when it is
 # set, and stays put when a count falls.
 PER_CYCLE = [
-    ("random", 4, dict(n=2000), (9.06, 13.2), (232, 348)),
-    ("traversal", 40, dict(nodes=200, gap=12), (1.61, 3.48), (41.0, 96.5)),
-    ("array", 10, dict(elements=512), (6.95, 8.98), (175, 227)),
+    ("random", 4, dict(n=2000), (8.10, 11.8), (222, 335), (0.968, 0.975)),
+    ("traversal", 40, dict(nodes=200, gap=12), (1.45, 3.05), (39.7, 93.8), (0.207, 0.313)),
+    ("array", 10, dict(elements=512), (6.33, 8.22), (170, 221.5), (0.915, 0.887)),
 ]
 PER_CYCLE_IDS = [case[0] for case in PER_CYCLE]
-# bytecode differs between interpreters and minor versions
+PER_CYCLE_ARGS = "name,latency,params,call_ceilings,bytecode_ceilings,c_call_ceilings"
+# bytecode and the builtins a bytecode calls differ between interpreters
+# and minor versions
 COUNTS_BYTECODES = sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11)
 
 
 @functools.cache
 def per_cycle_counts(name):
-    """{topology: (calls per cycle, bytecodes per cycle)} for one PER_CYCLE
-    case, each run once under one settrace hook; bytecodes are counted only
-    where COUNTS_BYTECODES holds (None elsewhere)."""
-    _, latency, params, _, _ = next(case for case in PER_CYCLE if case[0] == name)
+    """{topology: (calls, bytecodes, C calls) per cycle} for one PER_CYCLE
+    case, each run once under one settrace and one setprofile hook;
+    bytecodes and C calls are counted only where COUNTS_BYTECODES holds
+    (None elsewhere)."""
+    _, latency, params, *_ = next(case for case in PER_CYCLE if case[0] == name)
     counts = {}
     for topology in ("baseline", "alternate"):
         handle = build_system(make_config(topology, latency, name, **params))
-        calls = opcodes = 0
+        calls = opcodes = c_calls = 0
 
         def trace(frame, event, arg):
             nonlocal calls, opcodes
@@ -389,20 +425,28 @@ def per_cycle_counts(name):
             elif event == "opcode":
                 opcodes += 1
             return trace
+
+        def profile(frame, event, arg):
+            nonlocal c_calls
+            if event == "c_call":
+                c_calls += 1
         sys.settrace(trace)
+        if COUNTS_BYTECODES:
+            sys.setprofile(profile)
         try:
             assert handle.system.run_until(lambda: handle.core.done)
         finally:
+            sys.setprofile(None)
             sys.settrace(None)
         cycles = handle.system.cycle
-        counts[topology] = (calls / cycles, opcodes / cycles if COUNTS_BYTECODES else None)
+        counts[topology] = ((calls / cycles, opcodes / cycles, c_calls / cycles)
+                            if COUNTS_BYTECODES else (calls / cycles, None, None))
     return counts
 
 
-@pytest.mark.parametrize("name,latency,params,call_ceilings,bytecode_ceilings", PER_CYCLE,
-                         ids=PER_CYCLE_IDS)
+@pytest.mark.parametrize(PER_CYCLE_ARGS, PER_CYCLE, ids=PER_CYCLE_IDS)
 def test_python_calls_per_cycle_stay_under_their_ceiling(name, latency, params, call_ceilings,
-                                                          bytecode_ceilings):
+                                                          bytecode_ceilings, c_call_ceilings):
     # a deterministic guard on the per-cycle path: a call added to every
     # tick, poll or transfer shows up here whatever the host's speed
     counts = per_cycle_counts(name)
@@ -412,15 +456,27 @@ def test_python_calls_per_cycle_stay_under_their_ceiling(name, latency, params, 
 
 @pytest.mark.skipif(not COUNTS_BYTECODES,
                     reason="bytecode differs between interpreters and minor versions")
-@pytest.mark.parametrize("name,latency,params,call_ceilings,bytecode_ceilings", PER_CYCLE,
-                         ids=PER_CYCLE_IDS)
+@pytest.mark.parametrize(PER_CYCLE_ARGS, PER_CYCLE, ids=PER_CYCLE_IDS)
 def test_bytecodes_per_cycle_stay_under_their_ceiling(name, latency, params, call_ceilings,
-                                                      bytecode_ceilings):
+                                                      bytecode_ceilings, c_call_ceilings):
     # calls per cycle cannot see work inside a call: a branch added before a
     # waiting state's test, or a store added per channel, shows up here
     counts = per_cycle_counts(name)
     for topology, ceiling in zip(("baseline", "alternate"), bytecode_ceilings):
         assert counts[topology][1] <= ceiling, topology
+
+
+@pytest.mark.skipif(not COUNTS_BYTECODES,
+                    reason="the builtins a bytecode calls differ between interpreters")
+@pytest.mark.parametrize(PER_CYCLE_ARGS, PER_CYCLE, ids=PER_CYCLE_IDS)
+def test_c_calls_per_cycle_stay_under_their_ceiling(name, latency, params, call_ceilings,
+                                                    bytecode_ceilings, c_call_ceilings):
+    # neither guard above sees a builtin: a call of min() or of a C type's
+    # method is one bytecode and no Python call, yet it can cost as much as
+    # a dozen bytecodes
+    counts = per_cycle_counts(name)
+    for topology, ceiling in zip(("baseline", "alternate"), c_call_ceilings):
+        assert counts[topology][2] <= ceiling, topology
 
 
 @pytest.mark.parametrize("latency", [1, 4])

@@ -90,6 +90,49 @@ def test_request_rejects_bad_opaque(opaque):
         MemRequest(MsgKind.READ, 0x1000, opaque=opaque)
 
 
+def _checks_in_order(addr, opaque):
+    """The message of the first of MemRequest's three checks that fails, in
+    their order, or None: the oracle of its fused fast-path test."""
+    if not 0 <= addr < 2**32:
+        return f"address out of 32-bit range: {addr:#x}"
+    if addr % 4 != 0:
+        return f"misaligned request address: {addr:#x}"
+    if not 0 <= opaque < 256:
+        return f"opaque field out of 8-bit range: {opaque}"
+    return None
+
+
+def _check_request(addr, opaque):
+    want = _checks_in_order(addr, opaque)
+    if want is None:
+        r = MemRequest(MsgKind.READ, addr, opaque, b"x")
+        assert (r.kind, r.addr, r.opaque, r.data) == (MsgKind.READ, addr, opaque, b"x")
+    else:
+        with pytest.raises(ValueError) as e:
+            MemRequest(MsgKind.READ, addr, opaque)
+        assert str(e.value) == want, (addr, opaque)
+
+
+EDGE_ADDRESSES = [-4, -1, 0, 1, 2, 3, 2**32 - 4, 2**32 - 1, 2**32]
+EDGE_OPAQUES = [-1, 0, 255, 256]
+
+
+def test_request_raises_exactly_when_its_checks_fail_at_the_edges():
+    for addr in EDGE_ADDRESSES:
+        for opaque in EDGE_OPAQUES:
+            _check_request(addr, opaque)
+
+
+# addresses within 5 of each end of the 32-bit range: -5..3 and 2**32-5..2**32+3
+NEAR_EDGES = st.sampled_from([0, 2**32]).flatmap(lambda edge: st.integers(edge - 5, edge + 3))
+
+
+@given(addr=st.one_of(NEAR_EDGES, st.integers()),
+       opaque=st.one_of(st.sampled_from(EDGE_OPAQUES), st.integers()))
+def test_request_raises_exactly_when_its_checks_fail(addr, opaque):
+    _check_request(addr, opaque)
+
+
 def test_message_render():
     req = MemRequest(MsgKind.READCP, 0x1008, opaque=1)
     assert str(req) == "cp 00001008 op=01"

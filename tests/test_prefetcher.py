@@ -81,7 +81,7 @@ def test_wait_data_invalid_is_idle_until_the_fill_lands():
     pf.buffer.next_addr, pf.buffer.busy = ADDR_A, True
     # accept the demand as the IDLE tick does: that splits its address
     pf.cache_req = Channel("cache.req")
-    pf.cache_req.send(rd(ADDR_A + 4))
+    pf.cache_req.msg = rd(ADDR_A + 4)
     pf.cache_req.rdy = True
     pf._next_or_idle()
     assert pf.state == TAG_CHECK
