@@ -37,8 +37,13 @@ from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable
 
-# idle_cycles() of a component that stays idle until something arrives
-IDLE_FOREVER = float("inf")
+# idle_cycles() of a component that stays idle until something arrives. An
+# int, not float("inf"): CPython specializes a compare of two ints below
+# 2**30 (one digit), but never an int against a float, and the compiled run
+# loop compares every poll result. It is above MAX_CYCLES; a deadlock meets a
+# larger budget in ceil(budget / IDLE_FOREVER) skips, each ending in ticks
+# of the components idle forever, which change nothing.
+IDLE_FOREVER = 2**30 - 1
 # default budget of run_until and of an experiment, in cycles
 MAX_CYCLES = 10_000_000
 
@@ -223,7 +228,9 @@ class System:
     def run_until(self, predicate: Callable[[], bool], max_cycles: int = MAX_CYCLES) -> bool:
         """Advance until predicate holds, skipping cycles in which no
         component asserts val. False when max_cycles cycles pass first (a
-        deadlock reaches them at once). The loop is the wiring's compiled
+        deadlock reaches them at once, in ceil(max_cycles / IDLE_FOREVER)
+        skips: IDLE_FOREVER is a one-digit int, not infinity, so that CPython
+        specializes the poll's compares). The loop is the wiring's compiled
         ``run``; each stepped cycle calls the ``self.step`` bound here."""
         if max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")

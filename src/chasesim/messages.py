@@ -9,8 +9,7 @@ occupies byte offsets 0-3); a node's next pointer sits in its first word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 LINE_BYTES = 16
 WORD_BYTES = 4
@@ -73,10 +72,19 @@ class MemResponse:
         return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddrGeometry:
     offset_bits: int
     index_bits: int
+    # (offset bits, offset mask, index mask, tag shift) for split_address,
+    # computed once into a slot: CPython specializes a slot load, but not a
+    # load through a cached_property or from the dict one fills in
+    fields: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fields", (
+            self.offset_bits, (1 << self.offset_bits) - 1, (1 << self.index_bits) - 1,
+            self.offset_bits + self.index_bits))
 
     @property
     def tag_bits(self) -> int:
@@ -85,11 +93,6 @@ class AddrGeometry:
     @property
     def num_indices(self) -> int:
         return 1 << self.index_bits
-
-    @cached_property
-    def masks(self) -> tuple[int, int, int]:
-        """(offset mask, index mask, tag shift), computed once."""
-        return (1 << self.offset_bits) - 1, self.num_indices - 1, 32 - self.tag_bits
 
 
 # 256 B direct-mapped cache with 16 B lines: 4 offset, 4 index, 24 tag bits.
@@ -100,8 +103,8 @@ PREFETCH_GEOMETRY = AddrGeometry(offset_bits=4, index_bits=2)
 
 def split_address(addr: int, geo: AddrGeometry) -> tuple[int, int, int]:
     """Split a 32-bit byte address into (tag, index, offset) fields."""
-    offset_mask, index_mask, tag_shift = geo.masks
-    return addr >> tag_shift, (addr >> geo.offset_bits) & index_mask, addr & offset_mask
+    offset_bits, offset_mask, index_mask, tag_shift = geo.fields
+    return addr >> tag_shift, (addr >> offset_bits) & index_mask, addr & offset_mask
 
 
 def join_address(tag: int, index: int, offset: int, geo: AddrGeometry) -> int:

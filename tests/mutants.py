@@ -120,6 +120,11 @@ MUTANTS = [
            'n = k{i}" for i in range(components)]',
            'n = k{i}" for i in range(components - 1)]',
            killer="tests/test_acceptance.py::test_01_coherence_oracle"),
+    # the same cycles, but no compare of the run loop specializes
+    Mutant("idle-forever-float", "kernel.py",
+           "IDLE_FOREVER = 2**30 - 1\n",
+           'IDLE_FOREVER = float("inf")\n',
+           killer="tests/test_kernel.py::test_every_idle_cycles_result_is_an_int_below_one_digit"),
     Mutant("refill-mutates-core-request", "cache.py",
            "            self.mem_req.msg = MemRequest(kind, self.req.addr)\n",
            "            self.req.kind = kind\n            self.mem_req.msg = self.req\n",

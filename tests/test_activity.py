@@ -18,7 +18,7 @@ every declared signal.
 import copy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chasesim import (Channel, MemRequest, MsgKind, PointerChasePrefetcher,
@@ -83,6 +83,9 @@ def _contract_case(name, topology, latency):
 @given(name=st.sampled_from([*WORKLOADS, "testbench"]),
        topology=st.sampled_from(TOPOLOGIES), latency=st.sampled_from([1, 4, 40]),
        cycles=st.integers(0, 1500), n=st.integers(1, 64))
+# a demand that hits a prefetch still in flight waits for its fill: a
+# prefetcher that forwards it instead asserts a val in its first idle cycle
+@example(name="traversal", topology="alternate", latency=40, cycles=55, n=8)
 def test_idle_ticks_change_nothing_until_the_last(name, topology, latency, cycles, n):
     # each idle component runs k = min(n, idle_cycles()) cycles of its eval
     # blocks and tick with every channel low on entry and system.cycle

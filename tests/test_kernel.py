@@ -1,5 +1,6 @@
 """Channel handshake and cycle-loop semantics."""
 
+import dis
 import functools
 import io
 import sys
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from chasesim import (BlockingCache, Channel, CombinationalLoopError, Component, Compute,
                       ConfigurationError, CoreModel, MemRequest, MsgKind,
-                      PipelinedMemory, PointerChasePrefetcher, System, TestSink,
+                      PipelinedMemory, PointerChasePrefetcher, Read, System, TestSink,
                       TestSource, build_system, make_config, make_workload)
+from chasesim import kernel
 from chasesim.testbench import LoggingMemory
 
 from conftest import after_each_block, chase_testbench, count_steps
@@ -249,6 +251,33 @@ def test_run_until_predicate_sees_the_exact_cycle():
     assert system.cycle == 5_000_000  # one compute tick per cycle
 
 
+BEYOND_IDLE_FOREVER = 3 * 2**30  # three idle-forever skips and then some
+
+
+def test_a_budget_beyond_idle_forever_is_met_exactly():
+    # a finished system reports IDLE_FOREVER everywhere: each skip covers
+    # that many cycles, and the last one stops at the budget
+    system = System()
+    core = CoreModel([Read(0)])
+    system.chain(core, BlockingCache(), PipelinedMemory(4))
+    assert system.run_until(lambda: core.done)
+    start = system.cycle
+    assert system.run_until(lambda: False, max_cycles=BEYOND_IDLE_FOREVER + 5) is False
+    assert system.cycle == start + BEYOND_IDLE_FOREVER + 5
+
+
+def test_a_compute_beyond_idle_forever_ends_on_its_cycle():
+    # the cache and memory idle forever while the core computes longer than
+    # that: the skips stop at IDLE_FOREVER, tick the idle ones (which changes
+    # nothing), and the compute still ends on its own cycle
+    system = System()
+    core = CoreModel([Compute(BEYOND_IDLE_FOREVER), Read(0)])
+    system.chain(core, BlockingCache(), PipelinedMemory(4))
+    assert system.run_until(lambda: core.done, max_cycles=2 * BEYOND_IDLE_FOREVER)
+    assert system.cycle == BEYOND_IDLE_FOREVER + 9  # then a 9-cycle miss at L=4
+    assert core.loads == [(0, 0)]
+
+
 def test_channel_conservation():
     # every message offered by the source is observed exactly once at the sink
     script = [(req(0x10 * i), i % 3) for i in range(20)]
@@ -477,6 +506,46 @@ def test_c_calls_per_cycle_stay_under_their_ceiling(name, latency, params, call_
     counts = per_cycle_counts(name)
     for topology, ceiling in zip(("baseline", "alternate"), c_call_ceilings):
         assert counts[topology][2] <= ceiling, topology
+
+
+def test_every_idle_cycles_result_is_an_int_below_one_digit():
+    # the compiled run loop compares every idle_cycles() result; CPython
+    # specializes a compare of two ints below 2**30 (one digit), never one
+    # of an int and a float, and no count above sees the difference
+    assert kernel.MAX_CYCLES < kernel.IDLE_FOREVER < 2**30
+    runs = []
+    for name, latency, params, *_ in PER_CYCLE:
+        for topology in ("baseline", "alternate"):
+            handle = build_system(make_config(topology, latency, name, **params))
+            runs.append((handle.system, lambda core=handle.core: core.done))
+    delays = [0, 5, 0, 2, 9, 0, 1, 3]
+    testbench, _, sink, _, _ = chase_testbench(4, delays, [4, 0, 7, 1, 0, 12],
+                                               PointerChasePrefetcher())
+    runs.append((testbench, lambda: len(sink.received) == len(delays)))
+    for system, done in runs:
+        kinds = {}
+        for comp in system.components:
+            def recorded(poll=comp.idle_cycles, name=comp.name):
+                k = poll()
+                kinds.setdefault(name, set()).add(type(k))
+                return k
+            comp.idle_cycles = recorded  # before the first cycle binds it
+        assert system.run_until(done)
+        assert kinds == {c.name: {int} for c in system.components}
+
+
+@pytest.mark.skipif(not COUNTS_BYTECODES,
+                    reason="specialized instructions differ between interpreters and versions")
+@pytest.mark.parametrize("topology", ["baseline", "alternate"])
+def test_every_compare_of_the_run_loop_is_specialized_for_ints(topology):
+    # a compare the interpreter cannot specialize (an int against a float)
+    # costs about three times a specialized one, with the same bytecodes
+    kernel._cycle_code.cache_clear()  # wirings of one shape share one code object
+    handle = build_system(make_config(topology, 4, "random", n=2000))
+    assert handle.system.run_until(lambda: handle.core.done)
+    compares = [i.opname for i in dis.get_instructions(handle.system._run, adaptive=True)
+                if i.opname.startswith("COMPARE_OP")]
+    assert compares and set(compares) == {"COMPARE_OP_INT_JUMP"}, compares
 
 
 @pytest.mark.parametrize("latency", [1, 4])
