@@ -27,8 +27,10 @@ exactly n: the others would change nothing. The predicate is therefore
 evaluated at every cycle where a component's state, a transfer log or a
 counter can change, which makes predicates over those exact. ``step``
 always advances exactly one cycle. ``run_until``'s loop is compiled per
-wiring too, and it calls the ``self.step`` bound at its entry for each cycle
-it steps, so a probe that replaces ``System.step`` sees every stepped cycle.
+wiring too, with the stepped cycle's lines inline; while ``step`` is
+replaced on the class or the instance (a probe), it calls the ``self.step``
+bound at its entry for each cycle it steps instead, so the probe sees every
+stepped cycle.
 """
 
 from __future__ import annotations
@@ -231,11 +233,17 @@ class System:
         deadlock reaches them at once, in ceil(max_cycles / IDLE_FOREVER)
         skips: IDLE_FOREVER is a one-digit int, not infinity, so that CPython
         specializes the poll's compares). The loop is the wiring's compiled
-        ``run``; each stepped cycle calls the ``self.step`` bound here."""
+        ``run``, which runs each stepped cycle inline, or, while ``step`` is
+        replaced on the class or the instance (a probe), calls the
+        ``self.step`` bound here for it."""
+        if type(max_cycles) is not int:
+            raise ConfigurationError("max_cycles must be an integer")
         if max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
         self.schedule()  # a combinational loop fails before the first cycle
-        return self._run(self, predicate, max_cycles, self.step)
+        step = self.step
+        return self._run(self, predicate, max_cycles,
+                         None if getattr(step, "__func__", None) is _STEP else step)
 
     def state_summary(self) -> dict[str, str]:
         return {c.name: c.trace_state() for c in self.components}
@@ -250,38 +258,43 @@ class System:
                                for cy in range(self.cycle, self.cycle + n))
 
 
+_STEP = System.step  # run_until runs the cycle inline while self.step is this
+
+
 @lru_cache(maxsize=64)
 def _cycle_code(wiring: str, blocks: int, components: int, channels: int):
     """Code defining ``cycle(system)``, one stepped cycle: each block in
     schedule order, the trace hook, each tick, then per channel: count a
     transfer, drop the message. It also defines ``run(system, predicate,
     max_cycles, step)``, the loop of ``run_until``: the idle poll keeps each
-    component's ``idle_cycles()`` in a local ``k<i>`` and calls ``step`` at
-    the first k <= 0; otherwise it skips n cycles, the least of each k and
-    the budget, found by one compare per k (not a ``min()`` call), and ticks,
-    at the last of them, only the components with k == n. Compiling both
-    takes about 0.6 ms (2 vCPUs, Python 3.11), which a sweep of short runs
-    would pay per run, so wirings of one shape share the code."""
-    src = ["def cycle(system):"]
-    src += [f"    b{i}()" for i in range(blocks)]
-    src += ["    if system._trace is not None:", "        system._write_trace()"]
-    src += [f"    t{i}()" for i in range(components)]
+    component's ``idle_cycles()`` in a local ``k<i>`` and stops at the first
+    k <= 0, which falls through to one stepped cycle: ``step()`` if ``step``
+    is not None, else the lines of ``cycle`` inline. Otherwise it skips n
+    cycles, the least of each k and the budget, found by one compare per k
+    (not a ``min()`` call), and ticks, at the last of them, only the
+    components with k == n. Compiling both takes about 0.5 ms (four
+    components; 2 vCPUs, Python 3.11), which a sweep of short runs would pay
+    per run, so wirings of one shape share the code."""
+    body = [f"b{i}()" for i in range(blocks)]
+    body += ["if system._trace is not None:", "    system._write_trace()"]
+    body += [f"t{i}()" for i in range(components)]
     for c in (f"c{i}" for i in range(channels)):
-        src += [f"    if {c}.msg is not None:", f"        if {c}.rdy:",
-                f"            {c}.transfers += 1", f"        {c}.msg = None"]
-    src.append("    system.cycle += 1")
+        body += [f"if {c}.msg is not None:", f"    if {c}.rdy:",
+                 f"        {c}.transfers += 1", f"    {c}.msg = None"]
+    body.append("system.cycle += 1")
+    src = ["def cycle(system):", *("    " + line for line in body)]
+    poll = " and ".join(f"(k{i} := i{i}()) > 0" for i in range(components)) or "True"
     src += ["def run(system, predicate, max_cycles, step):", "    steps = 0",
             "    while not predicate():", "        if steps >= max_cycles:",
-            "            return False"]
-    for i in range(components):
-        src += [f"        k{i} = i{i}()", f"        if k{i} <= 0:", "            step()",
-                "            steps += 1", "            continue"]
-    src.append("        n = max_cycles - steps")
-    src += [f"        if k{i} < n:\n            n = k{i}" for i in range(components)]
+            "            return False", f"        if {poll}:",
+            "            n = max_cycles - steps"]
+    src += [f"            if k{i} < n:\n                n = k{i}" for i in range(components)]
     # no component asserts val in these n cycles: only the last of them can
     # change a component, and only one whose idle stretch ends there
-    src += ["        if system._trace is not None:", "            system._write_trace(n)",
-            "        system.cycle += n - 1"]
-    src += [f"        if k{i} == n:\n            t{i}()" for i in range(components)]
-    src += ["        system.cycle += 1", "        steps += n", "    return True"]
+    src += ["            if system._trace is not None:",
+            "                system._write_trace(n)", "            system.cycle += n - 1"]
+    src += [f"            if k{i} == n:\n                t{i}()" for i in range(components)]
+    src += ["            system.cycle += 1", "            steps += n", "            continue",
+            "        steps += 1", "        if step is not None:", "            step()",
+            "            continue", *("        " + line for line in body), "    return True"]
     return compile("\n".join(src), f"<cycle of {wiring}>", "exec")

@@ -105,21 +105,32 @@ MUTANTS = [
            "            if not hasattr(comp, port):\n",
            killer="tests/test_kernel.py::test_connect_refuses_a_name_no_block_declares[pf]"),
     Mutant("skip-drops-final-tick", "kernel.py",
-           'f"        if k{i} == n:',
-           'f"        if k{i} == n + 1:',
+           'f"            if k{i} == n:',
+           'f"            if k{i} == n + 1:',
            killer="tests/test_acceptance.py::test_01_coherence_oracle"),
     Mutant("poll-skips-last-component", "kernel.py",
-           'f"        k{i} = i{i}()"',
-           'f"        k{i} = i{i}() if {i + 1 < components} else max_cycles - steps"',
+           'f"(k{i} := i{i}()) > 0"',
+           'f"(k{i} := i{i}() if {i + 1 < components} else max_cycles - steps) > 0"',
            killer="tests/test_acceptance.py::test_01_coherence_oracle"),
     Mutant("skip-ignores-budget", "kernel.py",
-           '"        n = max_cycles - steps"',
-           '"        n = float(\'inf\')"',
+           '"            n = max_cycles - steps"',
+           '"            n = float(\'inf\')"',
            killer="tests/test_kernel.py::test_run_until_on_an_empty_system_skips_to_the_budget"),
     Mutant("skip-chain-drops-last-k", "kernel.py",
            'n = k{i}" for i in range(components)]',
            'n = k{i}" for i in range(components - 1)]',
            killer="tests/test_acceptance.py::test_01_coherence_oracle"),
+    # the same cycles, but each stepped cycle pays two calls more
+    Mutant("step-always-delegated", "kernel.py",
+           'None if getattr(step, "__func__", None) is _STEP else step)',
+           "step)",
+           killer="tests/test_kernel.py::test_python_calls_per_cycle_stay_under_their_ceiling"
+                  "[random]"),
+    Mutant("probe-bypassed", "kernel.py",
+           'None if getattr(step, "__func__", None) is _STEP else step)',
+           "None)",
+           killer="tests/test_harness.py::test_a_probe_on_the_class_sees_every_stepped_cycle"
+                  "[baseline]"),
     # the same cycles, but no compare of the run loop specializes
     Mutant("idle-forever-float", "kernel.py",
            "IDLE_FOREVER = 2**30 - 1\n",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, ExperimentConfig,
-                      Read, Write, build_system, cli, dump_image, harness,
+                      Read, System, Write, build_system, cli, dump_image, harness,
                       make_config, make_workload, replay_program, run_experiment)
 from chasesim.harness import (TOPOLOGIES, collect_counters, report,
                               result_rows, sweep)
@@ -393,9 +393,16 @@ def stepped(handle):
 
 
 def skipping(handle):
+    """run_until with ``step`` replaced on the instance (a probe): each
+    stepped cycle is handed to it. Returns how many it counted."""
     steps = count_steps(handle.system)
     assert handle.system.run_until(lambda: handle.core.done, max_cycles=200_000)
     return steps[0]
+
+
+def unprobed(handle):
+    """run_until with the stock ``step``: each stepped cycle runs inline."""
+    assert handle.system.run_until(lambda: handle.core.done, max_cycles=200_000)
 
 
 def test_skip_table_covers_every_workload():
@@ -407,15 +414,37 @@ def test_skip_table_covers_every_workload():
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_run_until_skips_to_the_same_result_as_stepping(name, topology, latency):
     # cycles, every counter, the final image and the trace bytes must not
-    # depend on whether idle cycles are stepped one by one or skipped; each
-    # run's transfer counts must match its trace (checked in finish)
+    # depend on whether idle cycles are stepped one by one or skipped, nor on
+    # whether a skipping run hands its stepped cycles to a probed step or
+    # runs them inline; each run's transfer counts must match its trace
+    # (checked in finish)
     cfg = make_config(topology, latency, name, **SMALL[name])
     want, cycles = finish(cfg, stepped)
     got, steps = finish(cfg, skipping)
-    assert got[0] == want[0] == cycles
-    assert got[1] == want[1]
-    assert got[2] == want[2]
-    assert got[3] == want[3]
+    inline, _ = finish(cfg, unprobed)
+    assert got[0] == inline[0] == want[0] == cycles
+    assert got[1] == inline[1] == want[1]
+    assert got[2] == inline[2] == want[2]
+    assert got[3] == inline[3] == want[3]
     if latency == 40:
         assert steps < cycles  # memory waits are skipped, not stepped
 
+
+@pytest.mark.parametrize("topology", ("baseline", "alternate"))
+def test_a_probe_on_the_class_sees_every_stepped_cycle(monkeypatch, topology):
+    # perfbench's Tracer replaces System.step on the class: run_until hands
+    # it each stepped cycle, as it does a step replaced on the instance, and
+    # the results are the inline run's
+    cfg = make_config(topology, 40, "random", **SMALL["random"])
+    inline, _ = finish(cfg, unprobed)
+    _, steps = finish(cfg, skipping)
+    probed = [0]
+    step = System.step
+
+    def probe(system):
+        probed[0] += 1
+        step(system)
+    monkeypatch.setattr(System, "step", probe)
+    got, _ = finish(cfg, unprobed)
+    assert probed[0] == steps > 0
+    assert got == inline

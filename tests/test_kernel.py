@@ -115,18 +115,17 @@ def test_channel_val_is_a_read_only_view_of_msg():
 @pytest.mark.parametrize("topology", ["baseline", "alternate"])
 def test_each_stepped_cycle_drops_every_message(topology):
     # val is msg is not None, so a message left over would be a val that
-    # every later eval block sees asserted
+    # every later eval block sees asserted; the predicate runs after every
+    # stepped cycle and every skip of the unprobed run, which steps inline
     handle = build_system(make_config(topology, 4, "random", n=200))
-    system, held = handle.system, []
-    steps = count_steps(system)
-    step = system.step
+    system, held, checks = handle.system, [], [0]
 
-    def checked():
-        step()
+    def done():
+        checks[0] += 1
         held.extend((system.cycle, ch.name) for ch in system.channels if ch.msg is not None)
-    system.step = checked
-    assert system.run_until(lambda: handle.core.done)
-    assert steps[0] > 100
+        return handle.core.done
+    assert system.run_until(done)
+    assert checks[0] > 100
     assert held == []
 
 
@@ -169,6 +168,21 @@ def test_run_until_rejects_empty_budget():
     sys_, src, _, _ = wire_source_to_sink([req(0x10)])
     with pytest.raises(ConfigurationError, match="max_cycles"):
         sys_.run_until(lambda: src.done, max_cycles=0)
+
+
+@pytest.mark.parametrize("budget,traced", [(1e6, False), (10.0, True), (True, False)],
+                         ids=["1e6", "10.0-traced", "True"])
+def test_run_until_refuses_a_budget_that_is_not_an_int(budget, traced):
+    # unchecked, 1e6 ran to a float cycle count of 1000000.0, 10.0 with a
+    # trace attached raised a TypeError from the trace writer, and True ran
+    # one cycle
+    sys_, src, _, _ = wire_source_to_sink([req(0x10)], sink_delays=[10**9])
+    trace = io.StringIO()
+    if traced:
+        sys_.attach_trace(trace)
+    with pytest.raises(ConfigurationError, match="^max_cycles must be an integer$"):
+        sys_.run_until(lambda: False, max_cycles=budget)
+    assert sys_.cycle == 0 and trace.getvalue() == ""
 
 
 def test_run_until_on_an_empty_system_skips_to_the_budget():
@@ -414,16 +428,17 @@ def test_methods_are_bound_when_the_schedule_is():
 # prefetcher, with prefetcher). One traced pass per case counts all three:
 # calls as its sys.settrace "call" events, bytecodes as its opcode events,
 # C calls as its sys.setprofile "c_call" events; the guards below read the
-# same pass. Measured calls 7.86/11.44, 1.41/2.96 and 6.14/7.98; bytecodes
-# 216.0/325.1, 38.5/91.1 and 165.2/215.1; C calls 0.940/0.947, 0.201/0.304
+# same pass. Measured calls 6.98/10.44, 1.27/2.77 and 5.55/7.34; bytecodes
+# 208.8/316.9, 37.4/89.6 and 160.5/209.9; C calls 0.940/0.947, 0.201/0.304
 # and 0.888/0.861. Bytecodes alone once rewarded a min() per skip: it ran 8
 # bytecodes fewer than a compare chain, but as a C call it cost about twice
 # the time. A ceiling is set about 3% above the count measured when it is
-# set, and stays put when a count falls.
+# set. The call ceilings also tell the inline stepped cycle from one handed
+# to ``step``, which costs two calls per stepped cycle.
 PER_CYCLE = [
-    ("random", 4, dict(n=2000), (8.10, 11.8), (222, 335), (0.968, 0.975)),
-    ("traversal", 40, dict(nodes=200, gap=12), (1.45, 3.05), (39.7, 93.8), (0.207, 0.313)),
-    ("array", 10, dict(elements=512), (6.33, 8.22), (170, 221.5), (0.915, 0.887)),
+    ("random", 4, dict(n=2000), (7.19, 10.75), (215, 326), (0.968, 0.975)),
+    ("traversal", 40, dict(nodes=200, gap=12), (1.31, 2.85), (38.5, 92.3), (0.207, 0.313)),
+    ("array", 10, dict(elements=512), (5.72, 7.56), (165.5, 216), (0.915, 0.887)),
 ]
 PER_CYCLE_IDS = [case[0] for case in PER_CYCLE]
 PER_CYCLE_ARGS = "name,latency,params,call_ceilings,bytecode_ceilings,c_call_ceilings"
@@ -572,13 +587,19 @@ def test_schedule_does_not_depend_on_component_order(latency):
 
 @pytest.mark.parametrize("topology", ["baseline", "alternate"])
 def test_each_eval_block_runs_once_per_stepped_cycle(topology):
-    handle = build_system(make_config(topology, 4, "random", n=200))
+    # the unprobed run steps inline; its probed twin delegates each stepped
+    # cycle to the replaced step, which counts them
+    config = make_config(topology, 4, "random", n=200)
+    twin = build_system(config)
+    steps = count_steps(twin.system)
+    assert twin.system.run_until(lambda: twin.core.done)
+    handle = build_system(config)
     calls = {(c.name, m): 0 for c in handle.system.components for m in c.blocks}
 
     def counted(comp, block):
         calls[comp.name, block] += 1
     after_each_block(handle.system, counted)
-    steps = count_steps(handle.system)
     assert handle.system.run_until(lambda: handle.core.done)
+    assert handle.system.cycle == twin.system.cycle
     assert steps[0] > 100
     assert calls == dict.fromkeys(calls, steps[0])
