@@ -11,7 +11,10 @@ the tick of cycle t lasts cycles t+1..t+c, without memory traffic.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import eq
 
 from .kernel import IDLE_FOREVER, Component
 from .messages import READ, READCP, WRITE, MemRequest, word_bytes
@@ -49,6 +52,33 @@ def as_generator(program):
     return program() if callable(program) else (tok for tok in program)
 
 
+class LoadLog:
+    """A read-only view of the core's loads as (addr, value) pairs in issue
+    order, over one array of 32-bit words: addr, value, addr, value, ...,
+    8 bytes a load. It compares equal to a sequence of the same pairs,
+    streaming them; it is unhashable."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: array):
+        self._words = words
+
+    def __len__(self):
+        return len(self._words) // 2
+
+    def __iter__(self):
+        words = iter(self._words)
+        return zip(words, words)
+
+    def __eq__(self, other):
+        if not isinstance(other, (LoadLog, Sequence)):
+            return NotImplemented
+        return len(other) == len(self) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return f"LoadLog({list(self)!r})"
+
+
 class CoreModel(Component):
     name = "core"
     down = ("mem_req", "mem_resp")
@@ -59,7 +89,9 @@ class CoreModel(Component):
         self._req: MemRequest | None = None  # the current token's request
         self.state = REQUEST
         self._compute_end = 0  # last cycle of the current Compute
-        self.loads: list[tuple[int, int]] = []  # (addr, value) in issue order
+        # addr, value, addr, value, ...: addresses and loaded words are 32-bit
+        self._load_words = array("I")
+        self.loads = LoadLog(self._load_words)
         self.done = False
         self._advance(None, -1)  # the program starts at cycle 0
 
@@ -102,7 +134,7 @@ class CoreModel(Component):
             if r is not None:
                 if self._req.kind != WRITE:  # a Read or ReadCP: a load
                     value = int.from_bytes(r.data[:4], "little")
-                    self.loads.append((self._req.addr, value))
+                    self._load_words.extend((self._req.addr, value))
                     self._advance(value, self.system.cycle)
                 else:
                     self._advance(None, self.system.cycle)

@@ -271,9 +271,11 @@ def _random(seed: int, n: int) -> Workload:
     rng = Lcg(seed)
     region = _pack(rng.draws(RANDOM_LINES * LINE_WORDS))
     r_cut, w_cut = RANDOM_MIX[0], RANDOM_MIX[0] + RANDOM_MIX[1]
+    # the region's word addresses, built once: tokens share one int an address
+    addrs = [WORD_BYTES * i for i in range(RANDOM_LINES * LINE_WORDS)]
     tokens: list[Token] = []
     for _ in range(n):
-        addr = WORD_BYTES * rng.randrange(RANDOM_LINES * LINE_WORDS)
+        addr = addrs[rng.randrange(RANDOM_LINES * LINE_WORDS)]
         p = rng.next() / LCG_MOD
         if p < r_cut:
             tokens.append(Read(addr))

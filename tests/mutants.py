@@ -1,17 +1,17 @@
 """Mutation check: does the tier-1 suite catch each known fault?
 
-Each mutant is an exact text patch to one file under ``src/chasesim``. For
-each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into
-a temporary directory, applies the patch there and runs tier-1 on the copy,
-stopping at the first failure. It runs the mutant's ``killer`` first, the
-test that killed it in the last full run, and the whole suite
-(``PATCH_TEST``, which checks the patches themselves, left out) only if that
-test passes. It prints ``killed`` if some test failed or ``survived`` if none
-did, and ``stale killer`` beside a mutant that only the whole suite killed:
-its killer should be updated to the test named there. A run that outlasts
-``TIMEOUT_S`` counts as killed: the mutant made some run hang. The
-unmutated copy runs the whole suite first. Mutants run two at a time (one
-on a single-CPU host). The working tree is never changed.
+Each mutant is one or more exact text patches to one file under
+``src/chasesim``. For each mutant the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, applies its patches there and
+runs tier-1 on the copy, stopping at the first failure. It runs the mutant's
+``killer`` first, the test that killed it in the last full run, and the whole
+suite (``PATCH_TEST``, which checks the patches themselves, left out) only if
+that test passes. It prints ``killed`` if some test failed or ``survived`` if
+none did, and ``stale killer`` beside a mutant that only the whole suite
+killed: its killer should be updated to the test named there. A run that
+outlasts ``TIMEOUT_S`` counts as killed: the mutant made some run hang. The
+unmutated copy runs the whole suite first. Mutants run two at a time (one on a
+single-CPU host). The working tree is never changed.
 
 Run from anywhere; it takes a minute or two::
 
@@ -56,6 +56,11 @@ class Mutant:
     # test, which draws new examples each run and may miss it
     killer: str = ""
     equivalent: str = ""  # why no test can tell it apart, if it is equivalent
+    also: tuple[tuple[str, str], ...] = ()  # more (old, new) patches to the same file
+
+    @property
+    def patches(self) -> tuple[tuple[str, str], ...]:
+        return ((self.old, self.new), *self.also)
 
 
 MUTANTS = [
@@ -314,6 +319,22 @@ MUTANTS = [
            "            self.mem_req.msg = self._req\n        self.mem_resp.rdy = False\n",
            "            self.mem_req.msg = self._req\n",
            killer="tests/test_activity.py::test_eval_blocks_touch_exactly_their_declared_signals"),
+    Mutant("load-log-compares-lengths-only", "core.py",
+           "        return len(other) == len(self) and all(map(eq, self, other))\n",
+           "        return len(other) == len(self)\n",
+           killer="tests/test_kernel.py::test_the_load_log_differs_from_other_pairs"),
+    # the log keeps every result, so only its bytes per load tell it apart
+    Mutant("load-log-back-to-tuples", "core.py",
+           "        self._load_words = array(\"I\")\n"
+           "        self.loads = LoadLog(self._load_words)\n",
+           "        self.loads = []\n",
+           also=(("self._load_words.extend((self._req.addr, value))",
+                  "self.loads.append((self._req.addr, value))"),),
+           killer="tests/test_kernel.py::test_a_finished_run_holds_few_bytes_per_token"),
+    Mutant("random-address-per-token", "workloads.py",
+           "        addr = addrs[rng.randrange(RANDOM_LINES * LINE_WORDS)]\n",
+           "        addr = WORD_BYTES * rng.randrange(RANDOM_LINES * LINE_WORDS)\n",
+           killer="tests/test_kernel.py::test_a_random_build_allocates_few_bytes_per_token"),
 ]
 
 
@@ -358,10 +379,12 @@ def suite_fails(tree: Path) -> str:
 def apply(tree: Path, m: Mutant):
     path = tree / "src" / "chasesim" / m.path
     text = path.read_text()
-    if text.count(m.old) != 1:
-        raise SystemExit(f"{m.name}: patch matches {m.path} "
-                         f"{text.count(m.old)} times, not once")
-    path.write_text(text.replace(m.old, m.new))
+    for old, new in m.patches:
+        if text.count(old) != 1:
+            raise SystemExit(f"{m.name}: patch matches {m.path} "
+                             f"{text.count(old)} times, not once")
+        text = text.replace(old, new)
+    path.write_text(text)
 
 
 def verdict(tmp: Path, m: Mutant) -> tuple[str, bool]:
