@@ -21,16 +21,15 @@ val. Each component reports ``idle_cycles()``: for how many cycles from now
 it asserts no val while nothing arrives, and its tick with nothing arriving
 changes nothing except in the last of them. When all of them report more
 than 0 and n is the least report, nothing can transfer in those n cycles, so
-the kernel writes the n trace lines unchanged, moves the cycle to the last
-of them and runs there only the ticks of the components that reported
-exactly n: the others would change nothing. The predicate is therefore
-evaluated at every cycle where a component's state, a transfer log or a
-counter can change, which makes predicates over those exact. ``step``
-always advances exactly one cycle. ``run_until``'s loop is compiled per
-wiring too, with the stepped cycle's lines inline; while ``step`` is
-replaced on the class or the instance (a probe), it calls the ``self.step``
-bound at its entry for each cycle it steps instead, so the probe sees every
-stepped cycle.
+the kernel moves the cycle to the last of them and runs there only the ticks
+of the components that reported exactly n: the others would change nothing.
+The predicate is therefore evaluated at every cycle where a component's
+state, a transfer log or a counter can change, which makes predicates over
+those exact. ``run_until``'s loop is compiled per wiring too, with the
+stepped cycle's lines inline. ``step`` always advances exactly one cycle,
+and only it writes a trace line: a watched system (a trace attached, or
+``step`` replaced on the class or the instance: a probe) is never skipped,
+since ``run_until`` calls its ``step`` for every cycle.
 """
 
 from __future__ import annotations
@@ -233,32 +232,34 @@ class System:
         deadlock reaches them at once, in ceil(max_cycles / IDLE_FOREVER)
         skips: IDLE_FOREVER is a one-digit int, not infinity, so that CPython
         specializes the poll's compares). The loop is the wiring's compiled
-        ``run``, which runs each stepped cycle inline, or, while ``step`` is
-        replaced on the class or the instance (a probe), calls the
-        ``self.step`` bound here for it."""
+        ``run``. A watched system (a trace attached, or ``step`` replaced on
+        the class or the instance: a probe) calls the ``self.step`` bound
+        here for every cycle instead, a deadlock's whole budget included."""
         if type(max_cycles) is not int:
             raise ConfigurationError("max_cycles must be an integer")
         if max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
         self.schedule()  # a combinational loop fails before the first cycle
         step = self.step
-        return self._run(self, predicate, max_cycles,
-                         None if getattr(step, "__func__", None) is _STEP else step)
+        if self._trace is None and getattr(step, "__func__", None) is _STEP:
+            return self._run(self, predicate, max_cycles)
+        for _ in range(max_cycles):
+            if predicate():
+                return True
+            step()
+        return bool(predicate())
 
     def state_summary(self) -> dict[str, str]:
         return {c.name: c.trace_state() for c in self.components}
 
-    def _write_trace(self, n: int = 1):
-        """One line per cycle for this cycle and the n - 1 after it, which
-        must be idle (same states, no transfers)."""
+    def _write_trace(self):
+        """This cycle's line: component states, then transfer markers."""
         parts = [f"{c.name}:{c.trace_state():<2}" for c in self.components]
         parts += [f"[{ch.name} {ch.msg}]" for ch in self.channels if ch.val and ch.rdy]
-        tail = "".join(" " + p for p in parts) + "\n"
-        self._trace.writelines(f"{cy:8d}{tail}"
-                               for cy in range(self.cycle, self.cycle + n))
+        self._trace.write(f"{self.cycle:8d}" + "".join(" " + p for p in parts) + "\n")
 
 
-_STEP = System.step  # run_until runs the cycle inline while self.step is this
+_STEP = System.step  # run_until runs the compiled loop while self.step is this
 
 
 @lru_cache(maxsize=64)
@@ -266,35 +267,33 @@ def _cycle_code(wiring: str, blocks: int, components: int, channels: int):
     """Code defining ``cycle(system)``, one stepped cycle: each block in
     schedule order, the trace hook, each tick, then per channel: count a
     transfer, drop the message. It also defines ``run(system, predicate,
-    max_cycles, step)``, the loop of ``run_until``: the idle poll keeps each
+    max_cycles)``, unwatched ``run_until``'s loop: the idle poll keeps each
     component's ``idle_cycles()`` in a local ``k<i>`` and stops at the first
-    k <= 0, which falls through to one stepped cycle: ``step()`` if ``step``
-    is not None, else the lines of ``cycle`` inline. Otherwise it skips n
-    cycles, the least of each k and the budget, found by one compare per k
-    (not a ``min()`` call), and ticks, at the last of them, only the
-    components with k == n. Compiling both takes about 0.5 ms (four
-    components; 2 vCPUs, Python 3.11), which a sweep of short runs would pay
-    per run, so wirings of one shape share the code."""
-    body = [f"b{i}()" for i in range(blocks)]
-    body += ["if system._trace is not None:", "    system._write_trace()"]
-    body += [f"t{i}()" for i in range(components)]
+    k <= 0, which falls through to ``cycle``'s lines inline, less the trace
+    hook. Otherwise it skips n cycles, the least of each k and the budget,
+    found by one compare per k (not a ``min()`` call), and ticks, at the
+    last of them, only the components with k == n. Compiling both takes
+    about 0.5 ms (four components; 2 vCPUs, Python 3.11), which a sweep of
+    short runs would pay per run, so wirings of one shape share the code."""
+    evals = [f"b{i}()" for i in range(blocks)]
+    commit = [f"t{i}()" for i in range(components)]
     for c in (f"c{i}" for i in range(channels)):
-        body += [f"if {c}.msg is not None:", f"    if {c}.rdy:",
-                 f"        {c}.transfers += 1", f"    {c}.msg = None"]
-    body.append("system.cycle += 1")
-    src = ["def cycle(system):", *("    " + line for line in body)]
+        commit += [f"if {c}.msg is not None:", f"    if {c}.rdy:",
+                   f"        {c}.transfers += 1", f"    {c}.msg = None"]
+    commit.append("system.cycle += 1")
+    hook = ["if system._trace is not None:", "    system._write_trace()"]
+    src = ["def cycle(system):", *("    " + line for line in evals + hook + commit)]
     poll = " and ".join(f"(k{i} := i{i}()) > 0" for i in range(components)) or "True"
-    src += ["def run(system, predicate, max_cycles, step):", "    steps = 0",
+    src += ["def run(system, predicate, max_cycles):", "    steps = 0",
             "    while not predicate():", "        if steps >= max_cycles:",
             "            return False", f"        if {poll}:",
             "            n = max_cycles - steps"]
     src += [f"            if k{i} < n:\n                n = k{i}" for i in range(components)]
     # no component asserts val in these n cycles: only the last of them can
     # change a component, and only one whose idle stretch ends there
-    src += ["            if system._trace is not None:",
-            "                system._write_trace(n)", "            system.cycle += n - 1"]
-    src += [f"            if k{i} == n:\n                t{i}()" for i in range(components)]
+    src += ["            system.cycle += n - 1",
+            *(f"            if k{i} == n:\n                t{i}()" for i in range(components))]
     src += ["            system.cycle += 1", "            steps += n", "            continue",
-            "        steps += 1", "        if step is not None:", "            step()",
-            "            continue", *("        " + line for line in body), "    return True"]
+            "        steps += 1", *("        " + line for line in evals + commit),
+            "    return True"]
     return compile("\n".join(src), f"<cycle of {wiring}>", "exec")

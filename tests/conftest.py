@@ -24,7 +24,7 @@ import pytest
 from hypothesis import strategies as st
 
 import chasesim.kernel as kernel
-from chasesim import (BlockingCache, Channel, CoreModel, Lcg, MemRequest, MsgKind,
+from chasesim import (BlockingCache, Channel, Component, CoreModel, Lcg, MemRequest, MsgKind,
                       PipelinedMemory, PointerChasePrefetcher, Read, ReadCP, System,
                       TestSink, TestSource, Write, build_testbench, replay_program)
 from chasesim.core import as_generator
@@ -64,17 +64,28 @@ def chase_testbench(latency, src_delays, sink_delays=(), *stages):
                            *stages, sink_delays=sink_delays, segments=segments)
 
 
+class StepCounter(Component):
+    """A passive component: no blocks, idle forever, ticks counted. The
+    kernel ticks it in every stepped cycle and in no skip shorter than
+    IDLE_FOREVER, so it counts stepped cycles without replacing ``step``,
+    which would make run_until step every cycle."""
+
+    name = "steps"
+    blocks = {}
+
+    def __init__(self):
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+    def idle_cycles(self):
+        return kernel.IDLE_FOREVER
+
+
 def count_steps(system):
-    """Make system.step count its calls in the returned one-item list."""
-    steps = [0]
-    step = system.step
-
-    def counted():
-        steps[0] += 1
-        step()
-
-    system.step = counted
-    return steps
+    """Add a StepCounter to system, before its first cycle; return it."""
+    return system.add(StepCounter())
 
 
 def after_each_block(system, hook):

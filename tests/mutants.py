@@ -125,17 +125,21 @@ MUTANTS = [
            'n = k{i}" for i in range(components)]',
            'n = k{i}" for i in range(components - 1)]',
            killer="tests/test_acceptance.py::test_01_coherence_oracle"),
-    # the same cycles, but each stepped cycle pays two calls more
-    Mutant("step-always-delegated", "kernel.py",
-           'None if getattr(step, "__func__", None) is _STEP else step)',
-           "step)",
-           killer="tests/test_kernel.py::test_python_calls_per_cycle_stay_under_their_ceiling"
-                  "[random]"),
-    Mutant("probe-bypassed", "kernel.py",
-           'None if getattr(step, "__func__", None) is _STEP else step)',
-           "None)",
-           killer="tests/test_harness.py::test_a_probe_on_the_class_sees_every_stepped_cycle"
-                  "[baseline]"),
+    Mutant("trace-runs-compiled", "kernel.py",
+           "        if self._trace is None and getattr(step,",
+           "        if getattr(step,",
+           killer="tests/test_kernel.py::test_a_watched_run_steps_every_cycle[trace]"),
+    Mutant("probe-runs-compiled", "kernel.py",
+           'if self._trace is None and getattr(step, "__func__", None) is _STEP:',
+           "if self._trace is None:",
+           killer="tests/test_kernel.py::test_a_watched_run_steps_every_cycle[probe]"),
+    # a tick runs at the end of a one-cycle skip too: only an eval that
+    # asserts a message tells the default 0 from 1
+    Mutant("idle-default-one", "kernel.py",
+           "0 means it may assert val now.\"\"\"\n        return 0\n",
+           "0 means it may assert val now.\"\"\"\n        return 1\n",
+           killer="tests/test_kernel.py::"
+                  "test_a_component_that_asserts_every_cycle_transfers_every_cycle"),
     # the same cycles, but no compare of the run loop specializes
     Mutant("idle-forever-float", "kernel.py",
            "IDLE_FOREVER = 2**30 - 1\n",
@@ -250,6 +254,23 @@ MUTANTS = [
            "    finally:\n        _sweep_share = None\n",
            "    finally:\n        pass\n",
            killer="tests/test_harness.py::test_no_share_outlives_a_sweep[returns]"),
+    # behind a blocking cache only a refusing sink holds a response back
+    Mutant("read-data-left-unsent", "cache.py",
+           "        elif st == READ_DATA:\n"
+           "            if self.core_resp.rdy and self.core_resp.msg is not None:\n",
+           "        elif st == READ_DATA:\n"
+           "            if self.core_resp.rdy or self.core_resp.msg is not None:\n",
+           killer="tests/test_cache.py::test_a_refusing_sink_still_gets_every_response[read]"),
+    Mutant("write-data-left-unsent", "cache.py",
+           "        elif st == WRITE_DATA:\n"
+           "            if self.core_resp.rdy and self.core_resp.msg is not None:\n",
+           "        elif st == WRITE_DATA:\n"
+           "            if self.core_resp.rdy or self.core_resp.msg is not None:\n",
+           killer="tests/test_cache.py::test_a_refusing_sink_still_gets_every_response[write]"),
+    Mutant("geometry-not-frozen", "messages.py",
+           "@dataclass(frozen=True, slots=True)\nclass AddrGeometry:\n",
+           "@dataclass(slots=True)\nclass AddrGeometry:\n",
+           killer="tests/test_messages.py::test_geometry_is_frozen"),
     Mutant("tag-check-takes-two-cycles", "cache.py",
            "        elif st == TAG_CHECK:\n            self._tag_check()\n",
            "        elif st == TAG_CHECK:\n"

@@ -103,6 +103,24 @@ def test_direct_mapped_conflict_never_hits():
     assert cache.stats.read_hits == 0
 
 
+@pytest.mark.parametrize("make", [lambda i: rd(0x100 + 4 * i),
+                                  lambda i: wr(0x100 + 4 * i, 0xA0 + i)],
+                         ids=["read", "write"])
+def test_a_refusing_sink_still_gets_every_response(make):
+    # the sink refuses for 7, 3 and 9 cycles: the cache must hold each
+    # response until the sink takes it, not drop it on the cycle it asserts it
+    script = [make(i) for i in range(6)]
+    sys_, src, sink, cache, mem = build_testbench(
+        5, script, BlockingCache(), sink_delays=[0, 7, 0, 3, 0, 9],
+        segments=[(0x100, bytes(range(32)))])
+    assert sys_.run_until(lambda: len(sink.received) == 6, 45)
+    got = sink.responses()
+    assert [r.kind for r in got] == [r.kind for r in script]
+    if script[0].kind == MsgKind.READ:
+        assert [r.data for r in got] == [bytes(range(4 * i, 4 * i + 4)) for i in range(6)]
+    assert cache.state == IDLE
+
+
 def test_blocking_one_outstanding_miss():
     latency = 10
     sys_, src, sink, cache, mem = build_testbench(

@@ -368,19 +368,15 @@ def test_no_share_outlives_a_sweep(monkeypatch, ends):
 
 # -- idle-cycle skipping --
 
-def finish(config, advance):
-    """Run config to core.done with advance(handle); return what it made."""
-    trace = io.StringIO()
+def finish(config, advance, trace=None):
+    """Run config to core.done with advance(handle), traced into trace if
+    given; return what the run made and what advance returned."""
     handle = build_system(config, trace=trace)
-    steps = advance(handle)
+    got = advance(handle)
     handle.cache.flush_dirty(handle.memory.poke_line)
-    text = trace.getvalue()
-    # two independent counts: the markers the trace writer prints before the
-    # ticks, and the count the compiled cycle keeps as it resets each channel
-    for ch in handle.system.channels:
-        assert ch.transfers == text.count(f" [{ch.name} "), ch.name
+    transfers = {ch.name: ch.transfers for ch in handle.system.channels}
     return (handle.system.cycle, collect_counters(handle),
-            dump_image(handle.memory.store), text), steps
+            dump_image(handle.memory.store), transfers), got
 
 
 def stepped(handle):
@@ -392,17 +388,17 @@ def stepped(handle):
     return steps
 
 
+def running(handle):
+    """run_until: it skips, unless a trace or a probe watches the system."""
+    assert handle.system.run_until(lambda: handle.core.done, max_cycles=200_000)
+
+
 def skipping(handle):
-    """run_until with ``step`` replaced on the instance (a probe): each
-    stepped cycle is handed to it. Returns how many it counted."""
-    steps = count_steps(handle.system)
-    assert handle.system.run_until(lambda: handle.core.done, max_cycles=200_000)
-    return steps[0]
-
-
-def unprobed(handle):
-    """run_until with the stock ``step``: each stepped cycle runs inline."""
-    assert handle.system.run_until(lambda: handle.core.done, max_cycles=200_000)
+    """An unwatched run_until; returns how many cycles it stepped, counted
+    by a passive component."""
+    counter = count_steps(handle.system)
+    running(handle)
+    return counter.ticks
 
 
 def test_skip_table_covers_every_workload():
@@ -413,31 +409,31 @@ def test_skip_table_covers_every_workload():
 @pytest.mark.parametrize("topology", ("baseline", "alternate"))
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_run_until_skips_to_the_same_result_as_stepping(name, topology, latency):
-    # cycles, every counter, the final image and the trace bytes must not
-    # depend on whether idle cycles are stepped one by one or skipped, nor on
-    # whether a skipping run hands its stepped cycles to a probed step or
-    # runs them inline; each run's transfer counts must match its trace
-    # (checked in finish)
+    # cycles, every counter, the final image and each channel's transfers
+    # must not depend on whether idle cycles are stepped one by one or
+    # skipped; a traced run_until steps, and writes the stepped loop's bytes
     cfg = make_config(topology, latency, name, **SMALL[name])
-    want, cycles = finish(cfg, stepped)
+    trace, traced = io.StringIO(), io.StringIO()
+    want, cycles = finish(cfg, stepped, trace)
     got, steps = finish(cfg, skipping)
-    inline, _ = finish(cfg, unprobed)
-    assert got[0] == inline[0] == want[0] == cycles
-    assert got[1] == inline[1] == want[1]
-    assert got[2] == inline[2] == want[2]
-    assert got[3] == inline[3] == want[3]
+    assert got == finish(cfg, running, traced)[0] == want
+    assert traced.getvalue() == trace.getvalue()
+    # two independent counts: the markers the trace writer prints before the
+    # ticks, and the count the compiled cycle keeps as it resets each channel
+    text = trace.getvalue()
+    assert want[3] == {ch: text.count(f" [{ch} ") for ch in want[3]}
+    assert want[0] == cycles
     if latency == 40:
         assert steps < cycles  # memory waits are skipped, not stepped
 
 
 @pytest.mark.parametrize("topology", ("baseline", "alternate"))
-def test_a_probe_on_the_class_sees_every_stepped_cycle(monkeypatch, topology):
-    # perfbench's Tracer replaces System.step on the class: run_until hands
-    # it each stepped cycle, as it does a step replaced on the instance, and
-    # the results are the inline run's
+def test_a_probe_on_the_class_sees_every_cycle(monkeypatch, topology):
+    # perfbench's Tracer replaces System.step on the class: run_until then
+    # hands it every cycle, the ones an unwatched run skips too, and the
+    # results are the unwatched run's
     cfg = make_config(topology, 40, "random", **SMALL["random"])
-    inline, _ = finish(cfg, unprobed)
-    _, steps = finish(cfg, skipping)
+    want, steps = finish(cfg, skipping)
     probed = [0]
     step = System.step
 
@@ -445,6 +441,6 @@ def test_a_probe_on_the_class_sees_every_stepped_cycle(monkeypatch, topology):
         probed[0] += 1
         step(system)
     monkeypatch.setattr(System, "step", probe)
-    got, _ = finish(cfg, unprobed)
-    assert probed[0] == steps > 0
-    assert got == inline
+    got, _ = finish(cfg, running)
+    assert probed[0] == got[0] > steps > 0
+    assert got == want

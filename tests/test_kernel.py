@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from chasesim import (BlockingCache, Channel, CombinationalLoopError, Component, Compute,
                       ConfigurationError, CoreModel, MemRequest, MsgKind,
                       PipelinedMemory, PointerChasePrefetcher, Read, System, TestSink,
-                      TestSource, build_system, make_config, make_workload)
+                      TestSource, build_system, build_testbench, make_config,
+                      make_workload)
 from chasesim import kernel
 from chasesim.core import LoadLog
 from chasesim.testbench import LoggingMemory
@@ -120,7 +121,7 @@ def test_channel_val_is_a_read_only_view_of_msg():
 def test_each_stepped_cycle_drops_every_message(topology):
     # val is msg is not None, so a message left over would be a val that
     # every later eval block sees asserted; the predicate runs after every
-    # stepped cycle and every skip of the unprobed run, which steps inline
+    # stepped cycle and every skip of the unwatched run, which steps inline
     handle = build_system(make_config(topology, 4, "random", n=200))
     system, held, checks = handle.system, [], [0]
 
@@ -209,6 +210,24 @@ def test_a_component_that_declares_no_idle_stretch_steps_every_cycle():
     assert ticker.ticks == sys_.cycle == 9
 
 
+def test_a_component_that_asserts_every_cycle_transfers_every_cycle():
+    # only an eval tells the default idle_cycles() of 0 from 1: a tick runs
+    # at the end of a one-cycle skip as well, but no eval block does
+    class Talker(Component):
+        name = "talker"
+        blocks = {"eval": ((), ("out.val",))}
+
+        def eval(self):
+            self.out.msg = req(0x10)
+    sys_ = System()
+    talker, sink = sys_.add(Talker(), TestSink())
+    ch = sys_.connect((talker, "out"), (sink, "resp"))
+    assert talker.idle_cycles() == 0
+    assert sys_.run_until(lambda: False, 9) is False
+    assert ch.transfers == 9
+    assert [cycle for cycle, _ in sink.received] == list(range(9))
+
+
 @pytest.mark.parametrize("budget,steps_taken", [(3_000_000, 0), (10_000_000, 0)])
 def test_run_until_jumps_idle_cycles_to_the_budget(budget, steps_taken):
     # a core computing for 5M cycles, then done: no cycle asserts a val (the
@@ -217,12 +236,12 @@ def test_run_until_jumps_idle_cycles_to_the_budget(budget, steps_taken):
     system = System()
     core = CoreModel([Compute(5_000_000)])
     system.chain(core, BlockingCache(), PipelinedMemory(4))
-    steps = count_steps(system)
+    counter = count_steps(system)
     t0 = time.perf_counter()
     assert system.run_until(lambda: False, max_cycles=budget) is False
     assert time.perf_counter() - t0 < 1.0
     assert system.cycle == budget
-    assert steps[0] == steps_taken
+    assert counter.ticks == steps_taken
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,6 +368,44 @@ def test_channel_conservation():
     assert sys_.run_until(lambda: len(sink.received) == 20, 500)
     assert ch.transfers == 20
     assert [r for _, r in sink.received] == [r for r, _ in src.script]
+
+
+@pytest.mark.parametrize("watch", ["trace", "probe"])
+def test_a_watched_run_steps_every_cycle(watch):
+    # with a trace attached or step replaced on the instance, run_until
+    # calls step for every cycle, the memory waits that an unwatched run
+    # skips included, and stops on the unwatched run's cycle
+    def build():
+        return build_testbench(40, [req(0x1000), req(0x2000)], BlockingCache())
+    unwatched, _, sink, *_ = build()
+    assert unwatched.run_until(lambda: len(sink.received) == 2)
+    system, _, sink, *_ = build()
+    stepped, trace = [], io.StringIO()
+    if watch == "trace":
+        system.attach_trace(trace)
+    else:
+        step = system.step
+        system.step = lambda: stepped.append(step())
+    assert system.run_until(lambda: len(sink.received) == 2)
+    seen = trace.getvalue().count("\n") if watch == "trace" else len(stepped)
+    assert seen == system.cycle == unwatched.cycle > 80
+
+
+def test_the_compiled_run_neither_traces_nor_steps(monkeypatch):
+    # an unwatched run_until is the compiled run alone: no trace check and no
+    # call of step; the stepped cycle keeps the trace hook
+    sources = []
+
+    def kept(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(kernel, "compile", kept, raising=False)
+    kernel._cycle_code.cache_clear()  # wirings of one shape share one code object
+    build_system(make_config("alternate", 4, "random", n=20)).system.schedule()
+    cycle, run = sources[0].split("\ndef run(")
+    assert run.startswith("system, predicate, max_cycles):")
+    assert "_trace" not in run and "step(" not in run
+    assert "system._write_trace()" in cycle
 
 
 def test_trace_lines_one_per_cycle(tmp_path):
@@ -479,16 +536,15 @@ def test_methods_are_bound_when_the_schedule_is():
 # calls as its sys.settrace "call" events, bytecodes as its opcode events,
 # C calls as its sys.setprofile "c_call" events; the guards below read the
 # same pass. Measured calls 6.98/10.44, 1.27/2.77 and 5.55/7.34; bytecodes
-# 208.8/316.9, 37.4/89.6 and 160.5/209.9; C calls 0.940/0.947, 0.201/0.304
+# 205.7/313.5, 36.8/88.8 and 158.2/207.5; C calls 0.940/0.947, 0.201/0.304
 # and 0.888/0.861. Bytecodes alone once rewarded a min() per skip: it ran 8
 # bytecodes fewer than a compare chain, but as a C call it cost about twice
 # the time. A ceiling is set about 3% above the count measured when it is
-# set. The call ceilings also tell the inline stepped cycle from one handed
-# to ``step``, which costs two calls per stepped cycle.
+# set.
 PER_CYCLE = [
-    ("random", 4, dict(n=2000), (7.19, 10.75), (215, 326), (0.968, 0.975)),
-    ("traversal", 40, dict(nodes=200, gap=12), (1.31, 2.85), (38.5, 92.3), (0.207, 0.313)),
-    ("array", 10, dict(elements=512), (5.72, 7.56), (165.5, 216), (0.915, 0.887)),
+    ("random", 4, dict(n=2000), (7.19, 10.75), (212, 323), (0.968, 0.975)),
+    ("traversal", 40, dict(nodes=200, gap=12), (1.31, 2.85), (37.9, 91.5), (0.207, 0.313)),
+    ("array", 10, dict(elements=512), (5.72, 7.56), (163, 214), (0.915, 0.887)),
 ]
 PER_CYCLE_IDS = [case[0] for case in PER_CYCLE]
 PER_CYCLE_ARGS = "name,latency,params,call_ceilings,bytecode_ceilings,c_call_ceilings"
@@ -680,19 +736,15 @@ def test_schedule_does_not_depend_on_component_order(latency):
 
 @pytest.mark.parametrize("topology", ["baseline", "alternate"])
 def test_each_eval_block_runs_once_per_stepped_cycle(topology):
-    # the unprobed run steps inline; its probed twin delegates each stepped
-    # cycle to the replaced step, which counts them
-    config = make_config(topology, 4, "random", n=200)
-    twin = build_system(config)
-    steps = count_steps(twin.system)
-    assert twin.system.run_until(lambda: twin.core.done)
-    handle = build_system(config)
+    # a passive component, ticked in each stepped cycle and in no skip,
+    # counts the stepped cycles of the same unwatched run
+    handle = build_system(make_config(topology, 4, "random", n=200))
     calls = {(c.name, m): 0 for c in handle.system.components for m in c.blocks}
 
     def counted(comp, block):
         calls[comp.name, block] += 1
     after_each_block(handle.system, counted)
+    counter = count_steps(handle.system)
     assert handle.system.run_until(lambda: handle.core.done)
-    assert handle.system.cycle == twin.system.cycle
-    assert steps[0] > 100
-    assert calls == dict.fromkeys(calls, steps[0])
+    assert 100 < counter.ticks < handle.system.cycle
+    assert calls == dict.fromkeys(calls, counter.ticks)

@@ -1,5 +1,6 @@
 """Address arithmetic and message validation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -24,6 +25,14 @@ def test_split_cache_geometry_example():
 def test_split_zero():
     assert split_address(0, CACHE_GEOMETRY) == (0, 0, 0)
     assert split_address(0, PREFETCH_GEOMETRY) == (0, 0, 0)
+
+
+def test_geometry_is_frozen():
+    # split_address reads the fields computed at construction: an assigned
+    # offset_bits would leave them stale
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CACHE_GEOMETRY.offset_bits = 5
+    assert split_address(0x000010F4, CACHE_GEOMETRY) == (0x10, 0xF, 4)
 
 
 def test_geometry_bit_budgets():
