@@ -1,7 +1,7 @@
 """Valid/ready channels and the deterministic two-phase cycle loop.
 
 Every cycle has two phases. In the eval phase each combinational eval block
-runs exactly once, in a static order computed once per wiring. A component
+runs exactly once, in a static order. A component
 declares its blocks in ``blocks``: per block method, the ``port.val`` and
 ``port.rdy`` signals it reads and those it writes. Over the bound channels, a
 block that reads a signal runs after the block that writes it; blocks that
@@ -10,8 +10,10 @@ cycle runs. A block asserts val by assigning ``port.msg`` and assigns every
 rdy it declares on every call. In the commit phase each component's ``tick``
 runs once and sees a transfer where rdy is high and a message is asserted;
 then the kernel counts the transfers and drops every message; each rdy holds
-what its consumer's eval last assigned. Once per wiring, ``System.schedule``
-compiles this cycle into straight-line code.
+what its consumer's eval last assigned. Systems of one shape (the same
+blocks over the same channel indices) share one block order and one compiled,
+straight-line copy of this cycle; ``System.schedule`` binds each system's own
+blocks, ticks and channels to it through ``_bound``.
 
 ``System.cycle`` is the only clock: a component that waits for a cycle (a
 core's compute, memory's due responses) compares against it instead of
@@ -25,7 +27,7 @@ the kernel moves the cycle to the last of them and runs there only the ticks
 of the components that reported exactly n: the others would change nothing.
 The predicate is therefore evaluated at every cycle where a component's
 state, a transfer log or a counter can change, which makes predicates over
-those exact. ``run_until``'s loop is compiled per wiring too, with the
+those exact. ``run_until``'s loop is compiled per shape too, with the
 stepped cycle's lines inline. ``step`` always advances exactly one cycle,
 and only it writes a trace line: a watched system (a trace attached, or
 ``step`` replaced on the class or the instance: a probe) is never skipped,
@@ -174,52 +176,57 @@ class System:
     def schedule(self) -> list[Callable[[], None]]:
         """The bound eval blocks in the order ``step`` calls them.
 
-        Computed once per wiring: graphlib's ``static_order()`` of the
-        blocks, numbered in component order, over the declared signals
-        (writer before readers). A cycle raises ``CombinationalLoopError``
-        naming the blocks on it. Each component's ``tick`` and
-        ``idle_cycles`` are bound here too, so a method replaced on an
-        instance takes effect only if replaced before the first cycle or
-        a rewiring. So are the stepped cycle and ``run_until``'s loop,
-        compiled from ``_cycle_code`` with ``b<i>``, ``t<i>``, ``i<i>`` and
-        ``c<i>`` its i-th block, tick, ``idle_cycles`` and channel.
+        The order is graphlib's ``static_order()`` of the blocks, numbered in
+        component order, over the declared signals (writer before readers);
+        a cycle raises ``CombinationalLoopError`` naming the blocks on it.
+        Systems of one shape (the same blocks over the same channel
+        indices) share the order, sorted once, and ``_cycle_pair``'s code.
+        Each binds its blocks in that order, each component's ``tick`` and
+        ``idle_cycles`` and each channel into ``_bound``, so a method
+        replaced on an instance takes effect only if replaced before the
+        first cycle or a rewiring.
         """
         if self._schedule is not None:
             return self._schedule
-        blocks, writer, reads = [], {}, []
-        for c in self.components:
-            for method, (rd, wr) in c.blocks.items():
-                i = len(blocks)
-                blocks.append((c, method))
-                reads.append([self._signal(c, s) for s in rd])
-                for s in wr:
-                    writer[self._signal(c, s)] = i
-        graph = TopologicalSorter({i: {writer[s] for s in rd if s in writer} - {i}
-                                   for i, rd in enumerate(reads)})
-        try:
-            self._schedule = [getattr(*blocks[i]) for i in graph.static_order()]
-        except CycleError as e:
-            loop = ", ".join(f"{blocks[i][0].name}.{blocks[i][1]}"
-                             for i in sorted(set(e.args[1])))
-            raise CombinationalLoopError(
-                f"eval blocks form a combinational loop: {loop}") from None
-        bound = {"b": self._schedule, "t": [c.tick for c in self.components],
-                 "i": [c.idle_cycles for c in self.components], "c": self.channels}
-        env = {f"{k}{i}": f for k, fs in bound.items() for i, f in enumerate(fs)}
-        exec(_cycle_code(" ".join(c.name for c in self.components), len(self._schedule),
-                         len(self.components), len(self.channels)), env)
-        self._cycle, self._run = env["cycle"], env["run"]
+        index = {ch: i for i, ch in enumerate(self.channels)}
+        comps = self.components
+        shape = tuple(tuple((method, tuple([self._signal(c, s, index) for s in rd]),
+                             tuple([self._signal(c, s, index) for s in wr]))
+                            for method, (rd, wr) in c.blocks.items()) for c in comps)
+        if (order := _ORDERS.get(shape)) is None:
+            blocks, writer, reads = [], {}, []
+            for c, comp_blocks in enumerate(shape):
+                for method, rd, wr in comp_blocks:
+                    i = len(blocks)
+                    blocks.append((c, method))
+                    reads.append(rd)
+                    for s in wr:
+                        writer[s] = i
+            graph = TopologicalSorter({i: {writer[s] for s in rd if s in writer} - {i}
+                                       for i, rd in enumerate(reads)})
+            try:  # a loop raises before the store, so it is never cached
+                order = _ORDERS[shape] = tuple(blocks[i] for i in graph.static_order())
+            except CycleError as e:
+                loop = ", ".join(f"{comps[blocks[i][0]].name}.{blocks[i][1]}"
+                                 for i in sorted(set(e.args[1])))
+                raise CombinationalLoopError(
+                    f"eval blocks form a combinational loop: {loop}") from None
+        self._schedule = [getattr(comps[c], method) for c, method in order]
+        self._bound = (*self._schedule, *[c.tick for c in comps],
+                       *[c.idle_cycles for c in comps], *self.channels)
+        self._cycle, self._run = _cycle_pair(" ".join(c.name for c in comps), len(order),
+                                             len(comps), len(self.channels))
         return self._schedule
 
     @staticmethod
-    def _signal(comp: Component, signal: str) -> tuple[Channel, str]:
+    def _signal(comp: Component, signal: str, index: dict[Channel, int]) -> tuple[int, str]:
         port, _, wire = signal.partition(".")
         if wire not in ("val", "rdy"):
             raise ConfigurationError(f"{comp.name}: bad signal {signal!r}")
         ch = getattr(comp, port, None)
         if ch is None:
             raise ConfigurationError(f"{comp.name}.{port} is not bound")
-        return ch, wire
+        return index.setdefault(ch, len(index)), wire
 
     def step(self):
         if self._schedule is None:
@@ -231,7 +238,7 @@ class System:
         component asserts val. False when max_cycles cycles pass first (a
         deadlock reaches them at once, in ceil(max_cycles / IDLE_FOREVER)
         skips: IDLE_FOREVER is a one-digit int, not infinity, so that CPython
-        specializes the poll's compares). The loop is the wiring's compiled
+        specializes the poll's compares). The loop is the shape's compiled
         ``run``. A watched system (a trace attached, or ``step`` replaced on
         the class or the instance: a probe) calls the ``self.step`` bound
         here for every cycle instead, a deadlock's whole budget included."""
@@ -262,19 +269,29 @@ class System:
 _STEP = System.step  # run_until runs the compiled loop while self.step is this
 
 
+# per shape scheduled so far: (component index, method) of each block, in order
+_ORDERS: dict[tuple, tuple[tuple[int, str], ...]] = {}
+
+
 @lru_cache(maxsize=64)
-def _cycle_code(wiring: str, blocks: int, components: int, channels: int):
-    """Code defining ``cycle(system)``, one stepped cycle: each block in
-    schedule order, the trace hook, each tick, then per channel: count a
-    transfer, drop the message. It also defines ``run(system, predicate,
-    max_cycles)``, unwatched ``run_until``'s loop: the idle poll keeps each
-    component's ``idle_cycles()`` in a local ``k<i>`` and stops at the first
-    k <= 0, which falls through to ``cycle``'s lines inline, less the trace
-    hook. Otherwise it skips n cycles, the least of each k and the budget,
-    found by one compare per k (not a ``min()`` call), and ticks, at the
-    last of them, only the components with k == n. Compiling both takes
-    about 0.5 ms (four components; 2 vCPUs, Python 3.11), which a sweep of
-    short runs would pay per run, so wirings of one shape share the code."""
+def _cycle_pair(wiring: str, blocks: int, components: int, channels: int):
+    """Functions ``cycle(system)``, one stepped cycle, and ``run(system,
+    predicate, max_cycles)``, unwatched ``run_until``'s loop, shared by the
+    systems of one shape. Each first unpacks ``system._bound`` into fast
+    locals: ``b<i>``, ``t<i>``, ``i<i>`` and ``c<i>`` are the i-th block,
+    tick, ``idle_cycles`` and channel. ``cycle`` runs each block in schedule
+    order, the trace hook, each tick, then per channel: count a transfer,
+    drop the message. In ``run`` the idle poll keeps each ``idle_cycles()``
+    in a local ``k<i>`` and stops at the first k <= 0, which falls through
+    to ``cycle``'s lines inline, less the trace hook. Otherwise it skips n
+    cycles, the least of each k and the budget, found by one compare per k
+    (not a ``min()`` call), and ticks, at the last of them, only the
+    components with k == n. Compiling both takes about 0.5 ms (four
+    components; 2 vCPUs, Python 3.11), which a sweep of short runs would
+    otherwise pay per run."""
+    names = [f"{k}{i}" for k, n in (("b", blocks), ("t", components), ("i", components),
+                                    ("c", channels)) for i in range(n)]
+    bind = [f"{', '.join(names)}, = system._bound"] if names else []
     evals = [f"b{i}()" for i in range(blocks)]
     commit = [f"t{i}()" for i in range(components)]
     for c in (f"c{i}" for i in range(channels)):
@@ -282,10 +299,10 @@ def _cycle_code(wiring: str, blocks: int, components: int, channels: int):
                    f"        {c}.transfers += 1", f"    {c}.msg = None"]
     commit.append("system.cycle += 1")
     hook = ["if system._trace is not None:", "    system._write_trace()"]
-    src = ["def cycle(system):", *("    " + line for line in evals + hook + commit)]
+    src = ["def cycle(system):", *("    " + line for line in bind + evals + hook + commit)]
     poll = " and ".join(f"(k{i} := i{i}()) > 0" for i in range(components)) or "True"
-    src += ["def run(system, predicate, max_cycles):", "    steps = 0",
-            "    while not predicate():", "        if steps >= max_cycles:",
+    src += ["def run(system, predicate, max_cycles):", *("    " + line for line in bind),
+            "    steps = 0", "    while not predicate():", "        if steps >= max_cycles:",
             "            return False", f"        if {poll}:",
             "            n = max_cycles - steps"]
     src += [f"            if k{i} < n:\n                n = k{i}" for i in range(components)]
@@ -296,4 +313,6 @@ def _cycle_code(wiring: str, blocks: int, components: int, channels: int):
     src += ["            system.cycle += 1", "            steps += n", "            continue",
             "        steps += 1", *("        " + line for line in evals + commit),
             "    return True"]
-    return compile("\n".join(src), f"<cycle of {wiring}>", "exec")
+    env = {}
+    exec(compile("\n".join(src), f"<cycle of {wiring}>", "exec"), env)
+    return env["cycle"], env["run"]

@@ -7,7 +7,10 @@ logs. The ``audit_blocks`` fixture, which every directed-test module uses,
 checks that each eval block a test runs touches only the signals it
 declares and assigns every rdy it declares. System tests run a token program with ``run_program``, or with
 ``run_against_oracle``, which also checks its loads and final image against
-the flat-replay oracle.
+the flat-replay oracle. A ``RefusingStage``, which refuses on a seeded
+schedule, puts a handshake under backpressure: ``refusing_testbench`` puts
+one on each side of a device under test, and ``run_program``'s ``refusing``
+one on each link of a full system.
 """
 
 from __future__ import annotations
@@ -81,6 +84,56 @@ class StepCounter(Component):
 
     def idle_cycles(self):
         return kernel.IDLE_FOREVER
+
+
+class RefusingStage(Component):
+    """A pass-through stage that refuses on a seeded schedule. In the cycles
+    the schedule names for a direction it drops rdy toward the sender and
+    holds the message back from the receiver; in the others it forwards
+    both combinationally, so it never holds a message itself. The schedule
+    repeats every PERIOD cycles and depends on the cycle alone: the stage
+    keeps no state, and skipped cycles change nothing."""
+
+    name = "gate"
+    up = ("req_in", "resp_out")
+    down = ("req_out", "resp_in")
+    blocks = {"eval_req": (("req_in.val",), ("req_out.val",)),
+              "eval_req_rdy": (("req_out.rdy",), ("req_in.rdy",)),
+              "eval_resp": (("resp_in.val",), ("resp_out.val",)),
+              "eval_resp_rdy": (("resp_out.rdy",), ("resp_in.rdy",))}
+    PERIOD = 61
+
+    def __init__(self, seed, name="gate", share=0.4):
+        rng = random.Random(seed)
+        self.name = name
+        self.refuse_req, self.refuse_resp = (
+            [rng.random() < share for _ in range(self.PERIOD)] for _ in range(2))
+
+    def eval_req(self):
+        if not self.refuse_req[self.system.cycle % self.PERIOD]:
+            self.req_out.msg = self.req_in.msg
+
+    def eval_req_rdy(self):
+        self.req_in.rdy = (self.req_out.rdy
+                           and not self.refuse_req[self.system.cycle % self.PERIOD])
+
+    def eval_resp(self):
+        if not self.refuse_resp[self.system.cycle % self.PERIOD]:
+            self.resp_out.msg = self.resp_in.msg
+
+    def eval_resp_rdy(self):
+        self.resp_in.rdy = (self.resp_out.rdy
+                            and not self.refuse_resp[self.system.cycle % self.PERIOD])
+
+    def idle_cycles(self):
+        return kernel.IDLE_FOREVER  # it asserts only what a neighbour asserts
+
+
+def refusing_testbench(latency, script, dut, seed, **kwargs):
+    """``build_testbench`` with a RefusingStage on each side of dut: returns
+    ``(system, src, sink, stage_up, dut, stage_down, mem)``."""
+    return build_testbench(latency, script, RefusingStage(seed, "gate_up"), dut,
+                           RefusingStage(seed + 1, "gate_down"), **kwargs)
 
 
 def count_steps(system):
@@ -178,25 +231,31 @@ def pointer_stream(n, seed, lines, chase, write):
     return program, [(POINTER_REGION, region)]
 
 
-def run_program(topology, program, segments, latency=4):
+def run_program(topology, program, segments, latency=4, refusing=None):
     """Run a token program to completion in a system of the given topology;
-    return the system and its core."""
-    core, memory = CoreModel(program), PipelinedMemory(latency)
+    return the system and its core. With a seed for refusing, a
+    RefusingStage sits on each link of the chain, each seeded apart."""
+    core, cache, memory = CoreModel(program), BlockingCache(), PipelinedMemory(latency)
     memory.load_image(segments)
     system = System()
     pf = [PointerChasePrefetcher()] if topology == "alternate" else []
-    system.chain(core, BlockingCache(), *pf, memory)
+    chain = [core, cache, *pf, memory]
+    if refusing is not None:
+        chain[1:] = [x for i, comp in enumerate(chain[1:])
+                     for x in (RefusingStage(refusing + i, f"gate{i}"), comp)]
+    system.chain(*chain)
     assert system.run_until(lambda: core.done)
     return system, core
 
 
-def run_against_oracle(topology, program, segments, latency):
+def run_against_oracle(topology, program, segments, latency, refusing=None):
     """Run program; assert its loads and flushed image match
     replay_program's; return the system."""
-    system, core = run_program(topology, program, segments, latency)
+    system, core = run_program(topology, program, segments, latency, refusing)
     loads, flat = replay_program(program, segments)
     assert core.loads == loads
-    cache, memory = system.components[1], system.components[-1]
+    cache = next(c for c in system.components if isinstance(c, BlockingCache))
+    memory = system.components[-1]
     cache.flush_dirty(memory.poke_line)
     expect = flat.lines()
     for addr in set(expect) | set(memory.store):

@@ -267,6 +267,49 @@ MUTANTS = [
            "        elif st == WRITE_DATA:\n"
            "            if self.core_resp.rdy or self.core_resp.msg is not None:\n",
            killer="tests/test_cache.py::test_a_refusing_sink_still_gets_every_response[write]"),
+    # the five handshakes below each leave their state whether or not the
+    # other side took the message; only a refusing stage between two
+    # components makes a full system or testbench see it
+    Mutant("evict-req-left-unsent", "cache.py",
+           "        elif st == EVICT_REQ:\n"
+           "            if self.mem_req.rdy and self.mem_req.msg is not None:\n",
+           "        elif st == EVICT_REQ:\n"
+           "            if self.mem_req.rdy or self.mem_req.msg is not None:\n",
+           killer="tests/test_cache.py::test_refusing_stages_keep_evictions_and_refills_exact[2]"),
+    Mutant("refill-req-left-unsent", "cache.py",
+           "        elif st == REFILL_REQ:\n"
+           "            if self.mem_req.rdy and self.mem_req.msg is not None:\n",
+           "        elif st == REFILL_REQ:\n"
+           "            if self.mem_req.rdy or self.mem_req.msg is not None:\n",
+           killer="tests/test_cache.py::test_refusing_stages_keep_evictions_and_refills_exact[0]"),
+    Mutant("init-response-left-unsent", "prefetcher.py",
+           "        elif st == INIT:\n"
+           "            if self.cache_resp.rdy and self.cache_resp.msg is not None:\n",
+           "        elif st == INIT:\n"
+           "            if self.cache_resp.rdy or self.cache_resp.msg is not None:\n",
+           killer="tests/test_prefetcher.py::test_refusing_stages_keep_init_and_a_prefetch_exact[1]"),
+    Mutant("prefetch-left-unsent", "prefetcher.py",
+           "        elif st == BUFFER_TO_MEM:\n"
+           "            if self.mem_req.rdy and self.mem_req.msg is not None:\n",
+           "        elif st == BUFFER_TO_MEM:\n"
+           "            if self.mem_req.rdy or self.mem_req.msg is not None:\n",
+           killer="tests/test_harness.py::"
+                  "test_refusing_stages_on_every_channel_keep_the_oracle[alternate-1]"),
+    Mutant("core-request-left-unsent", "core.py",
+           "        elif st == REQUEST:\n"
+           "            if self.mem_req.rdy and self.mem_req.msg is not None:\n",
+           "        elif st == REQUEST:\n"
+           "            if self.mem_req.rdy or self.mem_req.msg is not None:\n",
+           killer="tests/test_harness.py::"
+                  "test_refusing_stages_on_every_channel_keep_the_oracle[baseline-1]"),
+    # a block order shared by every system whose components declare the
+    # same blocks, however their ports are bound
+    Mutant("order-shape-drops-bindings", "kernel.py",
+           "        if (order := _ORDERS.get(shape)) is None:\n",
+           "        if (order := _ORDERS.get(key := tuple(tuple(c.blocks.items())"
+           " for c in comps))) is None:\n",
+           also=(("order = _ORDERS[shape] = ", "order = _ORDERS[key] = "),),
+           killer="tests/test_kernel.py::test_one_set_of_classes_wired_two_ways_gets_two_orders"),
     Mutant("geometry-not-frozen", "messages.py",
            "@dataclass(frozen=True, slots=True)\nclass AddrGeometry:\n",
            "@dataclass(slots=True)\nclass AddrGeometry:\n",

@@ -9,7 +9,8 @@ from chasesim import (BlockingCache, MemRequest, MsgKind, build_testbench,
 from chasesim.cache import IDLE
 from chasesim.messages import line_base, word_bytes
 
-from conftest import cp, raised_optimized, rd, run_against_oracle, run_to_responses
+from conftest import (cp, raised_optimized, rd, refusing_testbench, run_against_oracle,
+                      run_to_responses)
 
 pytestmark = pytest.mark.usefixtures("audit_blocks")
 
@@ -119,6 +120,21 @@ def test_a_refusing_sink_still_gets_every_response(make):
     if script[0].kind == MsgKind.READ:
         assert [r.data for r in got] == [bytes(range(4 * i, 4 * i + 4)) for i in range(6)]
     assert cache.state == IDLE
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refusing_stages_keep_evictions_and_refills_exact(seed):
+    # 0x1000 and 0x2000 share index 0: each access evicts the other line,
+    # dirty or clean, while stages on both sides of the cache refuse on a
+    # seeded schedule, so its refills, evictions and responses all wait
+    script = [wr(0x1004, 0x5555), rd(0x2000), rd(0x1004), wr(0x2008, 0x77), rd(0x1000),
+              rd(0x2008)]
+    sys_, src, sink, _, cache, _, mem = refusing_testbench(
+        3, script, BlockingCache(), seed, segments=[(0x1000, LINE_A)])
+    got = run_to_responses(sys_, sink, len(script), 2000)
+    assert [r.data for r in got if r.kind == MsgKind.READ] == [
+        bytes(4), word_bytes(0x5555), LINE_A[0:4], word_bytes(0x77)]
+    assert cache.stats.evictions == 2
 
 
 def test_blocking_one_outstanding_miss():

@@ -145,6 +145,18 @@ def test_pointer_streams_match_the_oracle(topology, latency, seed, n, lines, cha
     run_against_oracle(topology, *pointer_stream(n, seed, lines, chase, write), latency)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_refusing_stages_on_every_channel_keep_the_oracle(topology, seed):
+    # behind a blocking cache memory never refuses a request: a stage on
+    # each channel that refuses on a seeded schedule makes every handshake
+    # of the core, cache and prefetcher wait, including the evictions and
+    # prefetches; the cycles change, the loads and final image must not
+    program = pointer_stream(300, seed, 32, 0.6, 0.3)
+    system = run_against_oracle(topology, *program, 4, refusing=seed)
+    assert system.cycle > run_program(topology, *program)[0].cycle
+
+
 def test_a_pointer_stream_reaches_the_prefetch_buffer():
     system = run_against_oracle("alternate", *pointer_stream(120, 7, 32, 0.6, 0.3), 8)
     assert system.components[2].stats.readcp_hits > 0

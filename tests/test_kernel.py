@@ -23,7 +23,7 @@ from chasesim import kernel
 from chasesim.core import LoadLog
 from chasesim.testbench import LoggingMemory
 
-from conftest import after_each_block, chase_testbench, count_steps
+from conftest import RefusingStage, after_each_block, chase_testbench, count_steps
 
 
 def req(addr, kind=MsgKind.READ):
@@ -400,7 +400,7 @@ def test_the_compiled_run_neither_traces_nor_steps(monkeypatch):
         sources.append(source)
         return compile(source, *args)
     monkeypatch.setattr(kernel, "compile", kept, raising=False)
-    kernel._cycle_code.cache_clear()  # wirings of one shape share one code object
+    kernel._cycle_pair.cache_clear()  # systems of one shape share one compiled pair
     build_system(make_config("alternate", 4, "random", n=20)).system.schedule()
     cycle, run = sources[0].split("\ndef run(")
     assert run.startswith("system, predicate, max_cycles):")
@@ -509,6 +509,97 @@ def test_schedule_follows_rewiring():
     assert [r.kind for r in sink2.responses()] == [MsgKind.READ]
 
 
+def test_systems_of_one_shape_share_one_order_and_one_compiled_loop(monkeypatch):
+    # graphlib sorts the first system's blocks only; each system binds its
+    # own blocks, ticks and channels to the one compiled pair
+    sorts = []
+
+    class Counted(kernel.TopologicalSorter):
+        def __init__(self, graph):
+            sorts.append(graph)
+            super().__init__(graph)
+    monkeypatch.setattr(kernel, "TopologicalSorter", Counted)
+    monkeypatch.setattr(kernel, "_ORDERS", {})
+    handles = [build_system(make_config("alternate", latency, "random", n=200))
+               for latency in (4, 9)]
+    for h in handles:
+        h.system.schedule()
+    a, b = (h.system for h in handles)
+    assert len(sorts) == 1 and len(kernel._ORDERS) == 1
+    assert a._run is b._run and a._cycle is b._cycle
+    # every name the pair calls is a fast local, unpacked from _bound
+    assert [i.argval for f in (a._run, a._cycle) for i in dis.get_instructions(f)
+            if i.opname in ("LOAD_GLOBAL", "LOAD_NAME")] == []
+    assert block_names(a) == block_names(b)
+    assert not {f.__self__ for f in a.schedule()} & {f.__self__ for f in b.schedule()}
+    for h in handles:
+        assert h.system.run_until(lambda: h.core.done)
+    assert a.cycle < b.cycle and handles[0].core.loads == handles[1].core.loads
+
+
+def stages_in_line(first):
+    """src -> two RefusingStages -> memory, the stage named first nearest
+    the source; one add order and one set of names for both lines."""
+    system = System()
+    src, sink = TestSource([req(0x10 * i) for i in range(6)]), TestSink()
+    a, b, mem = RefusingStage(1, "a"), RefusingStage(2, "b"), PipelinedMemory(3)
+    system.add(src, sink, a, b, mem)
+    near, far = (a, b) if first == "a" else (b, a)
+    system.connect((src, "req"), (near, "req_in"))
+    system.connect((near, "resp_out"), (sink, "resp"))
+    system.chain(near, far, mem)
+    return system, sink
+
+
+def test_one_set_of_classes_wired_two_ways_gets_two_orders(monkeypatch):
+    # the same classes, added in the same order under the same names, wired
+    # in two lines: each schedules its own order, the one it gets alone
+    alone = {}
+    for first in "ab":
+        monkeypatch.setattr(kernel, "_ORDERS", {})
+        system, sink = stages_in_line(first)
+        order = block_names(system)
+        assert system.run_until(lambda: len(sink.received) == 6, 2000)
+        alone[first] = order, system.cycle
+    assert alone["a"][0] != alone["b"][0]
+    monkeypatch.setattr(kernel, "_ORDERS", {})
+    for first in "abab":
+        system, sink = stages_in_line(first)
+        assert system.run_until(lambda: len(sink.received) == 6, 2000)
+        assert (block_names(system), system.cycle) == alone[first]
+    assert len(kernel._ORDERS) == 2
+
+
+def stage_pair(wiring):
+    """Two RefusingStages: each looped back on itself, in a ring, or with
+    b's request input left unbound."""
+    system = System()
+    a, b = system.add(RefusingStage(1, "a"), RefusingStage(2, "b"))
+    links = {"self": [(a, a), (b, b)], "ring": [(a, b), (b, a)], "open": [(a, a)]}[wiring]
+    for x, y in links:
+        system.connect((x, "req_out"), (y, "req_in"))
+        system.connect((y, "resp_out"), (x, "resp_in"))
+    if wiring == "open":
+        system.connect((b, "resp_out"), (b, "resp_in"))
+    return system
+
+
+@pytest.mark.parametrize("wiring,error,match", [
+    ("ring", CombinationalLoopError, "eval blocks form a combinational loop: a.eval_"),
+    ("open", ConfigurationError, r"^b\.req_in is not bound$")])
+def test_a_bad_wiring_raises_after_a_good_one_of_its_classes(monkeypatch, wiring, error,
+                                                              match):
+    # the same two stages, scheduled well looped back on themselves: a ring
+    # or an unbound port of them must still raise, on every schedule
+    monkeypatch.setattr(kernel, "_ORDERS", {})
+    stage_pair("self").schedule()
+    system = stage_pair(wiring)
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            system.schedule()
+    assert len(kernel._ORDERS) == 1
+
+
 def test_methods_are_bound_when_the_schedule_is():
     # a tick or idle_cycles replaced on an instance before the first cycle is
     # the one the kernel calls; one replaced later, with no rewiring, is not
@@ -535,12 +626,14 @@ def test_methods_are_bound_when_the_schedule_is():
 # prefetcher, with prefetcher). One traced pass per case counts all three:
 # calls as its sys.settrace "call" events, bytecodes as its opcode events,
 # C calls as its sys.setprofile "c_call" events; the guards below read the
-# same pass. Measured calls 6.98/10.44, 1.27/2.77 and 5.55/7.34; bytecodes
-# 205.7/313.5, 36.8/88.8 and 158.2/207.5; C calls 0.940/0.947, 0.201/0.304
-# and 0.888/0.861. Bytecodes alone once rewarded a min() per skip: it ran 8
+# same pass. Measured calls 6.98/10.44, 1.27/2.76 and 5.55/7.33; bytecodes
+# 211.0/321.2, 37.6/90.3 and 161.8/212.5; C calls 0.941/0.949, 0.197/0.296
+# and 0.883/0.854. Bytecodes alone once rewarded a min() per skip: it ran 8
 # bytecodes fewer than a compare chain, but as a C call it cost about twice
-# the time. A ceiling is set about 3% above the count measured when it is
-# set.
+# the time; and a call of a fast local counts a PUSH_NULL that a call of a
+# global did not, so binding the compiled loop through locals read 1.5-2.6%
+# more bytecodes while it ran faster. A ceiling is set about 3% above the
+# count measured when it is set.
 PER_CYCLE = [
     ("random", 4, dict(n=2000), (7.19, 10.75), (212, 323), (0.968, 0.975)),
     ("traversal", 40, dict(nodes=200, gap=12), (1.31, 2.85), (37.9, 91.5), (0.207, 0.313)),
@@ -704,7 +797,7 @@ def test_every_idle_cycles_result_is_an_int_below_one_digit():
 def test_every_compare_of_the_run_loop_is_specialized_for_ints(topology):
     # a compare the interpreter cannot specialize (an int against a float)
     # costs about three times a specialized one, with the same bytecodes
-    kernel._cycle_code.cache_clear()  # wirings of one shape share one code object
+    kernel._cycle_pair.cache_clear()  # systems of one shape share one compiled pair
     handle = build_system(make_config(topology, 4, "random", n=2000))
     assert handle.system.run_until(lambda: handle.core.done)
     compares = [i.opname for i in dis.get_instructions(handle.system._run, adaptive=True)

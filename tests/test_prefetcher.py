@@ -18,7 +18,8 @@ from chasesim.prefetcher import (BUFFER_TO_MEM, TAG_CHECK, WAIT_DATA_INVALID,
                                  PrefetchEntry)
 from golden.make_traces import SMALL
 
-from conftest import chase_testbench, cp, rd, run_to_responses, wr_line
+from conftest import (chase_testbench, cp, rd, refusing_testbench, run_to_responses,
+                      wr_line)
 
 pytestmark = pytest.mark.usefixtures("audit_blocks")
 
@@ -170,6 +171,20 @@ def test_prefetched_line_hits_later_demand():
     # a prefetched line counts as useful on its first demand hit only
     assert pf.stats.read_hits == 2
     assert pf.stats.useful_prefetch_hits == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refusing_stages_keep_init_and_a_prefetch_exact(seed):
+    # stages on both sides of the prefetcher refuse on a seeded schedule, so
+    # INIT's response, the prefetch of PTR_P and each demand wait; PTR_P's
+    # demands hit the one prefetch, pending or filled
+    script = [init(ADDR_A, line_with_ptr(PTR_P)), cp(ADDR_A), rd(PTR_P), rd(PTR_P)]
+    sys_, src, sink, _, pf, _, mem = refusing_testbench(
+        5, script, PointerChasePrefetcher(), seed, segments=[(PTR_P & ~0xF, PAYLOAD_P)])
+    got = run_to_responses(sys_, sink, len(script), 2000)
+    assert [r.kind for r in got] == [r.kind for r in script]
+    assert [r.data for r in got[1:]] == [line_with_ptr(PTR_P), PAYLOAD_P, PAYLOAD_P]
+    assert len(prefetch_requests(mem)) == len(mem.request_log) == 1
 
 
 def test_null_pointer_suppresses_prefetch():
