@@ -13,7 +13,7 @@ then the kernel counts the transfers and drops every message; each rdy holds
 what its consumer's eval last assigned. Systems of one shape (the same
 blocks over the same channel indices) share one block order and one compiled,
 straight-line copy of this cycle; ``System.schedule`` binds each system's own
-blocks, ticks and channels to it through ``_bound``.
+blocks, ticks and channels to it through ``_stepped`` and ``_bound``.
 
 ``System.cycle`` is the only clock: a component that waits for a cycle (a
 core's compute, memory's due responses) compares against it instead of
@@ -182,9 +182,9 @@ class System:
         Systems of one shape (the same blocks over the same channel
         indices) share the order, sorted once, and ``_cycle_pair``'s code.
         Each binds its blocks in that order, each component's ``tick`` and
-        ``idle_cycles`` and each channel into ``_bound``, so a method
-        replaced on an instance takes effect only if replaced before the
-        first cycle or a rewiring.
+        each channel into ``_stepped``, and those plus each component's
+        ``idle_cycles`` into ``_bound``, so a method replaced on an instance
+        takes effect only if replaced before the first cycle or a rewiring.
         """
         if self._schedule is not None:
             return self._schedule
@@ -212,8 +212,10 @@ class System:
                 raise CombinationalLoopError(
                     f"eval blocks form a combinational loop: {loop}") from None
         self._schedule = [getattr(comps[c], method) for c, method in order]
-        self._bound = (*self._schedule, *[c.tick for c in comps],
-                       *[c.idle_cycles for c in comps], *self.channels)
+        ticks = [c.tick for c in comps]
+        self._stepped = (*self._schedule, *ticks, *self.channels)
+        self._bound = (*self._schedule, *ticks, *[c.idle_cycles for c in comps],
+                       *self.channels)
         self._cycle, self._run = _cycle_pair(" ".join(c.name for c in comps), len(order),
                                              len(comps), len(self.channels))
         return self._schedule
@@ -277,9 +279,11 @@ _ORDERS: dict[tuple, tuple[tuple[int, str], ...]] = {}
 def _cycle_pair(wiring: str, blocks: int, components: int, channels: int):
     """Functions ``cycle(system)``, one stepped cycle, and ``run(system,
     predicate, max_cycles)``, unwatched ``run_until``'s loop, shared by the
-    systems of one shape. Each first unpacks ``system._bound`` into fast
+    systems of one shape. Each first unpacks what it calls into fast
     locals: ``b<i>``, ``t<i>``, ``i<i>`` and ``c<i>`` are the i-th block,
-    tick, ``idle_cycles`` and channel. ``cycle`` runs each block in schedule
+    tick, ``idle_cycles`` and channel; ``run`` takes them from
+    ``system._bound``, and ``cycle`` all but the ``i<i>`` from
+    ``system._stepped``. ``cycle`` runs each block in schedule
     order, the trace hook, each tick, then per channel: count a transfer,
     drop the message. In ``run`` the idle poll keeps each ``idle_cycles()``
     in a local ``k<i>`` and stops at the first k <= 0, which falls through
@@ -292,6 +296,8 @@ def _cycle_pair(wiring: str, blocks: int, components: int, channels: int):
     names = [f"{k}{i}" for k, n in (("b", blocks), ("t", components), ("i", components),
                                     ("c", channels)) for i in range(n)]
     bind = [f"{', '.join(names)}, = system._bound"] if names else []
+    stepped = [name for name in names if name[0] != "i"]  # cycle polls nothing
+    bind_stepped = [f"{', '.join(stepped)}, = system._stepped"] if stepped else []
     evals = [f"b{i}()" for i in range(blocks)]
     commit = [f"t{i}()" for i in range(components)]
     for c in (f"c{i}" for i in range(channels)):
@@ -299,7 +305,8 @@ def _cycle_pair(wiring: str, blocks: int, components: int, channels: int):
                    f"        {c}.transfers += 1", f"    {c}.msg = None"]
     commit.append("system.cycle += 1")
     hook = ["if system._trace is not None:", "    system._write_trace()"]
-    src = ["def cycle(system):", *("    " + line for line in bind + evals + hook + commit)]
+    src = ["def cycle(system):",
+           *("    " + line for line in bind_stepped + evals + hook + commit)]
     poll = " and ".join(f"(k{i} := i{i}()) > 0" for i in range(components)) or "True"
     src += ["def run(system, predicate, max_cycles):", *("    " + line for line in bind),
             "    steps = 0", "    while not predicate():", "        if steps >= max_cycles:",

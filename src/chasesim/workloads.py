@@ -8,6 +8,7 @@ produce the same memory image and token program.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -68,6 +69,7 @@ REGION_BYTES = 1 << 20  # address budget of one generated structure
 LINE_WORDS = LINE_BYTES // WORD_BYTES
 RANDOM_LINES = 256  # the lines of _random's region
 RANDOM_MIX = (0.5, 0.2, 0.3)  # _random's read, write and read-cp shares
+RANDOM_CHUNK = 4096  # the tokens _random's program draws at a time
 
 
 def _pack(words: list[int]) -> bytes:
@@ -267,23 +269,45 @@ def _array(seed: int, elements: int, gap: int) -> Workload:
 def _random(seed: int, n: int) -> Workload:
     """Randomized read/write/read_cp token stream over a bounded region, for
     oracle-equivalence checking. ReadCP values are arbitrary words, so the
-    prefetcher chases garbage pointers; coherence must still hold."""
+    prefetcher chases garbage pointers; coherence must still hold.
+
+    The program draws its tokens as it runs, RANDOM_CHUNK at a time, so a
+    long stream holds one chunk at a time, not n tokens: per token, one Lcg
+    draw picks the word, the next picks the kind and a write's value is a
+    third. Each chunk's loop inlines the Lcg step over locals and compares
+    states with integer cuts: p < cut on the draw p = s / LCG_MOD holds
+    exactly when s < ceil(cut * LCG_MOD), since both scalings by the power
+    of two are exact."""
     rng = Lcg(seed)
     region = _pack(rng.draws(RANDOM_LINES * LINE_WORDS))
-    r_cut, w_cut = RANDOM_MIX[0], RANDOM_MIX[0] + RANDOM_MIX[1]
-    # the region's word addresses, built once: tokens share one int an address
+    start = rng.state
+    # the region's word addresses and their loads, built once: a read or
+    # read-cp is one of these tokens, and only a write makes a new one
     addrs = [WORD_BYTES * i for i in range(RANDOM_LINES * LINE_WORDS)]
-    tokens: list[Token] = []
-    for _ in range(n):
-        addr = addrs[rng.randrange(RANDOM_LINES * LINE_WORDS)]
-        p = rng.next() / LCG_MOD
-        if p < r_cut:
-            tokens.append(Read(addr))
-        elif p < w_cut:
-            tokens.append(Write(addr, rng.next()))
-        else:
-            tokens.append(ReadCP(addr))
-    return Workload([(0, region)], tokens)
+    reads, cps = [Read(a) for a in addrs], [ReadCP(a) for a in addrs]
+    r_cut = math.ceil(RANDOM_MIX[0] * LCG_MOD)
+    w_cut = math.ceil((RANDOM_MIX[0] + RANDOM_MIX[1]) * LCG_MOD)
+
+    def program():
+        s, mult, inc, mask, words = start, LCG_MULT, LCG_INC, LCG_MOD - 1, len(addrs)
+        for left in range(n, 0, -RANDOM_CHUNK):
+            chunk = []
+            append = chunk.append
+            for _ in range(min(left, RANDOM_CHUNK)):
+                s = (mult * s + inc) & mask
+                i = s % words
+                s = (mult * s + inc) & mask
+                if s < r_cut:
+                    append(reads[i])
+                elif s < w_cut:
+                    s = (mult * s + inc) & mask
+                    append(Write(addrs[i], s))
+                else:
+                    append(cps[i])
+            for tok in chunk:  # not ``yield from``: a list iterator has no send
+                yield tok
+
+    return Workload([(0, region)], program)
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,10 @@ def mixes():
 
 
 def per_call_random(seed, n, lines, mix):
-    """``_random``'s workload with one Lcg call per draw, over a region of
-    ``lines`` lines with (read, write, read-cp) shares ``mix``: ``_random``
-    is this at ``RANDOM_LINES`` and ``RANDOM_MIX``."""
+    """``_random``'s workload with one Lcg call per draw and its stream as
+    one token list, over a region of ``lines`` lines with (read, write,
+    read-cp) shares ``mix``: ``_random``'s image, and its program's tokens
+    expanded, are this at ``RANDOM_LINES`` and ``RANDOM_MIX``."""
     rng = Lcg(seed)
     region = [rng.next() for _ in range(lines * LINE_WORDS)]
     tokens = []

@@ -395,10 +395,27 @@ MUTANTS = [
            also=(("self._load_words.extend((self._req.addr, value))",
                   "self.loads.append((self._req.addr, value))"),),
            killer="tests/test_kernel.py::test_a_finished_run_holds_few_bytes_per_token"),
+    # each write's address a fresh int, not one of the build's table
     Mutant("random-address-per-token", "workloads.py",
-           "        addr = addrs[rng.randrange(RANDOM_LINES * LINE_WORDS)]\n",
-           "        addr = WORD_BYTES * rng.randrange(RANDOM_LINES * LINE_WORDS)\n",
-           killer="tests/test_kernel.py::test_a_random_build_allocates_few_bytes_per_token"),
+           "                    append(Write(addrs[i], s))\n",
+           "                    append(Write(WORD_BYTES * i, s))\n",
+           killer="tests/test_workloads.py::"
+                  "test_random_stream_shares_its_address_ints_and_load_tokens"),
+    Mutant("random-chunk-restarts-state", "workloads.py",
+           "            chunk = []\n",
+           "            s, chunk = start, []\n",
+           killer="tests/test_workloads.py::"
+                  "test_random_stream_carries_its_state_across_chunks[4097-1]"),
+    Mutant("random-chunk-yield-from", "workloads.py",
+           "            for tok in chunk:  # not ``yield from``: a list iterator has no send\n"
+           "                yield tok\n",
+           "            yield from chunk\n",
+           killer="tests/test_workloads.py::test_random_stream_ignores_the_values_sent_back"),
+    # the same stream, drawn whole at build time: only its memory tells
+    Mutant("random-stream-eager", "workloads.py",
+           "    return Workload([(0, region)], program)\n",
+           "    return Workload([(0, region)], list(program()))\n",
+           killer="tests/test_kernel.py::test_a_long_random_run_holds_one_chunk_of_its_stream"),
 ]
 
 

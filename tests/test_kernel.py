@@ -22,6 +22,7 @@ from chasesim import (BlockingCache, Channel, CombinationalLoopError, Component,
 from chasesim import kernel
 from chasesim.core import LoadLog
 from chasesim.testbench import LoggingMemory
+from chasesim.workloads import RANDOM_CHUNK
 
 from conftest import RefusingStage, after_each_block, chase_testbench, count_steps
 
@@ -527,7 +528,7 @@ def test_systems_of_one_shape_share_one_order_and_one_compiled_loop(monkeypatch)
     a, b = (h.system for h in handles)
     assert len(sorts) == 1 and len(kernel._ORDERS) == 1
     assert a._run is b._run and a._cycle is b._cycle
-    # every name the pair calls is a fast local, unpacked from _bound
+    # every name the pair calls is a fast local, unpacked from _bound or _stepped
     assert [i.argval for f in (a._run, a._cycle) for i in dis.get_instructions(f)
             if i.opname in ("LOAD_GLOBAL", "LOAD_NAME")] == []
     assert block_names(a) == block_names(b)
@@ -722,47 +723,54 @@ def test_c_calls_per_cycle_stay_under_their_ceiling(name, latency, params, call_
         assert counts[topology][2] <= ceiling, topology
 
 
-# Bytes per token of a random alternate run (n=2000, L=4), traced with
-# tracemalloc: what its build allocates, and what the finished run holds
-# beyond that. Measured 92.3-94.1 and 8.1-11.7 (the higher ones when the run
-# compiles its loop); 107.8 and 79.0 when the core kept a tuple per load and
-# _random a fresh int per address. The build's ceiling is about 4% above
-# its measure and holds on CPython 3.11 only, since object sizes differ
-# between interpreters; the run's is loose enough for any of them.
-MEMORY_CASE = ("alternate", 4, "random", dict(n=2000))
-BUILD_BYTES_CEILING, RUN_BYTES_CEILING = 98, 32
-
-
-@functools.cache
-def bytes_per_token():
-    """(build, run) bytes per token of MEMORY_CASE, one traced pass."""
-    topology, latency, name, params = MEMORY_CASE
+def traced_random_run(n):
+    """Bytes tracemalloc traces over a random alternate run (L=4) of n
+    tokens: after its build, after the run and at the peak of both; and
+    the run's loads."""
     gc.collect()
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        handle = build_system(make_config(topology, latency, name, **params))
+        handle = build_system(make_config("alternate", 4, "random", n=n))
         built = tracemalloc.get_traced_memory()[0]
         assert handle.system.run_until(lambda: handle.core.done)
         gc.collect()
-        ran = tracemalloc.get_traced_memory()[0]
+        ran, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (built - start) / params["n"], (ran - built) / params["n"]
+    return built, ran, peak, len(handle.core.loads)
+
+
+# Bytes per token that a finished random run (n=2000) holds beyond its
+# build. Measured -12.2 to -17.2: the build holds the stream's first chunk
+# (here all 2000 tokens), which the finished run has let go; 58.8 when the
+# core keeps a tuple per load. The ceiling is loose enough for any
+# interpreter.
+RUN_BYTES_CEILING = 32
 
 
 def test_a_finished_run_holds_few_bytes_per_token():
     # the load log is the one record that grows with the run: 8 bytes a
     # load, where a tuple per load held about 96
-    run = bytes_per_token()[1]
+    built, ran, _, _ = traced_random_run(2000)
+    run = (ran - built) / 2000
     assert run <= RUN_BYTES_CEILING, run
 
 
-@pytest.mark.skipif(not COUNTS_BYTECODES, reason="object sizes differ between interpreters")
-def test_a_random_build_allocates_few_bytes_per_token():
-    # one token object each; the addresses are shared ints from the region
-    build = bytes_per_token()[0]
-    assert build <= BUILD_BYTES_CEILING, build
+# The peak of a random run of 8 chunks of its stream against one of 2
+# chunks: the program holds one chunk at a time, so the longer run's peak
+# may exceed the shorter one's by little more than the load log's 8 bytes
+# per extra load. Measured 7.7 per extra load; a program drawn whole at
+# build time reads 38.7.
+STREAM_CHUNKS = (2, 8)
+EXTRA_LOAD_BYTES_CEILING = 10
+
+
+def test_a_long_random_run_holds_one_chunk_of_its_stream():
+    traced_random_run(100)  # a process's first run also holds its one-off allocations
+    (*_, short, short_loads), (*_, long_, long_loads) = (
+        traced_random_run(k * RANDOM_CHUNK) for k in STREAM_CHUNKS)
+    per_load = (long_ - short) / (long_loads - short_loads)
+    assert per_load <= EXTRA_LOAD_BYTES_CEILING, per_load
 
 
 def test_every_idle_cycles_result_is_an_int_below_one_digit():

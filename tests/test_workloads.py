@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from chasesim import (WORKLOADS, Compute, ConfigurationError, FlatMemory, Lcg,
                       Read, ReadCP, Write, replay_program)
+from chasesim.core import as_generator
 from chasesim.harness import make_config, make_workload
 from chasesim.messages import LINE_BYTES, WORD_BYTES, line_base
-from chasesim.workloads import (HEAD_CELL, LCG_MOD, LINE_WORDS, RANDOM_LINES,
+from chasesim.workloads import (HEAD_CELL, LCG_MOD, LINE_WORDS, RANDOM_CHUNK, RANDOM_LINES,
                                 RANDOM_MIX, REGION_BYTES, _array, _free_list, _random,
                                 check_ranges)
 from conftest import per_call_random, tokens_of
@@ -364,19 +365,70 @@ def test_array_largest_region_fits_the_budget():
 # -- random stream --
 
 
+def stream(program):
+    """A program's tokens, expanded with nothing sent back."""
+    return list(as_generator(program))
+
+
 def test_random_stream_mix_and_determinism():
     w1 = make_workload("random", seed=3, n=1000)
     w2 = make_workload("random", seed=3, n=1000)
-    assert w1.program == w2.program
+    toks = stream(w1.program)
+    assert toks == stream(w2.program)
     assert w1.segments == w2.segments
-    kinds = [type(t).__name__ for t in w1.program]
+    kinds = [type(t).__name__ for t in toks]
     assert {"Read", "Write", "ReadCP"} <= set(kinds)
+
+
+def assert_equals_per_call_random(seed, n):
+    w, want = _random(seed, n), per_call_random(seed, n, RANDOM_LINES, RANDOM_MIX)
+    assert w.segments == want.segments
+    assert stream(w.program) == want.program
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, n=st.integers(0, 200))
 def test_random_stream_equals_its_per_call_reference(seed, n):
-    assert _random(seed, n) == per_call_random(seed, n, RANDOM_LINES, RANDOM_MIX)
+    assert_equals_per_call_random(seed, n)
+
+
+@pytest.mark.parametrize("seed", [1, 2027])
+@pytest.mark.parametrize("n", [RANDOM_CHUNK - 1, RANDOM_CHUNK, RANDOM_CHUNK + 1,
+                               2 * RANDOM_CHUNK + 3])
+def test_random_stream_carries_its_state_across_chunks(n, seed):
+    assert_equals_per_call_random(seed, n)
+
+
+def test_random_stream_ignores_the_values_sent_back():
+    # the core sends each load's value into the program; a list iterator
+    # (``yield from`` a chunk) would refuse the first non-None one
+    program = make_workload("random", seed=5, n=RANDOM_CHUNK + 10).program
+    gen = as_generator(program)
+    toks = [next(gen)]
+    while True:
+        try:
+            toks.append(gen.send(0xDEADBEEF))
+        except StopIteration:
+            break
+    assert toks == stream(program)
+
+
+def test_random_stream_expands_the_same_every_time():
+    # sweep runs one build per config many times, and the oracle once more:
+    # two expansions of one program, even interleaved, draw the same stream
+    program = make_workload("random", seed=9, n=RANDOM_CHUNK + 10).program
+    first = stream(program)
+    a, b = zip(*zip(as_generator(program), as_generator(program)))
+    assert list(a) == list(b) == first == stream(program)
+
+
+def test_random_stream_shares_its_address_ints_and_load_tokens():
+    # a read or read-cp is one of the build's 2048 load tokens, and every
+    # token's address one of its 1024 ints: only a write allocates
+    toks = stream(make_workload("random", seed=1, n=10_000).program)
+    words = RANDOM_LINES * LINE_WORDS
+    assert len({id(t) for t in toks if not isinstance(t, Write)}) <= 2 * words
+    assert len({id(t.addr) for t in toks}) <= words
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
