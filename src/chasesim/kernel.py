@@ -11,9 +11,9 @@ rdy it declares on every call. In the commit phase each component's ``tick``
 runs once and sees a transfer where rdy is high and a message is asserted;
 then the kernel counts the transfers and drops every message; each rdy holds
 what its consumer's eval last assigned. Systems of one shape (the same
-blocks over the same channel indices) share one block order and one compiled,
-straight-line copy of this cycle; ``System.schedule`` binds each system's own
-blocks, ticks and channels to it through ``_stepped`` and ``_bound``.
+components' names and blocks over the same channel indices) share one block
+order and one compiled, straight-line copy of this cycle; ``System.schedule``
+binds each system's own blocks, ticks and channels to it through ``_bound``.
 
 ``System.cycle`` is the only clock: a component that waits for a cycle (a
 core's compute, memory's due responses) compares against it instead of
@@ -179,45 +179,25 @@ class System:
         The order is graphlib's ``static_order()`` of the blocks, numbered in
         component order, over the declared signals (writer before readers);
         a cycle raises ``CombinationalLoopError`` naming the blocks on it.
-        Systems of one shape (the same blocks over the same channel
-        indices) share the order, sorted once, and ``_cycle_pair``'s code.
-        Each binds its blocks in that order, each component's ``tick`` and
-        each channel into ``_stepped``, and those plus each component's
-        ``idle_cycles`` into ``_bound``, so a method replaced on an instance
-        takes effect only if replaced before the first cycle or a rewiring.
+        Systems of one shape (the same component names and blocks over the
+        same channel indices) share ``_compiled``'s order and code, sorted
+        and compiled once. Each binds its blocks in that order, each
+        component's ``tick`` and ``idle_cycles`` and each channel into
+        ``_bound``, so a method replaced on an instance takes effect only if
+        replaced before the first cycle or a rewiring.
         """
         if self._schedule is not None:
             return self._schedule
         index = {ch: i for i, ch in enumerate(self.channels)}
         comps = self.components
-        shape = tuple(tuple((method, tuple([self._signal(c, s, index) for s in rd]),
-                             tuple([self._signal(c, s, index) for s in wr]))
-                            for method, (rd, wr) in c.blocks.items()) for c in comps)
-        if (order := _ORDERS.get(shape)) is None:
-            blocks, writer, reads = [], {}, []
-            for c, comp_blocks in enumerate(shape):
-                for method, rd, wr in comp_blocks:
-                    i = len(blocks)
-                    blocks.append((c, method))
-                    reads.append(rd)
-                    for s in wr:
-                        writer[s] = i
-            graph = TopologicalSorter({i: {writer[s] for s in rd if s in writer} - {i}
-                                       for i, rd in enumerate(reads)})
-            try:  # a loop raises before the store, so it is never cached
-                order = _ORDERS[shape] = tuple(blocks[i] for i in graph.static_order())
-            except CycleError as e:
-                loop = ", ".join(f"{comps[blocks[i][0]].name}.{blocks[i][1]}"
-                                 for i in sorted(set(e.args[1])))
-                raise CombinationalLoopError(
-                    f"eval blocks form a combinational loop: {loop}") from None
+        shape = tuple((c.name, tuple((method, tuple([self._signal(c, s, index) for s in rd]),
+                                      tuple([self._signal(c, s, index) for s in wr]))
+                                     for method, (rd, wr) in c.blocks.items()))
+                      for c in comps)
+        order, self._cycle, self._run = _compiled(shape, len(self.channels))
         self._schedule = [getattr(comps[c], method) for c, method in order]
-        ticks = [c.tick for c in comps]
-        self._stepped = (*self._schedule, *ticks, *self.channels)
-        self._bound = (*self._schedule, *ticks, *[c.idle_cycles for c in comps],
-                       *self.channels)
-        self._cycle, self._run = _cycle_pair(" ".join(c.name for c in comps), len(order),
-                                             len(comps), len(self.channels))
+        self._bound = (*self._schedule, *[c.tick for c in comps],
+                       *[c.idle_cycles for c in comps], *self.channels)
         return self._schedule
 
     @staticmethod
@@ -271,19 +251,17 @@ class System:
 _STEP = System.step  # run_until runs the compiled loop while self.step is this
 
 
-# per shape scheduled so far: (component index, method) of each block, in order
-_ORDERS: dict[tuple, tuple[tuple[int, str], ...]] = {}
-
-
 @lru_cache(maxsize=64)
-def _cycle_pair(wiring: str, blocks: int, components: int, channels: int):
-    """Functions ``cycle(system)``, one stepped cycle, and ``run(system,
-    predicate, max_cycles)``, unwatched ``run_until``'s loop, shared by the
-    systems of one shape. Each first unpacks what it calls into fast
-    locals: ``b<i>``, ``t<i>``, ``i<i>`` and ``c<i>`` are the i-th block,
-    tick, ``idle_cycles`` and channel; ``run`` takes them from
-    ``system._bound``, and ``cycle`` all but the ``i<i>`` from
-    ``system._stepped``. ``cycle`` runs each block in schedule
+def _compiled(shape: tuple, channels: int):
+    """The block order and the functions ``cycle(system)``, one stepped
+    cycle, and ``run(system, predicate, max_cycles)``, unwatched
+    ``run_until``'s loop, shared by the systems of one shape: per component
+    its name and per block (method, signals read, signals written), each
+    signal (channel index, wire). The order is (component index, method) per
+    block; a combinational loop raises, and ``lru_cache`` caches no raise.
+    Each function first unpacks ``system._bound`` into fast locals: ``b<i>``,
+    ``t<i>``, ``i<i>`` and ``c<i>`` are the i-th block, tick,
+    ``idle_cycles`` and channel. ``cycle`` runs each block in schedule
     order, the trace hook, each tick, then per channel: count a transfer,
     drop the message. In ``run`` the idle poll keeps each ``idle_cycles()``
     in a local ``k<i>`` and stops at the first k <= 0, which falls through
@@ -293,20 +271,34 @@ def _cycle_pair(wiring: str, blocks: int, components: int, channels: int):
     components with k == n. Compiling both takes about 0.5 ms (four
     components; 2 vCPUs, Python 3.11), which a sweep of short runs would
     otherwise pay per run."""
-    names = [f"{k}{i}" for k, n in (("b", blocks), ("t", components), ("i", components),
-                                    ("c", channels)) for i in range(n)]
+    blocks, writer, reads = [], {}, []
+    for c, (_, comp_blocks) in enumerate(shape):
+        for method, rd, wr in comp_blocks:
+            i = len(blocks)
+            blocks.append((c, method))
+            reads.append(rd)
+            for s in wr:
+                writer[s] = i
+    graph = TopologicalSorter({i: {writer[s] for s in rd if s in writer} - {i}
+                               for i, rd in enumerate(reads)})
+    try:
+        order = tuple(blocks[i] for i in graph.static_order())
+    except CycleError as e:
+        loop = ", ".join(f"{shape[blocks[i][0]][0]}.{blocks[i][1]}"
+                         for i in sorted(set(e.args[1])))
+        raise CombinationalLoopError(f"eval blocks form a combinational loop: {loop}") from None
+    components = len(shape)
+    names = [f"{k}{i}" for k, n in (("b", len(order)), ("t", components),
+                                    ("i", components), ("c", channels)) for i in range(n)]
     bind = [f"{', '.join(names)}, = system._bound"] if names else []
-    stepped = [name for name in names if name[0] != "i"]  # cycle polls nothing
-    bind_stepped = [f"{', '.join(stepped)}, = system._stepped"] if stepped else []
-    evals = [f"b{i}()" for i in range(blocks)]
+    evals = [f"b{i}()" for i in range(len(order))]
     commit = [f"t{i}()" for i in range(components)]
     for c in (f"c{i}" for i in range(channels)):
         commit += [f"if {c}.msg is not None:", f"    if {c}.rdy:",
                    f"        {c}.transfers += 1", f"    {c}.msg = None"]
     commit.append("system.cycle += 1")
     hook = ["if system._trace is not None:", "    system._write_trace()"]
-    src = ["def cycle(system):",
-           *("    " + line for line in bind_stepped + evals + hook + commit)]
+    src = ["def cycle(system):", *("    " + line for line in bind + evals + hook + commit)]
     poll = " and ".join(f"(k{i} := i{i}()) > 0" for i in range(components)) or "True"
     src += ["def run(system, predicate, max_cycles):", *("    " + line for line in bind),
             "    steps = 0", "    while not predicate():", "        if steps >= max_cycles:",
@@ -321,5 +313,6 @@ def _cycle_pair(wiring: str, blocks: int, components: int, channels: int):
             "        steps += 1", *("        " + line for line in evals + commit),
             "    return True"]
     env = {}
+    wiring = " ".join(name for name, _ in shape)
     exec(compile("\n".join(src), f"<cycle of {wiring}>", "exec"), env)
-    return env["cycle"], env["run"]
+    return order, env["cycle"], env["run"]

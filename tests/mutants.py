@@ -305,10 +305,12 @@ MUTANTS = [
     # a block order shared by every system whose components declare the
     # same blocks, however their ports are bound
     Mutant("order-shape-drops-bindings", "kernel.py",
-           "        if (order := _ORDERS.get(shape)) is None:\n",
-           "        if (order := _ORDERS.get(key := tuple(tuple(c.blocks.items())"
-           " for c in comps))) is None:\n",
-           also=(("order = _ORDERS[shape] = ", "order = _ORDERS[key] = "),),
+           "        order, self._cycle, self._run = _compiled(shape, len(self.channels))\n",
+           "        _compiled.shape = shape  # sorted and compiled on a miss, not keyed\n"
+           "        order, self._cycle, self._run = _compiled(\n"
+           "            tuple((c.name, tuple(c.blocks)) for c in comps), len(self.channels))\n",
+           also=(("    blocks, writer, reads = [], {}, []\n",
+                  "    shape, blocks, writer, reads = _compiled.shape, [], {}, []\n"),),
            killer="tests/test_kernel.py::test_one_set_of_classes_wired_two_ways_gets_two_orders"),
     Mutant("geometry-not-frozen", "messages.py",
            "@dataclass(frozen=True, slots=True)\nclass AddrGeometry:\n",
@@ -411,6 +413,12 @@ MUTANTS = [
            "                yield tok\n",
            "            yield from chunk\n",
            killer="tests/test_workloads.py::test_random_stream_ignores_the_values_sent_back"),
+    # the same stream through one more builtin call per token: only the
+    # draw's own cost tells
+    Mutant("random-draw-calls-len", "workloads.py",
+           "                i = s % words\n",
+           "                i = s % len(addrs)\n",
+           killer="tests/test_kernel.py::test_drawing_a_random_token_stays_under_its_ceilings"),
     # the same stream, drawn whole at build time: only its memory tells
     Mutant("random-stream-eager", "workloads.py",
            "    return Workload([(0, region)], program)\n",
